@@ -5,8 +5,7 @@ Usage:  focklab <subcommand> --config <path> [--out <dir>] [--seed <n>]
 
 Every subcommand writes CSV artifacts plus a manifest (with content
 checksums) under <out>/<subcommand>/<config-hash>/.  Reruns with the
-same config and seed are byte-identical.  FOCKLAB_WORKERS controls the
-thread count for per-symbol jobs.
+same config and seed are byte-identical.
 """
 
 import argparse
@@ -14,25 +13,25 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, symbols
+from .approximant import compact_approximant
 from .config import ConfigError, ExperimentConfig, load_config
 from .dbar import DbarSolver, calibrate_orientation, dbar_fd, \
     gaussian_test_forms
 from .decomposition import build_partition, decompose, verify_controls
 from .fock import KernelEval, build_basis, default_rule_for_degree, \
-    fit_kernel_estimates, kernel
+    fit_kernel_estimates
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import gaussian_plane_rule
 from .oscillation import g_functional, m_profile, ida_norm, vda_profile
 from .spectral import MeasureModel, berezin_transform, build_hankel_gram, \
-    compact_approximant, essential_norm_tail, hankel_on_kernel, \
-    measure_average, power_gauge, schatten_h_criterion, singular_spectrum
+    essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
+    schatten_h_criterion, singular_spectrum
 from .weights import certify_weight, gaussian_weight, \
     perturbed_gaussian_weight
 
@@ -54,21 +53,6 @@ def write_csv(path: Path, header: list, rows: list) -> None:
     body += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     tmp.write_text(body, newline="\n")
     os.replace(tmp, path)
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FOCKLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = worker_count()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 class Runner:
@@ -114,13 +98,10 @@ class Runner:
     def symbol(self, family=None):
         cfg = self.cfg
         family = cfg.get("symbol.id") if family is None else family
-        if family == "holo-poly":
-            return symbols.make(family, coeffs=cfg.get_floats("symbol.coeffs"))
-        if family == "conj-gaussian":
-            return symbols.make(family, beta=cfg.get_float("symbol.beta"))
-        if family in ("bump", "step", "mixed"):
-            return symbols.make(family, radius=cfg.get_float("symbol.radius"))
-        return symbols.make(family)
+        build, params = symbols.FAMILIES[family]
+        read = {float: cfg.get_float, list: cfg.get_floats}
+        return build(**{name: read[kind](f"symbol.{name}")
+                        for name, kind in params.items()})
 
     def lattice(self, r=None, half=None):
         cfg = self.cfg
@@ -359,27 +340,21 @@ def cmd_thm11_report(r: Runner, rng):
     lat_half = shells[-1] + 1 + 2 * rr
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
 
-    def one(family):
+    all_rows, ratio_rows = [], []
+    for family in THM11_FAMILIES:
         f = r.symbol(family)
         S = singular_spectrum(build_hankel_gram(f, ess_basis, 10))
         ess = essential_norm_tail(S).estimate
         L = build_lattice(0, 0.5, Window.square(lat_half))
         D = decompose(f, build_partition(L), q, d)
-        rows = []
         for rad in shells:
             pts = rad * angles
             kz = max(hankel_on_kernel(f, z, q, K) for z in pts)
             gmax = float(np.max(g_functional(f, pts, rr, q, d)))
             dec = (float(np.max(np.abs(D.dbar_f1(pts))))
                    + max(verify_controls(D, pts, rr, q).sup_m_f2, 0.0))
-            rows.append([family, rad, ess, kz, gmax, dec])
-        return rows
-
-    all_rows = [row for rows in _pmap(one, THM11_FAMILIES) for row in rows]
-    ratio_rows = []
-    for family in THM11_FAMILIES:
-        fam = [rw for rw in all_rows if rw[0] == family]
-        final = fam[-1]
+            all_rows.append([family, rad, ess, kz, gmax, dec])
+        final = all_rows[-1]
         vals = [v for v in final[2:5] if v > 0]
         ratio = max(vals) / min(vals) if len(vals) == 3 else 0.0
         ratio_rows.append([family, final[2], final[3], final[4], final[5],

@@ -9,6 +9,8 @@ same place byte for byte.
 import hashlib
 from dataclasses import dataclass, field
 
+from .symbols import FAMILIES
+
 DEFAULTS = {
     "weight.kind": "gaussian",
     "weight.alpha": "1.0",
@@ -29,20 +31,15 @@ DEFAULTS = {
     "functional.d": "6",
     "functional.s": "inf",
     "functional.shells": "2.0,3.0,4.0,5.0",
-    "gauge.family": "power",
     "gauge.p": "2.0",
     "gauge.c_grid": "0.5,1.0,2.0",
     "dbar.n_radial": "60",
     "dbar.n_angular": "96",
     "approx.t": "2.0",
-    "measure.kind": "density",
     "measure.density": "lebesgue",  # lebesgue | gaussian
     "probes.half_width": "2.0",
     "probes.count": "25",
 }
-
-VALID_SYMBOLS = ("holo-poly", "conj-linear", "conj-gaussian", "bump",
-                 "step", "mixed")
 
 
 class ConfigError(ValueError):
@@ -111,9 +108,11 @@ class ExperimentConfig:
             raise ConfigError("lattice.r: must be positive")
         if self.get_int("lattice.K") < 1:
             raise ConfigError("lattice.K: must be >= 1")
-        if self.get("symbol.id") not in VALID_SYMBOLS:
+        if self.get("symbol.id") not in FAMILIES:
             raise ConfigError(f"symbol.id: unknown family "
                               f"{self.get('symbol.id')!r}")
+        if self.get("measure.density") not in ("lebesgue", "gaussian"):
+            raise ConfigError("measure.density: must be lebesgue or gaussian")
         shells = self.get_floats("functional.shells")
         if any(b <= a for a, b in zip(shells, shells[1:])):
             raise ConfigError("functional.shells: must be increasing")

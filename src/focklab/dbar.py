@@ -147,16 +147,19 @@ def calibrate_orientation(solver: DbarSolver, forms=None,
     # raw solution is linear in c0: compute once, scale per candidate
     stencil = np.concatenate([probes + FD_STEP, probes - FD_STEP,
                               probes + 1j * FD_STEP, probes - 1j * FD_STEP])
+    solved = []
+    for omega in forms:
+        raw = solver.raw_apply(omega, stencil).reshape(4, -1)
+        solved.append(((raw[0] - raw[1]) / (2 * FD_STEP)
+                       + 1j * (raw[2] - raw[3]) / (2 * FD_STEP),
+                       omega(probes)))
     residuals = {}
     for c0 in C0_CANDIDATES:
         worst = 0.0
-        for omega in forms:
-            raw = solver.raw_apply(omega, stencil).reshape(4, -1)
-            dbar_u = c0 * 0.5 * ((raw[0] - raw[1]) / (2 * FD_STEP)
-                                 + 1j * (raw[2] - raw[3]) / (2 * FD_STEP))
-            scale = float(np.max(np.abs(omega(probes)))) + 1e-30
-            worst = max(worst, float(np.max(np.abs(dbar_u - omega(probes))))
-                        / scale)
+        for raw_2dbar, w in solved:
+            dbar_u = c0 * 0.5 * raw_2dbar
+            scale = float(np.max(np.abs(w))) + 1e-30
+            worst = max(worst, float(np.max(np.abs(dbar_u - w))) / scale)
         residuals[c0] = worst
     winner = min(residuals, key=residuals.get)
     if residuals[winner] > rel_tol:

@@ -19,7 +19,6 @@ from .lattice import Lattice
 from .oscillation import g_functional
 from .quadrature import BallRule, PlaneRule, ball_rule
 from .symbols import Symbol
-from .weights import WeightModel
 
 PSD_TOL = 1e-10
 
@@ -30,7 +29,6 @@ class NumericalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class HankelGram:
-    symbol_name: str
     basis: FockBasis
     matrix: np.ndarray
     margin: int
@@ -91,13 +89,9 @@ class MeasureModel:
             raise ValueError("atomic masses must be positive")
 
 
-def _gram_once(f: Symbol, big: FockBasis, hankel_degree: int,
-               proj_degree: int, rule: PlaneRule,
-               fvals: np.ndarray | None = None) -> np.ndarray:
+def _gram_once(fv: np.ndarray, big: FockBasis, hankel_degree: int,
+               proj_degree: int, rule: PlaneRule) -> np.ndarray:
     nodes = rule.nodes
-    fv = f(nodes) if fvals is None else fvals
-    if not np.all(np.isfinite(fv)):
-        raise ValueError("symbol evaluation failed on the plane rule")
     decay = np.exp(-2.0 * big.weight.phi(nodes))
     wE = rule.weights * decay
     E = big.evaluate(nodes, kmax=proj_degree)
@@ -110,26 +104,34 @@ def _gram_once(f: Symbol, big: FockBasis, hankel_degree: int,
     return 0.5 * (G + np.conj(G).T)
 
 
-def build_hankel_gram(f: Symbol, basis: FockBasis, margin: int = 10,
-                      rule: PlaneRule | None = None,
-                      fvals: np.ndarray | None = None,
-                      stability_check: bool = True) -> HankelGram:
-    """Hankel Gram matrix with a margin-stability certificate."""
+def sampled_hankel_gram(samples: np.ndarray, basis: FockBasis, margin: int,
+                        rule: PlaneRule,
+                        stability_check: bool = True) -> HankelGram:
+    """Hankel Gram of the symbol whose values on `rule.nodes` are `samples`."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("symbol evaluation failed on the plane rule")
     Dp = basis.degree + margin
-    if rule is None:
-        # sized for the largest Gram integrand (degree ~ 2*(Dp+5) plus
-        # low-order symbol growth)
-        rule = default_rule_for_degree(Dp + 5, basis.weight.alpha, margin=8)
     big = build_basis(basis.weight, Dp + 5, rule)
-    G = _gram_once(f, big, basis.degree, Dp, rule, fvals)
+    G = _gram_once(samples, big, basis.degree, Dp, rule)
     shift = np.nan
     if stability_check:
-        G2 = _gram_once(f, big, basis.degree, Dp + 5, rule, fvals)
+        G2 = _gram_once(samples, big, basis.degree, Dp + 5, rule)
         s1 = _singular_from_gram(G)
         s2 = _singular_from_gram(G2)
         shift = float(np.max(np.abs(s1[:10] - s2[:10])))
-    return HankelGram(symbol_name=f.name, basis=basis, matrix=G,
-                      margin=margin, stability_shift=shift)
+    return HankelGram(basis=basis, matrix=G, margin=margin,
+                      stability_shift=shift)
+
+
+def build_hankel_gram(f: Symbol, basis: FockBasis, margin: int = 10,
+                      rule: PlaneRule | None = None) -> HankelGram:
+    """Hankel Gram matrix of f with a margin-stability certificate."""
+    if rule is None:
+        # sized for the largest Gram integrand (degree ~ 2*(D+margin+5)
+        # plus low-order symbol growth)
+        rule = default_rule_for_degree(basis.degree + margin + 5,
+                                       basis.weight.alpha, margin=8)
+    return sampled_hankel_gram(f(rule.nodes), basis, margin, rule)
 
 
 def _singular_from_gram(G: np.ndarray) -> np.ndarray:
@@ -210,72 +212,6 @@ def essential_norm_tail(S: SingularSpectrum,
                                              slope_threshold * 1e-2)
     return EssentialNormEstimate(estimate=est, slope=slope,
                                  window=(lo, hi), reliable=reliable)
-
-
-def smooth_cutoff(t: float) -> Symbol:
-    """Radial cutoff: 1 on |z| <= t, cubic ramp to 0 at |z| = t + 1."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-
-    def sigma(z):
-        rho = np.abs(z)
-        u = np.clip(rho - t, 0.0, 1.0)
-        return (1.0 - 3.0 * u ** 2 + 2.0 * u ** 3).astype(complex)
-
-    def dbar(z):
-        rho = np.abs(z)
-        u = np.clip(rho - t, 0.0, 1.0)
-        ds = -6.0 * u + 6.0 * u ** 2           # d sigma / d rho
-        safe = np.where(rho > 0, rho, 1.0)
-        return (0.5 * ds * z / safe).astype(complex)
-
-    return Symbol(evaluator=sigma, dbar=dbar, support_radius=t + 1.0,
-                  smoothness="C1", name=f"cutoff-{t}", params={"t": t})
-
-
-@dataclass(frozen=True)
-class ApproximantResult:
-    t: float
-    gap: float                 # top singular value of H_{f - h_t}
-    h_t_values: np.ndarray     # on the plane-rule nodes
-    solver_c0: complex
-
-
-def compact_approximant(f: Symbol, decomp, solver, t: float,
-                        basis: FockBasis, margin: int = 10,
-                        rule: PlaneRule | None = None) -> ApproximantResult:
-    """Build h_t = psi_t + sigma_t f_2 and the gap ||H_f - H_{h_t}||.
-
-    psi_t = A_phi(sigma_t dbar f_1) so that dbar psi_t = sigma_t dbar f_1;
-    the gap is the top singular value of the Hankel Gram of f - h_t.
-    """
-    from .dbar import ZeroOneForm                 # local: avoid cycle
-    rule = basis.rule if rule is None else rule
-    sigma = smooth_cutoff(t)
-    nodes = rule.nodes
-
-    def masked(xi, field):
-        """sigma_t * field, evaluating field only inside supp(sigma_t)."""
-        xi = np.asarray(xi, dtype=complex)
-        s = sigma(xi)
-        out = np.zeros(xi.shape, dtype=complex)
-        mask = s != 0
-        if np.any(mask):
-            out[mask] = s[mask] * field(xi[mask])
-        return out
-
-    omega = ZeroOneForm(lambda xi: masked(xi, decomp.dbar_f1),
-                        decay="compact", support_radius=t + 1.0)
-    psi_vals = solver.apply(omega, nodes)
-    h_vals = psi_vals + masked(nodes, decomp.f2)
-    diff_vals = f(nodes) - h_vals
-    diff = Symbol(evaluator=lambda z: np.full(np.shape(z), np.nan),
-                  name=f"{f.name}-minus-ht")
-    G = build_hankel_gram(diff, basis, margin, rule, fvals=diff_vals,
-                          stability_check=False)
-    S = singular_spectrum(G)
-    return ApproximantResult(t=float(t), gap=float(S.values[0]),
-                             h_t_values=h_vals, solver_c0=solver.c0)
 
 
 def berezin_transform(mu: MeasureModel, K: KernelEval, z: complex,

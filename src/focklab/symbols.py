@@ -36,11 +36,34 @@ class Symbol:
             params=dict(self.params, shift=a))
 
 
-FAMILY_IDS = ("holo-poly", "conj-linear", "conj-gaussian",
-              "bump", "step", "mixed")
+def _holo_poly(coeffs=(0.0, 1.0)) -> Symbol:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return Symbol(
+        evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs),
+        dbar=lambda z: np.zeros(np.shape(z), dtype=complex),
+        smoothness="C2", name="holo-poly",
+        params={"coeffs": tuple(coeffs.tolist())})
 
 
-def _bump_parts(R: float):
+def _conj_linear() -> Symbol:
+    return Symbol(
+        evaluator=lambda z: np.conj(z),
+        dbar=lambda z: np.ones(np.shape(z), dtype=complex),
+        smoothness="C2", name="conj-linear")
+
+
+def _conj_gaussian(beta=1.0) -> Symbol:
+    beta = float(beta)
+    return Symbol(
+        evaluator=lambda z: np.conj(z) * np.exp(-beta * np.abs(z) ** 2),
+        dbar=lambda z: (1.0 - beta * np.abs(z) ** 2)
+        * np.exp(-beta * np.abs(z) ** 2),
+        smoothness="C2", name="conj-gaussian", params={"beta": beta})
+
+
+def _bump(radius=1.0) -> Symbol:
+    R = float(radius)
+
     def f(z):
         rho2 = np.abs(z) ** 2
         body = (1.0 - rho2 / R ** 2) ** 2
@@ -51,46 +74,41 @@ def _bump_parts(R: float):
         body = (-2.0 / R ** 2) * (1.0 - rho2 / R ** 2) * z
         return np.where(rho2 < R ** 2, body, 0.0).astype(complex)
 
-    return f, db
+    return Symbol(evaluator=f, dbar=db, support_radius=R,
+                  smoothness="C1", name="bump", params={"radius": R})
+
+
+def _step(radius=1.0) -> Symbol:
+    R = float(radius)
+    return Symbol(
+        evaluator=lambda z: (np.abs(z) < R).astype(complex),
+        dbar=None, support_radius=R, smoothness="measurable",
+        name="step", params={"radius": R})
+
+
+def _mixed(radius=1.0) -> Symbol:
+    bump = _bump(radius)
+    return Symbol(
+        evaluator=lambda z: np.conj(z) + bump.evaluator(z),
+        dbar=lambda z: 1.0 + bump.dbar(z),
+        smoothness="C1", name="mixed", params=dict(bump.params))
+
+
+# Built-in families: id -> (constructor, {parameter: type}).  The config
+# validates symbol.id against this table and reads each parameter from
+# the key symbol.<parameter>.
+FAMILIES = {
+    "holo-poly": (_holo_poly, {"coeffs": list}),
+    "conj-linear": (_conj_linear, {}),
+    "conj-gaussian": (_conj_gaussian, {"beta": float}),
+    "bump": (_bump, {"radius": float}),
+    "step": (_step, {"radius": float}),
+    "mixed": (_mixed, {"radius": float}),
+}
 
 
 def make(family_id: str, **params) -> Symbol:
     """Construct a symbol from one of the built-in families."""
-    if family_id == "holo-poly":
-        coeffs = np.asarray(params.get("coeffs", [0.0, 1.0]), dtype=complex)
-        return Symbol(
-            evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs),
-            dbar=lambda z: np.zeros(np.shape(z), dtype=complex),
-            smoothness="C2", name="holo-poly",
-            params={"coeffs": tuple(coeffs.tolist())})
-    if family_id == "conj-linear":
-        return Symbol(
-            evaluator=lambda z: np.conj(z),
-            dbar=lambda z: np.ones(np.shape(z), dtype=complex),
-            smoothness="C2", name="conj-linear")
-    if family_id == "conj-gaussian":
-        beta = float(params.get("beta", 1.0))
-        return Symbol(
-            evaluator=lambda z: np.conj(z) * np.exp(-beta * np.abs(z) ** 2),
-            dbar=lambda z: (1.0 - beta * np.abs(z) ** 2)
-            * np.exp(-beta * np.abs(z) ** 2),
-            smoothness="C2", name="conj-gaussian", params={"beta": beta})
-    if family_id == "bump":
-        R = float(params.get("radius", 1.0))
-        f, db = _bump_parts(R)
-        return Symbol(evaluator=f, dbar=db, support_radius=R,
-                      smoothness="C1", name="bump", params={"radius": R})
-    if family_id == "step":
-        R = float(params.get("radius", 1.0))
-        return Symbol(
-            evaluator=lambda z: (np.abs(z) < R).astype(complex),
-            dbar=None, support_radius=R, smoothness="measurable",
-            name="step", params={"radius": R})
-    if family_id == "mixed":
-        R = float(params.get("radius", 1.0))
-        f, db = _bump_parts(R)
-        return Symbol(
-            evaluator=lambda z: np.conj(z) + f(z),
-            dbar=lambda z: 1.0 + db(z),
-            smoothness="C1", name="mixed", params={"radius": R})
-    raise ValueError(f"unknown symbol family {family_id!r}")
+    if family_id not in FAMILIES:
+        raise ValueError(f"unknown symbol family {family_id!r}")
+    return FAMILIES[family_id][0](**params)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from focklab import symbols
+from focklab.approximant import compact_approximant
 from focklab.cli import main as cli_main
 from focklab.dbar import (DbarSolver, calibrate_orientation, dbar_fd,
                           gaussian_test_forms, hankel_via_dbar)
@@ -20,9 +21,8 @@ from focklab.lattice import (Window, build_lattice, covering_multiplicity,
                              nearest_distance, split_sublattices)
 from focklab.oscillation import g_functional, mean_oscillation
 from focklab.spectral import (MeasureModel, berezin_transform,
-                              build_hankel_gram, compact_approximant,
-                              essential_norm_tail, hankel_on_kernel,
-                              measure_average, power_gauge,
+                              build_hankel_gram, essential_norm_tail,
+                              hankel_on_kernel, measure_average, power_gauge,
                               schatten_h_criterion, singular_spectrum)
 from focklab.weights import gaussian_weight
 

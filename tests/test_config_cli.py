@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from focklab.cli import main, run
+from focklab import symbols
+from focklab.cli import Runner, main, run
 from focklab.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text)
 
@@ -38,11 +39,21 @@ def test_hash_depends_on_seed_and_values():
     ("lattice.K=0", "lattice.K"),
     ("symbol.id=nope", "symbol.id"),
     ("functional.shells=3,2", "functional.shells"),
+    ("measure.density=bogus", "measure.density"),
+    ("gauge.family=power", "gauge.family"),
+    ("measure.kind=density", "measure.kind"),
 ])
 def test_validation_names_offending_field(override, field):
     with pytest.raises(ConfigError) as exc:
         load_config(overrides=[override]).validate()
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("family", sorted(symbols.FAMILIES))
+def test_every_registered_family_runs(family):
+    cfg = load_config(overrides=[f"symbol.id={family}"])
+    z = np.array([0.0, 0.5 - 0.25j, -1.5 + 2.0j])
+    assert np.all(np.isfinite(Runner(cfg).symbol()(z)))
 
 
 def test_unknown_key_rejected():

@@ -28,6 +28,21 @@ def test_calibration_idempotent(solver):
     assert solver.c0 == c0
 
 
+def test_calibration_solves_each_form_once(monkeypatch):
+    s = DbarSolver(gaussian_weight(1.0), n_radial=20, n_angular=32)
+    forms = gaussian_test_forms(1.0)
+    calls = []
+    raw_apply = DbarSolver.raw_apply
+
+    def counted(self, omega, z):
+        calls.append(omega)
+        return raw_apply(self, omega, z)
+
+    monkeypatch.setattr(DbarSolver, "raw_apply", counted)
+    calibrate_orientation(s, forms, rel_tol=np.inf)
+    assert len(calls) == len(forms)
+
+
 def test_uncalibrated_apply_rejected():
     s = DbarSolver(gaussian_weight(1.0), n_radial=30, n_angular=48)
     omega = gaussian_test_forms(1.0)[0]

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from focklab import symbols
-from focklab.fock import KernelEval
+from focklab.fock import KernelEval, default_rule_for_degree
 from focklab.lattice import Window, build_lattice
 from focklab.spectral import (MeasureModel, berezin_transform,
                               build_hankel_gram, essential_norm_tail,
                               hankel_on_kernel, measure_average, power_gauge,
-                              schatten_h_criterion, schatten_sum,
-                              singular_spectrum)
+                              sampled_hankel_gram, schatten_h_criterion,
+                              schatten_sum, singular_spectrum)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +32,15 @@ def test_margin_stability_certificate(basis25):
     f = symbols.make("conj-gaussian", beta=1.0)
     G = build_hankel_gram(f, basis25, margin=10)
     assert G.stability_shift < 1e-6
+
+
+def test_gram_from_samples_matches_symbol_gram(basis25):
+    f = symbols.make("conj-gaussian", beta=1.0)
+    rule = default_rule_for_degree(40, 1.0, margin=8)
+    G = build_hankel_gram(f, basis25, 10, rule)
+    Gs = sampled_hankel_gram(f(rule.nodes), basis25, 10, rule)
+    assert np.array_equal(G.matrix, Gs.matrix)
+    assert G.stability_shift == Gs.stability_shift
 
 
 def test_spectrum_scale_equivariance(basis25):
