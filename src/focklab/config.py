@@ -100,6 +100,16 @@ class ExperimentConfig:
             raise ConfigError("weight.alpha: must be positive")
         if self.get_int("basis.degree") < 0:
             raise ConfigError("basis.degree: must be >= 0")
+        if self.get_int("basis.margin") < 0:
+            raise ConfigError("basis.margin: must be >= 0")
+        if self.get_int("functional.d") < 0:
+            raise ConfigError("functional.d: must be >= 0")
+        for key in ("dbar.n_radial", "dbar.n_angular"):
+            if self.get_int(key) < 1:
+                raise ConfigError(f"{key}: must be >= 1")
+        for key in ("approx.t", "lattice.window"):
+            if self.get_float(key) <= 0:
+                raise ConfigError(f"{key}: must be positive")
         if self.get_float("functional.q") < 1:
             raise ConfigError("functional.q: must be >= 1")
         if self.get_float("functional.r") <= 0:

@@ -5,15 +5,22 @@ B(a_j, 2r); the normalized bumps psi_j sum to one on the window interior.
 f1 glues the local least-squares holomorphic approximants h_j (fitted on
 B(a_j, 2r)) through the partition, and f2 = f - f1.  Since each h_j is
 holomorphic, dbar f1 = sum_j h_j dbar psi_j in closed form.
+
+The covering has bounded overlap: a point z sees only the bumps of the
+lattice cells next to it, a block of ceil(2 rho)^2 cells with
+rho = support radius / step (16 at the default support 2r) however large
+the window (see lattice.neighbour_cells).  Bumps, psi_j, dbar psi_j and
+the h_j (stored as one (N, d+1) coefficient array and summed by Horner's
+rule) are evaluated on that block only, in lattice order; the other
+terms of each sum are exact zeros.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice
-from .oscillation import LocalApproximation, g_functional, ida_distance, \
-    mean_oscillation
+from .lattice import Lattice, neighbour_cells
+from .oscillation import g_functional, ida_distance, mean_oscillation
 from .quadrature import ball_rule
 from .symbols import Symbol
 
@@ -28,64 +35,83 @@ class PartitionOfUnity:
     support_radius: float      # 2r
 
     def _bump_data(self, z: np.ndarray):
-        """Raw bumps b_j(z) and dbar b_j(z); shapes (npts, nz)."""
+        """Bumps b_j(z), dbar b_j(z) and their column sums on the block of
+        neighbouring cells; the block, bumps and derivatives have shape
+        (cells, nz) and are updated in place to keep temporaries few."""
         z = np.asarray(z, dtype=complex).ravel()
-        a = self.lattice.points
-        u = z[None, :] - a[:, None]
-        s = np.abs(u) ** 2 / self.support_radius ** 2
-        inside = s < 1.0
-        b = np.where(inside, (1.0 - s) ** 2, 0.0)
-        db = np.where(inside, -2.0 * (1.0 - s) * u / self.support_radius ** 2,
-                      0.0)
-        return b, db
-
-    def members(self, z) -> np.ndarray:
-        """psi_j(z); shape (npts, nz)."""
-        b, _ = self._bump_data(z)
+        if len(self.lattice.points) == 0:
+            raise InvalidProfileError("partition of an empty lattice")
+        idx, on = neighbour_cells(self.lattice, z, self.support_radius)
+        u = z[None, :] - self.lattice.points.take(idx)
+        s = np.abs(u)
+        s **= 2
+        s /= self.support_radius ** 2
+        outside = ~(on & (s < 1.0))
+        s -= 1.0                                # s - 1 = -(1 - s) exactly
+        b = np.square(s)                        # (1 - s)^2
+        b[outside] = 0.0
+        db = 2.0 * s * u                        # -2 (1 - s) u
+        db /= self.support_radius ** 2
+        db[outside] = 0.0
         total = b.sum(axis=0)
         if np.any(total <= 0):
             raise InvalidProfileError(
-                "partition denominator vanishes inside the window; "
+                "partition denominator vanishes; "
                 "lattice does not cover the query points")
-        return b / total
+        return idx, b, db, total
 
-    def members_dbar(self, z) -> np.ndarray:
-        """dbar psi_j(z) from the closed-form bump derivative."""
-        b, db = self._bump_data(z)
-        total = b.sum(axis=0)
-        if np.any(total <= 0):
-            raise InvalidProfileError("partition denominator vanishes")
+    def members(self, z):
+        """(idx, psi): psi[i, k] = psi_{idx[i, k]}(z_k) on the block of
+        neighbouring cells; every other psi_j(z_k) is zero."""
+        idx, b, _, total = self._bump_data(z)
+        b /= total
+        return idx, b
+
+    def members_dbar(self, z):
+        """(idx, dbar psi) on the same block, from the closed-form bump
+        derivative."""
+        idx, b, db, total = self._bump_data(z)
         dtotal = db.sum(axis=0)
-        return (db * total - b * dtotal) / total ** 2
+        db *= total
+        db -= b * dtotal
+        db /= total ** 2
+        return idx, db
 
 
 @dataclass(frozen=True)
 class Decomposition:
     symbol: Symbol
     partition: PartitionOfUnity
-    approximants: list[LocalApproximation]
+    centres: np.ndarray        # (N,) expansion points of the h_j
+    coeffs: np.ndarray         # (N, d+1) coefficients of (z - centre_j)^i
     q: float
     degree: int
 
-    def _h_matrix(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex).ravel()
-        return np.stack([h.evaluate(z) for h in self.approximants])
+    def _glue(self, zf: np.ndarray, members) -> np.ndarray:
+        """sum_j h_j(z) w_j(z) over the block (idx, w) = members(z).
+
+        Horner's rule on the gathered rows, one coefficient column at a
+        time."""
+        z = zf.ravel()
+        idx, w = members(z)
+        u = z[None, :] - self.centres.take(idx)
+        h = self.coeffs[:, -1].take(idx)
+        for j in range(self.coeffs.shape[1] - 2, -1, -1):
+            h *= u
+            h += self.coeffs[:, j].take(idx)
+        h *= w
+        return h.sum(axis=0).reshape(zf.shape)
 
     def f1(self, z) -> np.ndarray:
-        zf = np.asarray(z, dtype=complex)
-        psi = self.partition.members(zf)
-        vals = np.sum(self._h_matrix(zf) * psi, axis=0)
-        return vals.reshape(zf.shape)
+        return self._glue(np.asarray(z, dtype=complex), self.partition.members)
 
     def f2(self, z) -> np.ndarray:
         zf = np.asarray(z, dtype=complex)
         return self.symbol(zf) - self.f1(zf)
 
     def dbar_f1(self, z) -> np.ndarray:
-        zf = np.asarray(z, dtype=complex)
-        dpsi = self.partition.members_dbar(zf)
-        vals = np.sum(self._h_matrix(zf) * dpsi, axis=0)
-        return vals.reshape(zf.shape)
+        return self._glue(np.asarray(z, dtype=complex),
+                          self.partition.members_dbar)
 
     def f2_symbol(self) -> Symbol:
         return Symbol(evaluator=self.f2, name=f"{self.symbol.name}-f2")
@@ -104,9 +130,12 @@ def decompose(f: Symbol, P: PartitionOfUnity, q: float = 2.0,
     """Fit h_j on B(a_j, 2r) and assemble f1 = sum h_j psi_j."""
     t = P.support_radius
     base = ball_rule(0.0, t)
-    approx = [ida_distance(f, a, t, q, d, base.shifted(a))
-              for a in P.lattice.points]
-    return Decomposition(symbol=f, partition=P, approximants=approx,
+    centres = P.lattice.points
+    coeffs = [ida_distance(f, a, t, q, d, base.shifted(a)).coeffs
+              for a in centres]
+    return Decomposition(symbol=f, partition=P, centres=centres,
+                         coeffs=np.asarray(coeffs, dtype=complex).reshape(
+                             len(centres), d + 1),
                          q=q, degree=d)
 
 

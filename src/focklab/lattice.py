@@ -109,10 +109,74 @@ def split_sublattices(L: Lattice, K: int) -> list[Sublattice]:
     return subs
 
 
+def _grid_coords(L: Lattice, z: np.ndarray):
+    """(x, y) with z = base + step * (x + i y)."""
+    return ((z.real - L.base.real) / L.step,
+            (z.imag - L.base.imag) / L.step)
+
+
+def cell_index(L: Lattice, m, s):
+    """Index into L.points of the integer cells (m, s), and the mask of
+    those on the lattice.
+
+    The points fill the window rectangle in (s, m) lexicographic order,
+    so the index is arithmetic; an off-lattice cell gets the index of
+    the lattice cell nearest to it.  m and s are float arrays of whole
+    numbers (a far query point must not overflow an integer cast); they
+    broadcast, so per-axis arrays give the index of the whole block.
+    """
+    if len(L.ms) == 0:
+        shape = np.broadcast_shapes(np.shape(m), np.shape(s))
+        return np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=bool)
+    (m_lo, s_lo), (m_hi, s_hi) = L.ms[0], L.ms[-1]
+    on = ((m >= m_lo) & (m <= m_hi)) & ((s >= s_lo) & (s <= s_hi))
+    row = (np.clip(s, s_lo, s_hi) - s_lo).astype(np.intp)
+    col = (np.clip(m, m_lo, m_hi) - m_lo).astype(np.intp)
+    return row * (m_hi - m_lo + 1) + col, on
+
+
+def neighbour_cells(L: Lattice, z, radius: float):
+    """Indices of the lattice cells that can lie within `radius` of z.
+
+    With rho = radius / step, the open disk around a query point meets at
+    most W = ceil(2 rho) grid lines per axis, the first one just past
+    x - rho; each point gets that W x W block.  When some point of the
+    batch is so close to a support circle that rounding could put a
+    lattice point on either side of it, every point gets a block one cell
+    wider and centred on it instead, which leaves out only cells at least
+    half a cell past the radius.  Returns (index, on-lattice mask), both
+    of shape (cells, nz), each column in lattice order.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    rho = radius / L.step
+    width = int(np.ceil(2.0 * rho))
+    x, y = _grid_coords(L, z)
+    lo = np.stack([x - rho, y - rho])
+    start = np.floor(lo) + 1.0
+    # the cells start - 1 and start + width lie this many cells past rho
+    below = lo - (start - 1.0)
+    above = start + width - lo - 2.0 * rho
+    if lo.size and min(below.min(), above.min()) < 1e-9:
+        width += 1
+        start = np.floor(lo + 0.5)
+    offsets = np.arange(width, dtype=float)
+    m = start[0][None, None, :] + offsets[None, :, None]
+    s = start[1][None, None, :] + offsets[:, None, None]
+    idx, on = cell_index(L, m, s)
+    return idx.reshape(-1, z.size), on.reshape(-1, z.size)
+
+
 def nearest_distance(L: Lattice, z) -> np.ndarray:
-    """Distance from each query point to the nearest lattice point."""
+    """Distance from each query point to the nearest lattice point.
+
+    On a rectangular grid the nearest point rounds each coordinate to the
+    nearest grid line, clamped to the window (as cell_index does).
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return np.min(np.abs(z[:, None] - L.points[None, :]), axis=1)
+    if len(L.points) == 0:
+        raise ValueError("lattice has no points")
+    idx, _ = cell_index(L, *map(np.rint, _grid_coords(L, z)))
+    return np.abs(z - L.points[idx])
 
 
 def export_points_csv(L: Lattice, K: int = 1) -> list[tuple]:

@@ -42,6 +42,12 @@ def test_hash_depends_on_seed_and_values():
     ("measure.density=bogus", "measure.density"),
     ("gauge.family=power", "gauge.family"),
     ("measure.kind=density", "measure.kind"),
+    ("dbar.n_radial=0", "dbar.n_radial"),
+    ("dbar.n_angular=0", "dbar.n_angular"),
+    ("functional.d=-1", "functional.d"),
+    ("approx.t=0", "approx.t"),
+    ("lattice.window=0", "lattice.window"),
+    ("basis.margin=-3", "basis.margin"),
 ])
 def test_validation_names_offending_field(override, field):
     with pytest.raises(ConfigError) as exc:
