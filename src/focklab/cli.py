@@ -24,7 +24,7 @@ from .dbar import DbarSolver, calibrate_orientation, dbar_fd, \
     gaussian_test_forms
 from .decomposition import build_partition, decompose, verify_controls
 from .fock import KernelEval, build_basis, default_rule_for_degree, \
-    fit_kernel_estimates
+    fit_kernel_estimates, is_radial
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import gaussian_plane_rule
@@ -77,6 +77,10 @@ class Runner:
         degree = self.cfg.get_int("basis.degree") if degree is None else degree
         key = ("basis", degree)
         if key not in self._cache:
+            if not is_radial(self.weight):
+                raise ConfigError(f"weight.kind: the Fock basis needs a "
+                                  f"radial weight, not "
+                                  f"{self.cfg.get('weight.kind')!r}")
             order = self.cfg.get_int("quad.order")
             rule = (default_rule_for_degree(degree, self.weight.alpha)
                     if order == 0 else
@@ -209,10 +213,10 @@ def cmd_decompose(r: Runner, rng):
     probes = r.probes(rng)
     rep = verify_controls(D, probes, cfg.get_float("functional.r"),
                           cfg.get_float("functional.q"))
-    rows = []
-    for i, p in enumerate(probes):
-        rows.append([p.real, p.imag, abs(f(p)), abs(D.f1(p)), abs(D.f2(p)),
-                     abs(D.dbar_f1(p)), rep.g_values[i]])
+    fv, f1 = f(probes), D.f1(probes)
+    rows = np.column_stack([probes.real, probes.imag, np.abs(fv), np.abs(f1),
+                            np.abs(fv - f1), np.abs(D.dbar_f1(probes)),
+                            rep.g_values]).tolist()
     summary = [[rep.sup_dbar_f1, rep.sup_m_f2, rep.max_ratio_dbar,
                 rep.max_ratio_m]]
     return {

@@ -116,8 +116,14 @@ class ExperimentConfig:
             raise ConfigError("functional.r: must be positive")
         if self.get_float("lattice.r") <= 0:
             raise ConfigError("lattice.r: must be positive")
-        if self.get_int("lattice.K") < 1:
-            raise ConfigError("lattice.K: must be >= 1")
+        for key in ("lattice.K", "probes.count"):
+            if self.get_int(key) < 1:
+                raise ConfigError(f"{key}: must be >= 1")
+        if self.get("functional.s") != "inf" and \
+                self.get_float("functional.s") < 1:
+            raise ConfigError("functional.s: must be inf or >= 1")
+        if self.get_float("gauge.p") <= 0:
+            raise ConfigError("gauge.p: must be positive")
         if self.get("symbol.id") not in FAMILIES:
             raise ConfigError(f"symbol.id: unknown family "
                               f"{self.get('symbol.id')!r}")

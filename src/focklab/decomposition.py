@@ -21,7 +21,7 @@ import numpy as np
 
 from .lattice import Lattice, neighbour_cells
 from .oscillation import g_functional, ida_distance, mean_oscillation
-from .quadrature import ball_rule
+from .quadrature import ball_rule  # noqa: F401 (perfbench/layers.py hooks it)
 from .symbols import Symbol
 
 
@@ -128,15 +128,10 @@ def build_partition(L: Lattice, support_factor: float = 2.0) -> PartitionOfUnity
 def decompose(f: Symbol, P: PartitionOfUnity, q: float = 2.0,
               d: int = 6) -> Decomposition:
     """Fit h_j on B(a_j, 2r) and assemble f1 = sum h_j psi_j."""
-    t = P.support_radius
-    base = ball_rule(0.0, t)
     centres = P.lattice.points
-    coeffs = [ida_distance(f, a, t, q, d, base.shifted(a)).coeffs
-              for a in centres]
+    fit = ida_distance(f, centres, P.support_radius, q, d)
     return Decomposition(symbol=f, partition=P, centres=centres,
-                         coeffs=np.asarray(coeffs, dtype=complex).reshape(
-                             len(centres), d + 1),
-                         q=q, degree=d)
+                         coeffs=fit.coeffs, q=q, degree=d)
 
 
 @dataclass(frozen=True)
@@ -155,10 +150,7 @@ def verify_controls(D: Decomposition, probes, r: float,
     probes = np.atleast_1d(np.asarray(probes, dtype=complex))
     G = g_functional(D.symbol, probes, r, q, D.degree)
     dbar_vals = np.abs(D.dbar_f1(probes))
-    f2s = D.f2_symbol()
-    base = ball_rule(0.0, r)
-    m_vals = np.array([mean_oscillation(f2s, p, r, q, base.shifted(p))
-                       for p in probes])
+    m_vals = mean_oscillation(D.f2_symbol(), probes, r, q)
     floor = max(1e-12, 1e-6 * float(np.max(G, initial=0.0)))
     denom = np.maximum(G, floor)
     return ControlReport(

@@ -71,7 +71,7 @@ def build_basis(w: WeightModel, degree: int,
     """Quadrature-normalized monomial basis; weight must be radial."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if not _is_radial(w):
+    if not is_radial(w):
         raise CapabilityError(
             "basis construction supports radial weights only")
     if rule is None:
@@ -89,7 +89,8 @@ def build_basis(w: WeightModel, degree: int,
     return FockBasis(weight=w, degree=degree, c=np.sqrt(c2), rule=rule)
 
 
-def _is_radial(w: WeightModel) -> bool:
+def is_radial(w: WeightModel) -> bool:
+    """True if phi is constant on three sample circles about 0."""
     if w.kind == "gaussian":
         return True
     radii = np.array([0.3, 1.1, 2.4])

@@ -48,6 +48,10 @@ def test_hash_depends_on_seed_and_values():
     ("approx.t=0", "approx.t"),
     ("lattice.window=0", "lattice.window"),
     ("basis.margin=-3", "basis.margin"),
+    ("probes.count=0", "probes.count"),
+    ("functional.s=0.5", "functional.s"),
+    ("functional.s=many", "functional.s"),
+    ("gauge.p=0", "gauge.p"),
 ])
 def test_validation_names_offending_field(override, field):
     with pytest.raises(ConfigError) as exc:
@@ -60,6 +64,16 @@ def test_every_registered_family_runs(family):
     cfg = load_config(overrides=[f"symbol.id={family}"])
     z = np.array([0.0, 0.5 - 0.25j, -1.5 + 2.0j])
     assert np.all(np.isfinite(Runner(cfg).symbol()(z)))
+
+
+def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
+    rc = main(["hankel-svd", "--out", str(tmp_path),
+               "weight.kind=perturbed-gaussian"])
+    assert rc == 2
+    assert "weight.kind" in capsys.readouterr().err
+    # ops that need no basis still run on the non-radial weight
+    assert main(["certify-weight", "--out", str(tmp_path),
+                 "weight.kind=perturbed-gaussian"]) == 0
 
 
 def test_unknown_key_rejected():

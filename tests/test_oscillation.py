@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from focklab import oscillation as osc
 from focklab import symbols
+from focklab.quadrature import ball_rule
 from focklab.symbols import Symbol
 from focklab.lattice import Window, build_lattice
 from focklab.oscillation import (g_functional, ida_distance, ida_norm,
@@ -107,3 +109,113 @@ def test_bad_parameters_rejected():
         ida_distance(f, 0.0, 1.0, 0.5, 4)   # q < 1
     with pytest.raises(ValueError):
         ida_distance(f, 0.0, 1.0, 2.0, -1)  # d < 0
+
+
+# --- the batched engine against the per-centre definition ---------------
+
+def _reference_fit(f, z, r, q, d):
+    """One centre at a time: lstsq on the shifted rule, IRLS for q != 2.
+
+    Returns (coeffs of (w - z)^j, residual, IRLS iterations, max |f|)."""
+    rule = ball_rule(0.0, r).shifted(z)
+    u = rule.nodes - z
+    V = (u[:, None] / r) ** np.arange(d + 1)[None, :]
+    fv = f(rule.nodes)
+    sw = np.sqrt(rule.weights)
+
+    def solve(extra):
+        A = (sw * extra)[:, None] * V
+        if np.linalg.cond(A) > osc.COND_CAP:
+            raise osc.DegreeCapError("ill-conditioned")
+        return np.linalg.lstsq(A, sw * extra * fv, rcond=None)[0]
+
+    def q_residual(c):
+        res = np.abs(fv - V @ c) ** q
+        return float((np.sum(rule.weights * res) / rule.area) ** (1.0 / q))
+
+    coeffs, iters = solve(np.ones_like(sw)), 0
+    if q != 2.0:
+        prev = np.inf
+        for iters in range(1, osc.IRLS_ITERS + 1):
+            res = np.abs(fv - V @ coeffs)
+            coeffs = solve(np.maximum(res, 1e-12) ** ((q - 2.0) / 2.0))
+            cur = q_residual(coeffs)
+            if abs(prev - cur) <= osc.IRLS_TOL * max(cur, 1e-30):
+                break
+            prev = cur
+    return (coeffs / r ** np.arange(d + 1), q_residual(coeffs), iters,
+            float(np.max(np.abs(fv))))
+
+
+def _column_deviation(a, b, floor):
+    """Largest |a - b| over its column's largest |a|, floored at the size
+    of f: a column that is zero in exact arithmetic holds only roundoff."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    scale = np.maximum(np.max(np.abs(a), axis=0), floor)
+    return float(np.max(np.abs(a - b) / scale))
+
+
+B = osc.FIT_BLOCK
+ENGINE_CASES = {"conj-linear": {}, "mixed": {"radius": 1.2},
+                "step": {"radius": 1.0}, "bump": {"radius": 1.5},
+                "holo-poly": {"coeffs": [1.0, -2.0, 0.5, 1.0j]}}
+
+
+@pytest.mark.parametrize("count", [1, B - 1, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("family", sorted(ENGINE_CASES))
+def test_engine_equals_per_centre_definition(family, q, count):
+    f = symbols.make(family, **ENGINE_CASES[family])
+    rng = np.random.default_rng(count)
+    z = rng.uniform(-1.6, 1.6, count) + 1j * rng.uniform(-1.6, 1.6, count)
+    r, d = 0.75, 5
+    fit = ida_distance(f, z, r, q, d)
+    ref = [_reference_fit(f, p, r, q, d) for p in z]
+    floor = max(m for *_, m in ref)
+    assert fit.center.shape == fit.residual.shape == (count,)
+    assert fit.coeffs.shape == (count, d + 1)
+    assert _column_deviation([c for c, *_ in ref], fit.coeffs, floor) < 1e-12
+    assert _column_deviation([g for _, g, *_ in ref], fit.residual,
+                             floor) < 1e-12
+    if q != 2.0 and family in ("mixed", "step") and count > B:
+        # centres stop at their own iteration
+        assert len({it for _, _, it, _ in ref}) > 1
+
+
+def test_scalar_centre_gives_scalar_fields():
+    f = symbols.make("mixed")
+    for q in (1.0, 2.0):
+        fit = ida_distance(f, 0.3 - 0.2j, 0.5, q, 4)
+        assert isinstance(fit.center, complex)
+        assert isinstance(fit.residual, float)
+        assert fit.coeffs.shape == (5,)
+        both = ida_distance(f, np.array([0.3 - 0.2j, 1.0]), 0.5, q, 4)
+        assert abs(both.residual[0] - fit.residual) <= 1e-14
+    assert isinstance(mean_oscillation(f, 0.3, 0.5, 2.0), float)
+
+
+def test_engine_raises_degree_cap_on_both_paths(monkeypatch):
+    f = symbols.make("step")
+    z = np.array([0.2, 0.9 + 0.1j])
+    # the shared Vandermonde passes a cap that a reweighted one fails
+    cond = np.linalg.cond(np.sqrt(ball_rule(0.0, 0.5).weights)[:, None]
+                          * ((ball_rule(0.0, 0.5).nodes[:, None] / 0.5)
+                             ** np.arange(5)[None, :]))
+    monkeypatch.setattr(osc, "COND_CAP", 2.0)
+    with pytest.raises(osc.DegreeCapError):
+        ida_distance(f, z, 0.5, 2.0, 4)
+    monkeypatch.setattr(osc, "COND_CAP", cond * 1.01)
+    ida_distance(f, z, 0.5, 2.0, 4)
+    with pytest.raises(osc.DegreeCapError):
+        ida_distance(f, z, 0.5, 1.0, 4)
+
+
+def test_mean_oscillation_vector_equals_scalar():
+    f = symbols.make("bump", radius=1.5)
+    z = np.linspace(-2.0, 2.0, 2 * B + 3) * (1 + 0.5j)
+    vec = mean_oscillation(f, z, 0.5, 3.0)
+    for p, m in zip(z, vec):
+        rule = ball_rule(p, 0.5)
+        ref = (np.sum(rule.weights * np.abs(f(rule.nodes)) ** 3.0)
+               / rule.area) ** (1.0 / 3.0)
+        assert abs(m - ref) <= 1e-14 * max(ref, 1.0)
