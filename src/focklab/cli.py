@@ -13,6 +13,7 @@ import hashlib
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,8 +302,8 @@ def cmd_schatten(r: Runner, rng):
     gauge = power_gauge(cfg.get_float("gauge.p"))
     S = singular_spectrum(build_hankel_gram(f, r.basis(),
                                             cfg.get_int("basis.margin")))
-    verdicts = schatten_h_criterion(
-        f, gauge, cfg.get_float("functional.r"),
+    verdicts, = schatten_h_criterion(
+        f, [gauge], cfg.get_float("functional.r"),
         cfg.get_int("functional.d"), r.lattice(), S,
         c_grid=cfg.get_floats("gauge.c_grid"))
     rows = [[v.c, v.integral_value, int(v.integral_convergent),
@@ -391,6 +392,9 @@ def cmd_thm12_report(r: Runner, rng):
     return {"gaps.csv": (["t", "gap", "ess_tail"], rows)}
 
 
+THM13_POWERS = (1.0, 2.0, 4.0)
+
+
 def cmd_thm13_report(r: Runner, rng):
     cfg = r.cfg
     L = r.lattice()
@@ -399,11 +403,12 @@ def cmd_thm13_report(r: Runner, rng):
         f = r.symbol(family)
         S = singular_spectrum(build_hankel_gram(f, r.basis(),
                                                 cfg.get_int("basis.margin")))
-        for p in (1.0, 2.0, 4.0):
-            for v in schatten_h_criterion(
-                    f, power_gauge(p), cfg.get_float("functional.r"),
-                    cfg.get_int("functional.d"), L, S,
-                    c_grid=cfg.get_floats("gauge.c_grid")):
+        per_gauge = schatten_h_criterion(
+            f, [power_gauge(p) for p in THM13_POWERS],
+            cfg.get_float("functional.r"), cfg.get_int("functional.d"), L,
+            S, c_grid=cfg.get_floats("gauge.c_grid"))
+        for p, verdicts in zip(THM13_POWERS, per_gauge):
+            for v in verdicts:
                 rows.append([family, p, v.c, int(v.integral_convergent),
                              int(v.sum_convergent), int(v.agree)])
     return {"verdicts.csv": (["symbol", "p", "c", "integral_convergent",
@@ -439,8 +444,14 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str) -> Path:
     rng = np.random.default_rng(cfg.seed)
     runner = Runner(cfg)
     t0 = time.time()
-    outputs = SUBCOMMANDS[subcommand](runner, rng)
-    elapsed = time.time() - t0
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            outputs = SUBCOMMANDS[subcommand](runner, rng)
+        elapsed = time.time() - t0
+    finally:
+        for w in caught:     # recorded for the manifest, and still shown
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
     run_dir = Path(out_dir) / subcommand / cfg.hash()
     run_dir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in outputs.items():
@@ -451,6 +462,9 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str) -> Path:
                 f"wall_time_s={elapsed:.3f}"]
     for key, val in runner.calibration.items():
         manifest.append(f"calibration.{key}={val}")
+    for w in caught:
+        text = " ".join(str(w.message).split())
+        manifest.append(f"warning={w.category.__name__}: {text}")
     for name in sorted(outputs):
         digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
         manifest.append(f"file={name} sha256={digest}")

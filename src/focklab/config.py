@@ -7,6 +7,7 @@ same place byte for byte.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .symbols import FAMILIES
@@ -61,9 +62,12 @@ class ExperimentConfig:
     def get_float(self, key: str) -> float:
         raw = self.get(key)
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return val
 
     def get_int(self, key: str) -> int:
         raw = self.get(key)
@@ -75,10 +79,13 @@ class ExperimentConfig:
     def get_floats(self, key: str) -> list:
         raw = self.get(key)
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            vals = [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"{key}: expected comma-separated numbers, "
                               f"got {raw!r}")
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"{key}: expected finite numbers, got {raw!r}")
+        return vals
 
     def canonical_lines(self) -> list:
         merged = dict(DEFAULTS)
@@ -104,10 +111,12 @@ class ExperimentConfig:
             raise ConfigError("basis.margin: must be >= 0")
         if self.get_int("functional.d") < 0:
             raise ConfigError("functional.d: must be >= 0")
+        if self.get_int("quad.order") < 0:
+            raise ConfigError("quad.order: must be >= 0")
         for key in ("dbar.n_radial", "dbar.n_angular"):
             if self.get_int(key) < 1:
                 raise ConfigError(f"{key}: must be >= 1")
-        for key in ("approx.t", "lattice.window"):
+        for key in ("approx.t", "lattice.window", "probes.half_width"):
             if self.get_float(key) <= 0:
                 raise ConfigError(f"{key}: must be positive")
         if self.get_float("functional.q") < 1:
@@ -132,6 +141,9 @@ class ExperimentConfig:
         shells = self.get_floats("functional.shells")
         if any(b <= a for a, b in zip(shells, shells[1:])):
             raise ConfigError("functional.shells: must be increasing")
+        for key in ("functional.shells", "gauge.c_grid"):
+            if not self.get_floats(key):
+                raise ConfigError(f"{key}: must list at least one number")
 
 
 def parse_config_text(text: str) -> dict:

@@ -5,9 +5,14 @@ orthonormal basis is e_k(z) = z^k / c_k with c_k^2 = integral of
 |z|^{2k} e^{-2 phi} dA.  For the Gaussian weight phi = (alpha/2)|z|^2 the
 kernel has the closed form K(z, w) = (alpha/pi) exp(alpha z conj(w)),
 fixed by the reproducing property P e_k = e_k with dv = dA.
+
+A basis evaluates e_k on its own rule's nodes at most once: the matrix
+is cached on first use, and `project`/`evaluate_projection` on that rule
+read it (or a column slice of it) instead of building it again.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +37,20 @@ class FockBasis:
         kmax = self.degree if kmax is None else kmax
         powers = np.arange(kmax + 1)
         return z[:, None] ** powers[None, :] / self.c[None, :kmax + 1]
+
+    @cached_property
+    def rule_matrix(self) -> np.ndarray:
+        """e_k on `rule.nodes`, shape (len(nodes), degree+1); built lazily."""
+        return self.evaluate(self.rule.nodes)
+
+    def _matrix(self, z, kmax: int) -> np.ndarray:
+        """e_k at the points of z (raveled) for k <= kmax.
+
+        Read from `rule_matrix` when z is the rule's own node array.
+        """
+        if z is self.rule.nodes and kmax <= self.degree:
+            return self.rule_matrix[:, :kmax + 1]
+        return self.evaluate(np.ravel(z), kmax=kmax)
 
 
 @dataclass(frozen=True)
@@ -140,14 +159,13 @@ def project(K: KernelEval, g, rule: PlaneRule | None = None,
     degree = basis.degree if degree is None else degree
     vals = g(rule.nodes) if callable(g) else np.asarray(g)
     decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
-    E = basis.evaluate(rule.nodes, kmax=degree)
+    E = basis._matrix(rule.nodes, degree)
     return np.conj(E).T @ (rule.weights * decay * vals)
 
 
 def evaluate_projection(K: KernelEval, coeffs: np.ndarray, z) -> np.ndarray:
     """Evaluate sum coeffs_k e_k at points z."""
-    E = K.basis.evaluate(np.asarray(z, dtype=complex).ravel(),
-                         kmax=len(coeffs) - 1)
+    E = K.basis._matrix(z, len(coeffs) - 1)
     return (E @ coeffs).reshape(np.shape(z))
 
 

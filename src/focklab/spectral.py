@@ -4,11 +4,14 @@ The Gram of the Hankel images is
     G_{jk} = <f e_j, f e_k>_{2phi} - sum_{m<=D'} <f e_j, e_m> conj(<f e_k, e_m>),
 with the projection truncated at D' = D + margin.  Singular values are
 square roots of its eigenvalues; compactness and essential-norm questions
-are read off the tail of the spectrum.
+are read off the tail of the spectrum.  One basis matrix on the rule
+serves both projection degrees of the margin-stability check: the Gram
+at D' is formed on its first D'+1 columns, the one at D'+5 on all of it.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -89,18 +92,20 @@ class MeasureModel:
             raise ValueError("atomic masses must be positive")
 
 
-def _gram_once(fv: np.ndarray, big: FockBasis, hankel_degree: int,
-               proj_degree: int, rule: PlaneRule) -> np.ndarray:
-    nodes = rule.nodes
-    decay = np.exp(-2.0 * big.weight.phi(nodes))
-    wE = rule.weights * decay
-    E = big.evaluate(nodes, kmax=proj_degree)
-    FE = fv[:, None] * E[:, :hankel_degree + 1]
+def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Gram of (I - P) f e_j, j <= D, with P onto the columns of E.
+
+    FE holds f e_j on the nodes, wE the rule weights times the decay.
+    """
     # residual form of (I - P): Gram of pointwise residuals is PSD by
     # construction and avoids the cancellation of <fe_j, fe_k> - M M^H
-    M = np.conj(E).T @ (wE[:, None] * FE)        # (Dp+1, D+1)
-    R = FE - E @ M
-    G = np.conj(R).T @ (wE[:, None] * R)
+    M = np.conj(E).T @ (wE[:, None] * FE)        # (columns of E, D+1)
+    # R and conj(R) reuse their inputs' buffers: at high degree this
+    # Gram sets the peak memory of a run
+    EM = E @ M
+    R = np.subtract(FE, EM, out=EM)
+    wR = wE[:, None] * R
+    G = np.conj(R, out=R).T @ wR
     return 0.5 * (G + np.conj(G).T)
 
 
@@ -112,10 +117,13 @@ def sampled_hankel_gram(samples: np.ndarray, basis: FockBasis, margin: int,
         raise ValueError("symbol evaluation failed on the plane rule")
     Dp = basis.degree + margin
     big = build_basis(basis.weight, Dp + 5, rule)
-    G = _gram_once(samples, big, basis.degree, Dp, rule)
+    E = big.evaluate(rule.nodes, kmax=Dp + 5 if stability_check else Dp)
+    wE = rule.weights * np.exp(-2.0 * big.weight.phi(rule.nodes))
+    FE = samples[:, None] * E[:, :basis.degree + 1]
+    G = _gram_once(FE, wE, E[:, :Dp + 1])
     shift = np.nan
     if stability_check:
-        G2 = _gram_once(samples, big, basis.degree, Dp + 5, rule)
+        G2 = _gram_once(FE, wE, E)
         s1 = _singular_from_gram(G)
         s2 = _singular_from_gram(G2)
         shift = float(np.max(np.abs(s1[:10] - s2[:10])))
@@ -234,6 +242,12 @@ def berezin_transform(mu: MeasureModel, K: KernelEval, z: complex,
     return float(np.real(rule.integrate(integrand)))
 
 
+@lru_cache(maxsize=8)
+def _origin_ball(r: float) -> BallRule:
+    """ball_rule(0, r); shifted to each probe, it equals ball_rule(z, r)."""
+    return ball_rule(0, r)
+
+
 def measure_average(mu: MeasureModel, z: complex, r: float,
                     rule: BallRule | None = None) -> float:
     """mu^_r(z) = mu(B(z, r)) / |B(z, r)|."""
@@ -243,10 +257,8 @@ def measure_average(mu: MeasureModel, z: complex, r: float,
     if mu.kind == "atomic":
         total = sum(m for a, m in mu.atoms if abs(a - z) < r)
         return float(total / area)
-    if rule is None:
-        rule = ball_rule(z, r)
-    elif rule.center != z or rule.radius != r:
-        rule = ball_rule(z, r)
+    if rule is None or rule.center != z or rule.radius != r:
+        rule = _origin_ball(r).shifted(z)
     dens = (np.ones(rule.nodes.shape) if mu.density is None
             else np.asarray(mu.density(rule.nodes), dtype=float))
     return float(np.real(rule.integrate(dens)) / area)
@@ -265,32 +277,38 @@ class SchattenVerdict:
         return self.integral_convergent == self.sum_convergent
 
 
-def schatten_h_criterion(f: Symbol, gauge: SchattenGauge, r: float, d: int,
-                         L: Lattice, S: SingularSpectrum,
+def schatten_h_criterion(f: Symbol, gauges: Sequence[SchattenGauge],
+                         r: float, d: int, L: Lattice, S: SingularSpectrum,
                          c_grid=(0.5, 1.0, 2.0),
-                         tail_threshold: float = 1e-3) -> list[SchattenVerdict]:
+                         tail_threshold: float = 1e-3
+                         ) -> list[list[SchattenVerdict]]:
     """Compare finiteness proxies of the G-integral and the s_k-sum.
 
     The integral side is a lattice Riemann sum of h(c G_{2,r}(f)); its
     convergence flag looks at the contribution of the outer radial
     quartile of lattice cells, mirroring the tail flag of the sum side.
+    G_{2,r}(f) is computed once and shared by every gauge; the result
+    holds one verdict list (over `c_grid`) per gauge, in order.
     """
     G = g_functional(f, L.points, r, 2.0, d)
-    radii = np.abs(L.points)
-    order = np.argsort(radii)
-    verdicts = []
-    for c in c_grid:
-        terms = np.asarray(gauge.h(c * G)) * L.cell_area
-        total = float(np.sum(terms))
-        sorted_terms = terms[order]
-        k = len(sorted_terms)
-        tail = float(np.sum(sorted_terms[3 * k // 4:]))
-        int_ratio = tail / total if total > 0 else 0.0
-        int_conv = total <= _ZERO_TOTAL or int_ratio < tail_threshold
-        ssum = schatten_sum(S, SchattenGauge(h=gauge.h, scale=c,
-                                             name=gauge.name),
-                            tail_threshold)
-        verdicts.append(SchattenVerdict(
-            c=float(c), integral_value=total, integral_convergent=int_conv,
-            sum_value=ssum.total, sum_convergent=ssum.convergent))
-    return verdicts
+    order = np.argsort(np.abs(L.points))
+    out = []
+    for gauge in gauges:
+        verdicts = []
+        for c in c_grid:
+            terms = np.asarray(gauge.h(c * G)) * L.cell_area
+            total = float(np.sum(terms))
+            sorted_terms = terms[order]
+            k = len(sorted_terms)
+            tail = float(np.sum(sorted_terms[3 * k // 4:]))
+            int_ratio = tail / total if total > 0 else 0.0
+            int_conv = total <= _ZERO_TOTAL or int_ratio < tail_threshold
+            ssum = schatten_sum(S, SchattenGauge(h=gauge.h, scale=c,
+                                                 name=gauge.name),
+                                tail_threshold)
+            verdicts.append(SchattenVerdict(
+                c=float(c), integral_value=total,
+                integral_convergent=int_conv,
+                sum_value=ssum.total, sum_convergent=ssum.convergent))
+        out.append(verdicts)
+    return out

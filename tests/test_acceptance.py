@@ -259,9 +259,12 @@ def test_criterion_10_schatten_verdicts(basis25):
     for fam, kw in families:
         f = symbols.make(fam, **kw)
         S = singular_spectrum(build_hankel_gram(f, basis25, 10))
-        for p in (1.0, 2.0, 4.0):
-            for v in schatten_h_criterion(f, power_gauge(p), 0.5, 6, L, S,
-                                          c_grid=(0.5, 1.0, 2.0)):
+        powers = (1.0, 2.0, 4.0)
+        per_gauge = schatten_h_criterion(
+            f, [power_gauge(p) for p in powers], 0.5, 6, L, S,
+            c_grid=(0.5, 1.0, 2.0))
+        for p, verdicts in zip(powers, per_gauge):
+            for v in verdicts:
                 assert v.agree, (fam, p, v.c)
                 if fam == "bump":
                     assert v.integral_convergent and v.sum_convergent

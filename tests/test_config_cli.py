@@ -52,6 +52,14 @@ def test_hash_depends_on_seed_and_values():
     ("functional.s=0.5", "functional.s"),
     ("functional.s=many", "functional.s"),
     ("gauge.p=0", "gauge.p"),
+    ("quad.order=-1", "quad.order"),
+    ("weight.alpha=nan", "weight.alpha"),
+    ("functional.r=nan", "functional.r"),
+    ("functional.q=inf", "functional.q"),
+    ("lattice.r=inf", "lattice.r"),
+    ("probes.half_width=-1", "probes.half_width"),
+    ("functional.shells=", "functional.shells"),
+    ("gauge.c_grid=", "gauge.c_grid"),
 ])
 def test_validation_names_offending_field(override, field):
     with pytest.raises(ConfigError) as exc:
@@ -132,3 +140,23 @@ def test_cli_g_profile_values(tmp_path):
     rows = (run_dir / "g_profile.csv").read_text().splitlines()[1:]
     vals = np.array([float(r.split(",")[3]) for r in rows])
     assert np.max(np.abs(vals - 0.5 / np.sqrt(2.0))) < 1e-4
+
+
+def test_cli_records_warnings_in_manifest(tmp_path):
+    # a 1.5 window leaves boundary cells carrying > 1% of the IDA norm
+    with pytest.warns(UserWarning, match="window too small"):
+        assert main(["ida-norm", "--out", str(tmp_path / "small"),
+                     "lattice.window=1.5", "functional.s=2"]) == 0
+    # a compactly supported symbol carries no mass near the boundary
+    assert main(["ida-norm", "--out", str(tmp_path / "wide"),
+                 "symbol.id=bump", "functional.s=2"]) == 0
+    lines = {}
+    for sub in ("small", "wide"):
+        run_dir = next((tmp_path / sub / "ida-norm").iterdir())
+        lines[sub] = (run_dir / "manifest.txt").read_text().splitlines()
+    warned = [ln for ln in lines["small"] if ln.startswith("warning=")]
+    assert warned == ["warning=UserWarning: window too small: boundary "
+                      "cells contribute > 1% of the IDA norm"]
+    assert lines["small"].index(warned[0]) < min(
+        i for i, ln in enumerate(lines["small"]) if ln.startswith("file="))
+    assert not any(ln.startswith("warning=") for ln in lines["wide"])

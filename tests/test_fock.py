@@ -86,3 +86,25 @@ def test_non_radial_weight_rejected():
     with pytest.raises(CapabilityError):
         build_basis(perturbed_gaussian_weight(0.05), 8,
                     default_rule_for_degree(8, 1.0))
+
+
+def test_rule_matrix_is_lazy_and_reused(weight):
+    basis = build_basis(weight, 12)
+    assert "rule_matrix" not in vars(basis)
+    K = KernelEval(basis)
+    rule = basis.rule
+    g = np.exp(-np.abs(rule.nodes) ** 2) * np.conj(rule.nodes)
+    decay = np.exp(-2.0 * weight.phi(rule.nodes))
+    for degree in (12, 7):
+        co = project(K, g, degree=degree)
+        E = basis.evaluate(rule.nodes, kmax=degree)
+        assert np.array_equal(co, np.conj(E).T @ (rule.weights * decay * g))
+        assert np.array_equal(evaluate_projection(K, co, rule.nodes), E @ co)
+    assert np.array_equal(basis.rule_matrix, basis.evaluate(rule.nodes))
+    with pytest.raises(ValueError):     # beyond the basis, as before
+        project(K, g, degree=13)
+    # any other point set is evaluated afresh, in its own shape
+    z = rule.nodes[:6].reshape(2, 3).copy()
+    assert np.array_equal(evaluate_projection(K, co, z),
+                          (basis.evaluate(z.ravel(), kmax=7) @ co)
+                          .reshape(2, 3))

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from focklab import symbols
-from focklab.fock import KernelEval, default_rule_for_degree
+from focklab.fock import (FockBasis, KernelEval, build_basis,
+                          default_rule_for_degree, lp_norm, normalized_kernel)
 from focklab.lattice import Window, build_lattice
+from focklab.quadrature import ball_rule
 from focklab.spectral import (MeasureModel, berezin_transform,
                               build_hankel_gram, essential_norm_tail,
                               hankel_on_kernel, measure_average, power_gauge,
                               sampled_hankel_gram, schatten_h_criterion,
                               schatten_sum, singular_spectrum)
+from focklab.weights import gaussian_weight
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +81,15 @@ def test_schatten_verdicts(basis25):
     L = build_lattice(0.0, 0.5, Window.square(5.0))
     fb = symbols.make("bump", radius=2.0)
     Sb = singular_spectrum(build_hankel_gram(fb, basis25, margin=10))
-    for v in schatten_h_criterion(fb, power_gauge(2.0), 0.5, 6, L, Sb):
+    verdicts, = schatten_h_criterion(fb, [power_gauge(2.0)], 0.5, 6, L,
+                                     Sb)
+    for v in verdicts:
         assert v.integral_convergent and v.sum_convergent and v.agree
     fc = symbols.make("conj-linear")
     Sc = singular_spectrum(build_hankel_gram(fc, basis25, margin=10))
-    for v in schatten_h_criterion(fc, power_gauge(2.0), 0.5, 6, L, Sc):
+    verdicts, = schatten_h_criterion(fc, [power_gauge(2.0)], 0.5, 6, L,
+                                     Sc)
+    for v in verdicts:
         assert (not v.integral_convergent) and (not v.sum_convergent)
         assert v.agree
 
@@ -117,3 +124,107 @@ def test_power_gauge_validation():
     g = power_gauge(1.0)
     assert g.h(np.array([0.0]))[0] == 0.0
     assert not g.sqrt_convex   # p < 2: recorded, not fatal
+
+
+# --- reference formulas: each basis matrix built afresh on every use ---
+
+def _reference_gram_once(fv, big, hankel_degree, proj_degree, rule):
+    nodes = rule.nodes
+    decay = np.exp(-2.0 * big.weight.phi(nodes))
+    wE = rule.weights * decay
+    E = big.evaluate(nodes, kmax=proj_degree)
+    FE = fv[:, None] * E[:, :hankel_degree + 1]
+    M = np.conj(E).T @ (wE[:, None] * FE)
+    R = FE - E @ M
+    G = np.conj(R).T @ (wE[:, None] * R)
+    return 0.5 * (G + np.conj(G).T)
+
+
+def _reference_gram(fv, basis, margin, rule, stability_check):
+    Dp = basis.degree + margin
+    big = build_basis(basis.weight, Dp + 5, rule)
+    G = _reference_gram_once(fv, big, basis.degree, Dp, rule)
+    if not stability_check:
+        return G, np.nan
+    G2 = _reference_gram_once(fv, big, basis.degree, Dp + 5, rule)
+    s1, s2 = (np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))[::-1]
+              for g in (G, G2))
+    return G, float(np.max(np.abs(s1[:10] - s2[:10])))
+
+
+def _reference_hankel_on_kernel(f, z, q, K):
+    basis, rule = K.basis, K.basis.rule
+    kz = normalized_kernel(K, z)
+    g = f(rule.nodes) * kz(rule.nodes)
+    decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
+    E = basis.evaluate(rule.nodes, kmax=basis.degree)
+    coeffs = np.conj(E).T @ (rule.weights * decay * g)
+    E = basis.evaluate(rule.nodes, kmax=len(coeffs) - 1)
+    return lp_norm(g - E @ coeffs, q, rule, basis.weight)
+
+
+GRAM_SYMBOLS = [("conj-linear", {}), ("mixed", {"radius": 1.0}),
+                ("bump", {"radius": 1.0}),
+                ("holo-poly", {"coeffs": [0.5, 1.0, 0.0, -0.5j]})]
+
+
+@pytest.mark.parametrize("degree", [20, 40])
+@pytest.mark.parametrize("family,params", GRAM_SYMBOLS)
+def test_gram_equals_two_evaluation_reference(weight, family, params,
+                                              degree):
+    f = symbols.make(family, **params)
+    basis = build_basis(weight, degree)
+    rule = default_rule_for_degree(degree + 15, 1.0, margin=8)
+    fv = f(rule.nodes)
+    for check in (True, False):
+        G = sampled_hankel_gram(fv, basis, 10, rule, stability_check=check)
+        ref, shift = _reference_gram(fv, basis, 10, rule, check)
+        assert np.array_equal(G.matrix, ref)
+        assert np.array_equal(G.stability_shift, shift, equal_nan=True)
+
+
+def test_hankel_on_kernel_equals_fresh_projection(weight):
+    K = KernelEval(build_basis(weight, 30))
+    f = symbols.make("conj-gaussian", beta=0.8)
+    for z in 1.7 * np.exp(2j * np.pi * np.arange(8) / 8) + 0.3:
+        assert hankel_on_kernel(f, z, 2.0, K) == \
+            _reference_hankel_on_kernel(f, z, 2.0, K)
+
+
+@pytest.mark.parametrize("density", [None, lambda z: np.exp(-np.abs(z) ** 2)])
+def test_measure_average_equals_direct_ball_rule(density):
+    mu = MeasureModel(kind="density", density=density)
+    rng = np.random.default_rng(5)
+    for z in rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20):
+        rule = ball_rule(z, 0.75)
+        dens = (np.ones(rule.nodes.shape) if density is None
+                else density(rule.nodes))
+        direct = float(np.real(rule.integrate(dens)) / rule.area)
+        assert measure_average(mu, z, 0.75) == direct
+
+
+def _count_evaluate(monkeypatch):
+    calls = []
+    evaluate = FockBasis.evaluate
+
+    def counted(self, z, kmax=None):
+        calls.append(kmax)
+        return evaluate(self, z, kmax)
+
+    monkeypatch.setattr(FockBasis, "evaluate", counted)
+    return calls
+
+
+def test_checked_gram_evaluates_basis_once(monkeypatch, basis25):
+    calls = _count_evaluate(monkeypatch)
+    build_hankel_gram(symbols.make("conj-linear"), basis25, margin=10)
+    assert len(calls) == 1
+
+
+def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
+    K = KernelEval(build_basis(weight, 25))
+    calls = _count_evaluate(monkeypatch)
+    f = symbols.make("conj-linear")
+    for z in np.linspace(-2.0, 2.0, 16) + 0.5j:
+        hankel_on_kernel(f, z, 2.0, K)
+    assert len(calls) == 1
