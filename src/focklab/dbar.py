@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fock import KernelEval, evaluate_projection, lp_norm, project
+from .fock import KernelEval, evaluate_projection, project
 from .quadrature import PlaneRule
 from .symbols import Symbol
 from .weights import WeightModel
@@ -169,16 +169,6 @@ def calibrate_orientation(solver: DbarSolver, forms=None,
     solver.c0 = winner
     solver.calibration_residual = residuals[winner]
     return winner
-
-
-def verify_lp_bound(solver: DbarSolver, omega: ZeroOneForm, p: float,
-                    rule: PlaneRule) -> float:
-    """Ratio ||A_phi(omega)||_{p,phi} / ||omega||_{p,phi}."""
-    w_norm = lp_norm(omega, p, rule, solver.weight)
-    if w_norm == 0.0:
-        return 0.0
-    u_vals = solver.apply(omega, rule.nodes)
-    return lp_norm(u_vals, p, rule, solver.weight) / w_norm
 
 
 def hankel_via_dbar(solver: DbarSolver, f: Symbol, g, K: KernelEval,

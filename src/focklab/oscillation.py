@@ -8,13 +8,13 @@ squares, which converges since the problem is convex for q >= 1.
 
 One engine fits every centre.  The ball rule B(z, r) is the rule on
 B(0, r) translated by z with unchanged weights, so in the local variable
-u = w - z the weighted disk Vandermonde sqrt(w) (u/r)^j is the same at
-every centre: it is built and condition-checked once per (r, d) and
-call.  Symbol samples are taken FIT_BLOCK centres at a time, which bounds
-the working set; q = 2 is one least-squares solve with a right-hand side
-per centre of the block, and the IRLS refits all still-active centres of
-a block together, each centre stopping at its own iteration.  Mean
-oscillation samples the symbol in the same blocks.
+u = w - z the weighted disk Vandermonde A = sqrt(w) (u/r)^j is the same
+at every centre: it is QR-factored and condition-checked once per call.
+Symbol samples are taken FIT_BLOCK centres at a time, which bounds the
+working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)),
+and the IRLS refits all still-active centres of a block together (see
+_irls), each centre stopping at its own iteration.  Mean oscillation
+samples the symbol in the same blocks.
 """
 
 import warnings
@@ -29,11 +29,18 @@ from .symbols import Symbol
 IRLS_ITERS = 25
 IRLS_TOL = 1e-8
 COND_CAP = 1e12
+# a refined normal-equation solve errs by about (cond(W V)^2 eps)^2, within
+# the cond(W V) eps of a QR solve while cond(W V)^3 eps <= 1
+GRAM_COND_CAP = np.finfo(float).eps ** (-1.0 / 3.0)     # 1.65e5
 FIT_BLOCK = 16             # centres per block of symbol samples
 
 
 class DegreeCapError(RuntimeError):
     """Local polynomial basis too ill-conditioned at the requested degree."""
+
+
+class IRLSWarning(UserWarning):
+    """Some centres used up IRLS_ITERS before their residual settled."""
 
 
 @dataclass(frozen=True)
@@ -119,17 +126,28 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     # columns (u/r)^j in u = w - z keep the Vandermonde well conditioned
     V = (base.nodes[:, None] / r) ** np.arange(d + 1)[None, :]
     sw = np.sqrt(base.weights)
-    A = sw[:, None] * V
-    if np.linalg.cond(A) > COND_CAP:
+    Q, R = np.linalg.qr(sw[:, None] * V)
+    if np.linalg.cond(R) > COND_CAP:
         raise DegreeCapError(f"disk Vandermonde ill-conditioned at degree {d}")
+    pinv = np.linalg.solve(R, Q.conj().T) * sw     # (sw V)^+ diag(sw)
+    if q != 2.0:
+        # P[n, (i, j)] = conj(V[n, i]) V[n, j], so w^T P = V^H diag(w) V
+        P = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), -1)
+    unsettled = []       # last relative change of each unsettled IRLS fit
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
     residual = np.empty(len(centres))
     for blk, F in _blocks(f, base, centres):
-        C, *_ = np.linalg.lstsq(A, sw[:, None] * F, rcond=None)
+        C = pinv @ F
         if q != 2.0:
-            C = _irls(F, V, sw, C, base, q)
+            C, change = _irls(F, V, P, C, base, q)
+            unsettled.append(change)
         coeffs[blk] = C.T
         residual[blk] = _lq_mean(np.abs(F - V @ C), base, q)
+    if unsettled and (late := np.concatenate(unsettled)).size:
+        warnings.warn(
+            f"IRLS did not settle at {late.size} of {len(centres)} "
+            f"centres in {IRLS_ITERS} iterations (largest last relative "
+            f"change {np.max(late):.3g})", IRLSWarning, stacklevel=2)
     coeffs /= r ** np.arange(d + 1)
     if zs.ndim == 0:
         return LocalApproximation(center=complex(zs), radius=float(r),
@@ -140,40 +158,43 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
                               residual=residual.reshape(zs.shape))
 
 
-def _irls(F, V, sw, C, base, q) -> np.ndarray:
-    """IRLS from the q = 2 fits C (d+1, b) of one block.
+def _irls(F, V, P, C, base, q):
+    """IRLS from the q = 2 fits C (d+1, b) of one block; returns the fits
+    and the last relative change of each centre left unsettled.
 
-    Every still-active centre is refitted at once: the stacked
-    [W V | W f] is reduced by an R-only QR, whose last column holds
-    Q^H (W f), and cond(W V) is read from the leading (d+1)^2 block of R.
-    A centre leaves the active set at the iteration where its residual
-    settles."""
+    Each step solves the normal equations (W V)^H (W V) c = V^H W^2 f of
+    every active centre, the Grams formed by one real product with P, and
+    refines once on the true residual f - V c.  The Grams' eigenvalues
+    certify cond(W V) below COND_CAP and GRAM_COND_CAP, else
+    DegreeCapError.  A centre leaves the active set once it settles."""
     k = V.shape[1]                 # d + 1 coefficients
+    Vh = V.conj()
     prev = np.full(F.shape[1], np.inf)
+    change = np.zeros(F.shape[1])
     active = np.arange(F.shape[1])
     res = np.abs(F - V @ C)
     for _ in range(IRLS_ITERS):
         Fa = F[:, active]
-        W = sw[:, None] * np.maximum(res, 1e-12) ** ((q - 2.0) / 2.0)
-        # each centre's matrix transposed and C-ordered, so the QR reads
-        # it in LAPACK's column order without a strided copy
-        M = np.empty((len(active), k + 1, len(sw)), dtype=complex)
-        np.multiply(W.T[:, None, :], V.T[None, :, :], out=M[:, :k])
-        np.multiply(W.T, Fa.T, out=M[:, k])
-        R = np.linalg.qr(M.transpose(0, 2, 1), mode="r")
-        s = np.linalg.svd(R[:, :k, :k], compute_uv=False)
-        if np.any(s[:, 0] > COND_CAP * s[:, -1]):
+        W2 = base.weights[:, None] * np.maximum(res, 1e-12) ** (q - 2.0)
+        N = (W2.T @ P.view(float)).view(complex).reshape(-1, k, k)
+        lam = np.linalg.eigvalsh(N)
+        if not np.all(lam[:, 0] * min(COND_CAP, GRAM_COND_CAP) ** 2
+                      > lam[:, -1]):
             raise DegreeCapError(
                 f"disk Vandermonde ill-conditioned at degree {k - 1}")
-        C[:, active] = np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0].T
-        res = np.abs(Fa - V @ C[:, active])
+        Ca = np.linalg.solve(N, ((W2 * Fa).T @ Vh)[:, :, None])[:, :, 0].T
+        Ca += np.linalg.solve(
+            N, ((W2 * (Fa - V @ Ca)).T @ Vh)[:, :, None])[:, :, 0].T
+        C[:, active] = Ca
+        res = np.abs(Fa - V @ Ca)
         cur = _lq_mean(res, base, q)
-        done = np.abs(prev[active] - cur) <= IRLS_TOL * np.maximum(cur, 1e-30)
+        change[active] = np.abs(prev[active] - cur) / np.maximum(cur, 1e-30)
+        done = change[active] <= IRLS_TOL
         prev[active] = cur
         active, res = active[~done], res[:, ~done]
         if active.size == 0:
             break
-    return C
+    return C, change[active]
 
 
 def _lq_mean(absvals, base: BallRule, q) -> np.ndarray:

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from focklab import oscillation as osc
 from focklab import symbols
+from focklab.cli import main
 from focklab.quadrature import ball_rule
 from focklab.symbols import Symbol
 from focklab.lattice import Window, build_lattice
@@ -161,14 +164,22 @@ ENGINE_CASES = {"conj-linear": {}, "mixed": {"radius": 1.2},
                 "holo-poly": {"coeffs": [1.0, -2.0, 0.5, 1.0j]}}
 
 
-@pytest.mark.parametrize("count", [1, B - 1, B + 1, 2 * B + 3])
-@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
-@pytest.mark.parametrize("family", sorted(ENGINE_CASES))
-def test_engine_equals_per_centre_definition(family, q, count):
+ENGINE_PARAMS = (
+    [pytest.param(family, q, count, 5, id=f"{family}-{q}-{count}")
+     for family in sorted(ENGINE_CASES) for q in (1.0, 2.0, 3.0)
+     for count in (1, B - 1, B + 1, 2 * B + 3)]
+    # the IRLS at degree 10 as well
+    + [pytest.param(family, q, count, 10, id=f"{family}-{q}-{count}-d10")
+       for family in ("mixed", "step") for q in (1.0, 3.0)
+       for count in (1, 2 * B + 3)])
+
+
+@pytest.mark.parametrize("family, q, count, d", ENGINE_PARAMS)
+def test_engine_equals_per_centre_definition(family, q, count, d):
     f = symbols.make(family, **ENGINE_CASES[family])
     rng = np.random.default_rng(count)
     z = rng.uniform(-1.6, 1.6, count) + 1j * rng.uniform(-1.6, 1.6, count)
-    r, d = 0.75, 5
+    r = 0.75
     fit = ida_distance(f, z, r, q, d)
     ref = [_reference_fit(f, p, r, q, d) for p in z]
     floor = max(m for *_, m in ref)
@@ -219,3 +230,59 @@ def test_mean_oscillation_vector_equals_scalar():
         ref = (np.sum(rule.weights * np.abs(f(rule.nodes)) ** 3.0)
                / rule.area) ** (1.0 / 3.0)
         assert abs(m - ref) <= 1e-14 * max(ref, 1.0)
+
+
+@pytest.mark.parametrize("floored, scale", [(1, 1.0), (3, 1.0), (12, 1.0),
+                                            (1, 100.0)])
+def test_irls_block_with_weights_spanning_1e12(floored, scale, monkeypatch):
+    # q = 1 weights w / max(|res|, 1e-12): a start that interpolates f at
+    # `floored` rim nodes puts the residual floor there, so one IRLS step
+    # sees weights that span 1e12 (and 1e14 at scale 100).  Fewer floored
+    # nodes than the 6 coefficients leave cond(W V) near 7e4, inside
+    # GRAM_COND_CAP, and near 7e5 at scale 100, past it.
+    r, d, q = 0.5, 5, 1.0
+    base = ball_rule(0.0, r)
+    V = (base.nodes[:, None] / r) ** np.arange(d + 1)[None, :]
+    P = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), -1)
+    rng = np.random.default_rng(floored)
+    c0 = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    noise = scale * rng.uniform(0.5, 1.5, len(V)) * np.exp(
+        2j * np.pi * rng.uniform(size=len(V)))
+    radius = np.abs(base.nodes)
+    rim = np.flatnonzero(np.isclose(radius, radius.max()))
+    noise[rim[np.arange(floored) * len(rim) // floored]] = 0.0
+    F = (V @ c0 + noise)[:, None]
+    W2 = base.weights * np.maximum(np.abs(F[:, 0] - V @ c0), 1e-12) ** (q - 2)
+    assert np.ptp(np.log10(W2 / base.weights)) > 11.9
+    # the same reweighted solve by Householder QR
+    W = np.sqrt(W2)
+    Q, R = np.linalg.qr(W[:, None] * V)
+    ref = np.linalg.solve(R, Q.conj().T @ (W * F[:, 0]))
+    monkeypatch.setattr(osc, "IRLS_ITERS", 1)
+    try:
+        C, _ = osc._irls(F, V, P, c0[:, None].copy(), base, q)
+    except osc.DegreeCapError:
+        assert np.linalg.cond(R) > osc.GRAM_COND_CAP
+        return
+    assert np.linalg.cond(R) <= osc.GRAM_COND_CAP
+    assert _column_deviation(ref, C[:, 0], np.max(np.abs(F))) < 1e-10
+
+
+def test_irls_warns_when_centres_do_not_settle(tmp_path):
+    # the fits-spectra "ida-norm functional.q=3 symbol.id=step
+    # lattice.r=0.5" op: 44 of its 441 centres use up IRLS_ITERS
+    f = symbols.make("step")
+    L = build_lattice(0.0, 0.5, Window.square(5.0))
+    with pytest.warns(osc.IRLSWarning, match=r"did not settle at \d+ of 441"):
+        ida_distance(f, L.points, 1.0, 3.0, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ida_distance(f, L.points, 1.0, 2.0, 6)
+    with pytest.warns(osc.IRLSWarning):
+        assert main(["ida-norm", "--out", str(tmp_path), "functional.q=3",
+                     "symbol.id=step", "lattice.r=0.5"]) == 0
+    run_dir = next((tmp_path / "ida-norm").iterdir())
+    warned = [ln for ln in (run_dir / "manifest.txt").read_text().splitlines()
+              if ln.startswith("warning=")]
+    assert len(warned) == 1
+    assert warned[0].startswith("warning=IRLSWarning: IRLS did not settle")
