@@ -1,7 +1,5 @@
 """Compact approximants h_t = psi_t + sigma_t f_2 of Theorem 1.2."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dbar import DbarSolver, ZeroOneForm
@@ -31,16 +29,9 @@ def smooth_cutoff(t: float) -> Symbol:
                   smoothness="C1", name=f"cutoff-{t}", params={"t": t})
 
 
-@dataclass(frozen=True)
-class ApproximantResult:
-    t: float
-    gap: float                 # top singular value of H_{f - h_t}
-
-
 def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
-                        basis: FockBasis,
-                        margin: int = 10) -> ApproximantResult:
-    """Build h_t = psi_t + sigma_t f_2 and the gap ||H_f - H_{h_t}||.
+                        basis: FockBasis, margin: int = 10) -> float:
+    """Build h_t = psi_t + sigma_t f_2; returns the gap ||H_f - H_{h_t}||.
 
     psi_t = A_phi(sigma_t dbar f_1) so that dbar psi_t = sigma_t dbar f_1;
     the gap is the top singular value of the Hankel Gram of f - h_t.
@@ -64,5 +55,4 @@ def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
     h_vals = psi_vals + masked(nodes, decomp.f2)
     G = sampled_hankel_gram(f(nodes) - h_vals, basis, margin, basis.rule,
                             stability_check=False)
-    return ApproximantResult(t=float(t),
-                             gap=float(singular_spectrum(G).values[0]))
+    return float(singular_spectrum(G).values[0])

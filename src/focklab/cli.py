@@ -14,6 +14,7 @@ import os
 import sys
 import time
 import warnings
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import gaussian_plane_rule
 from .oscillation import g_functional, m_profile, ida_norm, vda_profile
-from .spectral import MeasureModel, berezin_transform, build_hankel_gram, \
+from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
     schatten_h_criterion, singular_spectrum
 from .weights import certify_weight, gaussian_weight, \
@@ -57,27 +58,23 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 
 
 class Runner:
-    """Shared lazy construction of weight/basis/solver per invocation."""
+    """Shared lazy construction of weight/basis/solver per invocation, and
+    the pipeline steps the reports share."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._cache = {}
+        self._bases = {}
         self.calibration = {}
 
-    @property
+    @cached_property
     def weight(self):
-        if "weight" not in self._cache:
-            kind = self.cfg.get("weight.kind")
-            alpha = self.cfg.get_float("weight.alpha")
-            self._cache["weight"] = (gaussian_weight(alpha)
-                                     if kind == "gaussian"
-                                     else perturbed_gaussian_weight())
-        return self._cache["weight"]
+        if self.cfg.get("weight.kind") == "gaussian":
+            return gaussian_weight(self.cfg.get_float("weight.alpha"))
+        return perturbed_gaussian_weight()
 
     def basis(self, degree=None):
         degree = self.cfg.get_int("basis.degree") if degree is None else degree
-        key = ("basis", degree)
-        if key not in self._cache:
+        if degree not in self._bases:
             if not is_radial(self.weight):
                 raise ConfigError(f"weight.kind: the Fock basis needs a "
                                   f"radial weight, not "
@@ -86,19 +83,18 @@ class Runner:
             rule = (default_rule_for_degree(degree, self.weight.alpha)
                     if order == 0 else
                     gaussian_plane_rule(order, self.weight.alpha))
-            self._cache[key] = build_basis(self.weight, degree, rule)
-        return self._cache[key]
+            self._bases[degree] = build_basis(self.weight, degree, rule)
+        return self._bases[degree]
 
-    @property
+    @cached_property
     def solver(self):
-        if "solver" not in self._cache:
-            s = DbarSolver(self.weight,
-                           n_radial=self.cfg.get_int("dbar.n_radial"),
-                           n_angular=self.cfg.get_int("dbar.n_angular"))
-            calibrate_orientation(s)
-            self.calibration["c0"] = s.c0
-            self._cache["solver"] = s
-        return self._cache["solver"]
+        s = DbarSolver(self.weight,
+                       n_radial=self.cfg.get_int("dbar.n_radial"),
+                       n_angular=self.cfg.get_int("dbar.n_angular"))
+        calibrate_orientation(s)
+        self.calibration["c0"] = s.c0
+        self.calibration["residual"] = s.calibration_residual
+        return s
 
     def symbol(self, family=None):
         cfg = self.cfg
@@ -108,19 +104,34 @@ class Runner:
         return build(**{name: read[kind](f"symbol.{name}")
                         for name, kind in params.items()})
 
-    def lattice(self, r=None, half=None):
+    def lattice(self, half=None):
         cfg = self.cfg
         base = complex(cfg.get_float("lattice.base_re"),
                        cfg.get_float("lattice.base_im"))
-        r = cfg.get_float("lattice.r") if r is None else r
         half = cfg.get_float("lattice.window") if half is None else half
-        return build_lattice(base, r, Window.square(half))
+        return build_lattice(base, cfg.get_float("lattice.r"),
+                             Window.square(half))
 
     def probes(self, rng) -> np.ndarray:
         half = self.cfg.get_float("probes.half_width")
         n = self.cfg.get_int("probes.count")
         pts = rng.uniform(-half, half, (n, 2))
         return pts[:, 0] + 1j * pts[:, 1]
+
+    def spectrum(self, f, basis=None, margin=None):
+        """Singular spectrum of H_f, on the configured basis and margin
+        unless given."""
+        basis = self.basis() if basis is None else basis
+        margin = self.cfg.get_int("basis.margin") if margin is None \
+            else margin
+        return singular_spectrum(build_hankel_gram(f, basis, margin))
+
+    def decomposition(self, f, L):
+        """f = f1 + f2 on the partition of unity of L, fitted at the
+        configured functional.q and functional.d."""
+        return decompose(f, build_partition(L),
+                         self.cfg.get_float("functional.q"),
+                         self.cfg.get_int("functional.d"))
 
 
 # --- subcommand implementations: each returns {filename: (header, rows)} ---
@@ -208,9 +219,7 @@ def cmd_ida_norm(r: Runner, rng):
 def cmd_decompose(r: Runner, rng):
     cfg = r.cfg
     f = r.symbol()
-    L = r.lattice()
-    D = decompose(f, build_partition(L), cfg.get_float("functional.q"),
-                  cfg.get_int("functional.d"))
+    D = r.decomposition(f, r.lattice())
     probes = r.probes(rng)
     rep = verify_controls(D, probes, cfg.get_float("functional.r"),
                           cfg.get_float("functional.q"))
@@ -243,8 +252,7 @@ def cmd_dbar_check(r: Runner, rng):
 
 
 def cmd_hankel_svd(r: Runner, rng):
-    S = singular_spectrum(build_hankel_gram(
-        r.symbol(), r.basis(), r.cfg.get_int("basis.margin")))
+    S = r.spectrum(r.symbol())
     rows = [[k, s] for k, s in enumerate(S.values)]
     return {
         "spectrum.csv": (["k", "s_k"], rows),
@@ -271,41 +279,40 @@ def cmd_kz_profile(r: Runner, rng):
 
 
 def cmd_essential_norm(r: Runner, rng):
-    S = singular_spectrum(build_hankel_gram(
-        r.symbol(), r.basis(), r.cfg.get_int("basis.margin")))
-    est = essential_norm_tail(S)
+    est = essential_norm_tail(r.spectrum(r.symbol()))
     return {"essential_norm.csv": (
         ["estimate", "slope", "window_lo", "window_hi", "reliable"],
         [[est.estimate, est.slope, est.window[0], est.window[1],
           int(est.reliable)]])}
 
 
-def cmd_compact_approx(r: Runner, rng):
+def _gap_rows(r: Runner, ts):
+    """Rows [t, ||H_f - H_{h_t}||, ess] for each cutoff radius t.  The
+    lattice covers the configured window and supp sigma_t of the largest
+    t plus two bump radii; cells beyond that would add exact zeros."""
     cfg = r.cfg
     f = r.symbol()
-    t = cfg.get_float("approx.t")
-    half = max(cfg.get_float("lattice.window"), t + 1 + 2 * cfg.get_float("lattice.r"))
-    L = r.lattice(half=half)
-    D = decompose(f, build_partition(L), cfg.get_float("functional.q"),
-                  cfg.get_int("functional.d"))
-    res = compact_approximant(f, D, r.solver, t, r.basis(),
-                              cfg.get_int("basis.margin"))
-    S = singular_spectrum(build_hankel_gram(f, r.basis(),
-                                            cfg.get_int("basis.margin")))
-    ess = essential_norm_tail(S).estimate
-    return {"gap.csv": (["t", "gap", "ess_tail"], [[res.t, res.gap, ess]])}
+    ess = essential_norm_tail(r.spectrum(f)).estimate
+    L = r.lattice(max(cfg.get_float("lattice.window"),
+                      ts[-1] + 1 + 2 * cfg.get_float("lattice.r")))
+    D = r.decomposition(f, L)
+    return [[t, compact_approximant(f, D, r.solver, t, r.basis(),
+                                    cfg.get_int("basis.margin")), ess]
+            for t in ts]
+
+
+def cmd_compact_approx(r: Runner, rng):
+    return {"gap.csv": (["t", "gap", "ess_tail"],
+                        _gap_rows(r, [r.cfg.get_float("approx.t")]))}
 
 
 def cmd_schatten(r: Runner, rng):
     cfg = r.cfg
     f = r.symbol()
-    gauge = power_gauge(cfg.get_float("gauge.p"))
-    S = singular_spectrum(build_hankel_gram(f, r.basis(),
-                                            cfg.get_int("basis.margin")))
     verdicts, = schatten_h_criterion(
-        f, [gauge], cfg.get_float("functional.r"),
-        cfg.get_int("functional.d"), r.lattice(), S,
-        c_grid=cfg.get_floats("gauge.c_grid"))
+        f, [power_gauge(cfg.get_float("gauge.p"))],
+        cfg.get_float("functional.r"), cfg.get_int("functional.d"),
+        r.lattice(), r.spectrum(f), c_grid=cfg.get_floats("gauge.c_grid"))
     rows = [[v.c, v.integral_value, int(v.integral_convergent),
              v.sum_value, int(v.sum_convergent), int(v.agree)]
             for v in verdicts]
@@ -315,16 +322,13 @@ def cmd_schatten(r: Runner, rng):
 
 def cmd_berezin(r: Runner, rng):
     cfg = r.cfg
-    kind = cfg.get("measure.density")
-    density = None if kind == "lebesgue" else \
+    density = None if cfg.get("measure.density") == "lebesgue" else \
         (lambda z: np.exp(-np.abs(z) ** 2))
-    mu = MeasureModel(kind="density", density=density)
     K = KernelEval(r.basis(max(cfg.get_int("basis.degree"), 40)))
-    probes = r.probes(rng)
     rows = []
-    for z in probes:
-        bt = berezin_transform(mu, K, z)
-        avg = measure_average(mu, z, cfg.get_float("functional.r"))
+    for z in r.probes(rng):
+        bt = berezin_transform(density, K, z)
+        avg = measure_average(density, z, cfg.get_float("functional.r"))
         rows.append([z.real, z.imag, bt, avg,
                      avg / bt if bt > 0 else 0.0])
     return {"berezin.csv": (["re", "im", "berezin", "ball_average",
@@ -341,17 +345,14 @@ def cmd_thm11_report(r: Runner, rng):
     d = cfg.get_int("functional.d")
     shells = cfg.get_floats("functional.shells")
     K = KernelEval(r.basis(50))
-    ess_basis = r.basis(30)
-    lat_half = shells[-1] + 1 + 2 * rr
+    L = build_lattice(0, 0.5, Window.square(shells[-1] + 1 + 2 * rr))
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
 
     all_rows, ratio_rows = [], []
     for family in THM11_FAMILIES:
         f = r.symbol(family)
-        S = singular_spectrum(build_hankel_gram(f, ess_basis, 10))
-        ess = essential_norm_tail(S).estimate
-        L = build_lattice(0, 0.5, Window.square(lat_half))
-        D = decompose(f, build_partition(L), q, d)
+        ess = essential_norm_tail(r.spectrum(f, r.basis(30), 10)).estimate
+        D = r.decomposition(f, L)
         for rad in shells:
             pts = rad * angles
             kz = max(hankel_on_kernel(f, z, q, K) for z in pts)
@@ -374,22 +375,8 @@ def cmd_thm11_report(r: Runner, rng):
 
 
 def cmd_thm12_report(r: Runner, rng):
-    cfg = r.cfg
-    f = r.symbol()
-    ts = cfg.get_floats("functional.shells")
-    S = singular_spectrum(build_hankel_gram(f, r.basis(),
-                                            cfg.get_int("basis.margin")))
-    ess = essential_norm_tail(S).estimate
-    half = ts[-1] + 1 + 2 * cfg.get_float("lattice.r")
-    L = r.lattice(half=half)
-    D = decompose(f, build_partition(L), cfg.get_float("functional.q"),
-                  cfg.get_int("functional.d"))
-    rows = []
-    for t in ts:
-        res = compact_approximant(f, D, r.solver, t, r.basis(),
-                                  cfg.get_int("basis.margin"))
-        rows.append([t, res.gap, ess])
-    return {"gaps.csv": (["t", "gap", "ess_tail"], rows)}
+    return {"gaps.csv": (["t", "gap", "ess_tail"],
+                         _gap_rows(r, r.cfg.get_floats("functional.shells")))}
 
 
 THM13_POWERS = (1.0, 2.0, 4.0)
@@ -401,12 +388,10 @@ def cmd_thm13_report(r: Runner, rng):
     rows = []
     for family in ("bump", "conj-linear"):
         f = r.symbol(family)
-        S = singular_spectrum(build_hankel_gram(f, r.basis(),
-                                                cfg.get_int("basis.margin")))
         per_gauge = schatten_h_criterion(
             f, [power_gauge(p) for p in THM13_POWERS],
             cfg.get_float("functional.r"), cfg.get_int("functional.d"), L,
-            S, c_grid=cfg.get_floats("gauge.c_grid"))
+            r.spectrum(f), c_grid=cfg.get_floats("gauge.c_grid"))
         for p, verdicts in zip(THM13_POWERS, per_gauge):
             for v in verdicts:
                 rows.append([family, p, v.c, int(v.integral_convergent),

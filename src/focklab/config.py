@@ -142,8 +142,11 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(shells, shells[1:])):
             raise ConfigError("functional.shells: must be increasing")
         for key in ("functional.shells", "gauge.c_grid"):
-            if not self.get_floats(key):
+            vals = self.get_floats(key)
+            if not vals:
                 raise ConfigError(f"{key}: must list at least one number")
+            if min(vals) <= 0:
+                raise ConfigError(f"{key}: entries must be positive")
 
 
 def parse_config_text(text: str) -> dict:

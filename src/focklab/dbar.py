@@ -18,11 +18,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fock import KernelEval, evaluate_projection, project
-from .quadrature import PlaneRule
 from .symbols import Symbol
 from .weights import WeightModel
 
 FD_STEP = 1e-3
+# a Gaussian-decay form is integrated out to this many 1/sqrt(alpha)
+GAUSSIAN_REACH = 8.0
 
 # candidate orientation constants: signs times the usual Cauchy-transform
 # normalizations (1, 1/pi, 1/(2pi)) and their imaginary rotations
@@ -60,7 +61,6 @@ class DbarSolver:
     weight: WeightModel
     n_radial: int = 90
     n_angular: int = 128
-    gaussian_reach: float = 8.0
     c0: Optional[complex] = None
     calibration_residual: Optional[float] = field(default=None)
 
@@ -75,7 +75,7 @@ class DbarSolver:
         if omega.decay == "compact":
             reach = omega.support_radius + 0.25
         else:
-            reach = self.gaussian_reach / np.sqrt(self.weight.alpha)
+            reach = GAUSSIAN_REACH / np.sqrt(self.weight.alpha)
         t, wt, phase = self._polar_template()
         grad = self.weight.grad
         out = np.empty(zs.shape, dtype=complex)
@@ -102,7 +102,7 @@ class DbarSolver:
         """Check the kernel-weighted integrand has died out at the reach."""
         if omega.decay == "compact":
             return
-        ring = (self.gaussian_reach / np.sqrt(self.weight.alpha)
+        ring = (GAUSSIAN_REACH / np.sqrt(self.weight.alpha)
                 * np.exp(2j * np.pi * np.arange(16) / 16))
         weighted = np.abs(np.exp(-2.0 * self.weight.grad(ring) * ring)
                           * omega(ring))
@@ -132,18 +132,17 @@ def gaussian_test_forms(alpha: float = 1.0) -> list[ZeroOneForm]:
 
 
 def calibrate_orientation(solver: DbarSolver, forms=None,
-                          probes=None, rel_tol: float = 1e-2) -> complex:
+                          rel_tol: float = 1e-2) -> complex:
     """Pick c0 from the candidate set by the dbar-residual oracle.
 
     The winner must reproduce dbar u = w within `rel_tol` relative to
-    max|w| over the family, else calibration fails loudly.
+    max|w| over the family on a 5 x 5 probe grid, else calibration fails
+    loudly.
     """
     if forms is None:
         forms = gaussian_test_forms(solver.weight.alpha)
-    if probes is None:
-        g = np.linspace(-1.2, 1.2, 5)
-        probes = (g[:, None] + 1j * g[None, :]).ravel()
-    probes = np.asarray(probes, dtype=complex)
+    g = np.linspace(-1.2, 1.2, 5)
+    probes = (g[:, None] + 1j * g[None, :]).ravel()
     # raw solution is linear in c0: compute once, scale per candidate
     stencil = np.concatenate([probes + FD_STEP, probes - FD_STEP,
                               probes + 1j * FD_STEP, probes - 1j * FD_STEP])
@@ -171,8 +170,7 @@ def calibrate_orientation(solver: DbarSolver, forms=None,
     return winner
 
 
-def hankel_via_dbar(solver: DbarSolver, f: Symbol, g, K: KernelEval,
-                    rule: PlaneRule | None = None):
+def hankel_via_dbar(solver: DbarSolver, f: Symbol, g, K: KernelEval):
     """Evaluator for A_phi(g dbar f) - P(A_phi(g dbar f)) on rule nodes.
 
     Returns (lhs values, rhs values) on the rule nodes, where the rhs is
@@ -182,7 +180,7 @@ def hankel_via_dbar(solver: DbarSolver, f: Symbol, g, K: KernelEval,
         raise ValueError("symbol lacks an analytic dbar evaluator")
     if not callable(g):
         raise TypeError("g must be a callable kernel-span evaluator")
-    rule = K.basis.rule if rule is None else rule
+    rule = K.basis.rule
     gv = g(rule.nodes)
     decay = "compact" if f.support_radius is not None else "gaussian"
     omega = ZeroOneForm(lambda xi: g(xi) * f.dbar(xi), decay=decay,

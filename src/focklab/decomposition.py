@@ -141,7 +141,6 @@ class ControlReport:
     max_ratio_dbar: float
     max_ratio_m: float
     g_values: np.ndarray
-    probes: np.ndarray
 
 
 def verify_controls(D: Decomposition, probes, r: float,
@@ -158,4 +157,4 @@ def verify_controls(D: Decomposition, probes, r: float,
         sup_m_f2=float(np.max(m_vals)),
         max_ratio_dbar=float(np.max(dbar_vals / denom)),
         max_ratio_m=float(np.max(m_vals / denom)),
-        g_values=G, probes=probes)
+        g_values=G)

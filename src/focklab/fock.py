@@ -16,8 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import CapabilityError, PlaneRule, gaussian_plane_rule
+from .quadrature import CapabilityError, Rule, gaussian_plane_rule
 from .weights import WeightModel
+
+
+R0_CANDIDATES = (0.25, 0.5, 1.0)   # near-diagonal radii tried for C2
 
 
 class DegreeTooLowError(RuntimeError):
@@ -29,7 +32,7 @@ class FockBasis:
     weight: WeightModel
     degree: int
     c: np.ndarray              # normalization constants, shape (degree+1,)
-    rule: PlaneRule
+    rule: Rule
 
     def evaluate(self, z, kmax: int | None = None) -> np.ndarray:
         """Matrix e_k(z): shape (len(z), kmax+1)."""
@@ -76,7 +79,7 @@ class KernelEstimates:
 
 
 def default_rule_for_degree(degree: int, alpha: float,
-                            margin: int = 6) -> PlaneRule:
+                            margin: int = 6) -> Rule:
     """Plane rule exact for the Gram integrands of a degree-`degree` basis.
 
     The reference density is e^{-2 phi} = e^{-alpha |z|^2} for the
@@ -86,7 +89,7 @@ def default_rule_for_degree(degree: int, alpha: float,
 
 
 def build_basis(w: WeightModel, degree: int,
-                rule: PlaneRule | None = None) -> FockBasis:
+                rule: Rule | None = None) -> FockBasis:
     """Quadrature-normalized monomial basis; weight must be radial."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -140,27 +143,28 @@ def normalized_kernel(K: KernelEval, z: complex):
     return lambda w: kernel(K, np.asarray(w, dtype=complex), z) / root
 
 
-def lp_norm(f, p: float, rule: PlaneRule, w: WeightModel) -> float:
-    """Weighted norm ( integral |f e^{-phi}|^p dA )^{1/p}."""
+def lp_norm(vals, p: float, rule: Rule, w: WeightModel) -> float:
+    """Weighted norm ( integral |f e^{-phi}|^p dA )^{1/p} from the
+    samples vals of f on the rule's nodes."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    vals = f(rule.nodes) if callable(f) else np.asarray(f)
+    vals = np.asarray(vals)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand samples")
     integrand = np.abs(vals * np.exp(-w.phi(rule.nodes))) ** p
     return float(np.real(rule.integrate(integrand)) ** (1.0 / p))
 
 
-def project(K: KernelEval, g, rule: PlaneRule | None = None,
+def project(K: KernelEval, vals, rule: Rule | None = None,
             degree: int | None = None) -> np.ndarray:
-    """Coefficients <g, e_k> of the Bergman projection in the basis."""
+    """Coefficients <g, e_k> of the Bergman projection in the basis, from
+    the samples vals of g on the rule's nodes."""
     basis = K.basis
     rule = basis.rule if rule is None else rule
     degree = basis.degree if degree is None else degree
-    vals = g(rule.nodes) if callable(g) else np.asarray(g)
     decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
     E = basis._matrix(rule.nodes, degree)
-    return np.conj(E).T @ (rule.weights * decay * vals)
+    return np.conj(E).T @ (rule.weights * decay * np.asarray(vals))
 
 
 def evaluate_projection(K: KernelEval, coeffs: np.ndarray, z) -> np.ndarray:
@@ -169,13 +173,13 @@ def evaluate_projection(K: KernelEval, coeffs: np.ndarray, z) -> np.ndarray:
     return (E @ coeffs).reshape(np.shape(z))
 
 
-def fit_kernel_estimates(K: KernelEval, probes,
-                         r0_candidates=(0.25, 0.5, 1.0)) -> KernelEstimates:
+def fit_kernel_estimates(K: KernelEval, probes) -> KernelEstimates:
     """Fit the off-diagonal decay and near-diagonal lower bound constants.
 
     Least squares of log|K(z,w)| - phi(z) - phi(w) against
     -theta |z-w| + log C1, then C1 lifted so the upper bound holds on the
-    probe set; C2 is the worst near-diagonal ratio over |z-w| <= r0.
+    probe set; C2 is the worst near-diagonal ratio over |z-w| <= r0, the
+    best r0 of R0_CANDIDATES.
     """
     probes = np.asarray(probes, dtype=complex)
     if probes.size == 0:
@@ -193,8 +197,8 @@ def fit_kernel_estimates(K: KernelEval, probes,
     # lift C1 until the bound holds everywhere probed
     logC1_bound = float(np.max(logterm + theta * dist))
     C1 = float(np.exp(max(logC1, logC1_bound)))
-    best_c2, best_r0 = 0.0, r0_candidates[0]
-    for r0 in r0_candidates:
+    best_c2, best_r0 = 0.0, R0_CANDIDATES[0]
+    for r0 in R0_CANDIDATES:
         near = dist <= r0
         if near.any():
             c2 = float(np.exp(np.min(logterm[near])))

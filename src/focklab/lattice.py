@@ -55,8 +55,6 @@ class Lattice:
 
 @dataclass(frozen=True)
 class Sublattice:
-    parent: Lattice
-    modulus: int
     index: int                 # 1 .. K^2
     representative: complex
     points: np.ndarray
@@ -103,8 +101,8 @@ def split_sublattices(L: Lattice, K: int) -> list[Sublattice]:
         for m0 in range(K):
             mask = (np.mod(L.ms[:, 0], K) == m0) & (np.mod(L.ms[:, 1], K) == s0)
             rep = L.base + L.step * (m0 + 1j * s0)
-            subs.append(Sublattice(parent=L, modulus=K, index=index,
-                                   representative=rep, points=L.points[mask]))
+            subs.append(Sublattice(index=index, representative=rep,
+                                   points=L.points[mask]))
             index += 1
     return subs
 

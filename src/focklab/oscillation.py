@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice
-from .quadrature import BallRule, ball_rule
+from .quadrature import Rule, ball_rule
 from .symbols import Symbol
 
 IRLS_ITERS = 25
@@ -33,6 +33,7 @@ COND_CAP = 1e12
 # the cond(W V) eps of a QR solve while cond(W V)^3 eps <= 1
 GRAM_COND_CAP = np.finfo(float).eps ** (-1.0 / 3.0)     # 1.65e5
 FIT_BLOCK = 16             # centres per block of symbol samples
+N_ANGLES = 12              # sample points per shell of a radial profile
 
 
 class DegreeCapError(RuntimeError):
@@ -64,8 +65,6 @@ class LocalApproximation:
 class RadialProfile:
     sample_points: np.ndarray
     values: np.ndarray
-    functional: str
-    meta: dict
 
     @property
     def shell_radii(self) -> np.ndarray:
@@ -87,7 +86,7 @@ class RadialProfile:
         return float(np.polyfit(radii, maxima, 1)[0])
 
 
-def _blocks(f: Symbol, base: BallRule, centres: np.ndarray):
+def _blocks(f: Symbol, base: Rule, centres: np.ndarray):
     """(slice, F) per block of FIT_BLOCK centres, with F[k, i] =
     f(base.nodes[k] + centre i) the symbol samples on B(centre, r)."""
     for lo in range(0, len(centres), FIT_BLOCK):
@@ -108,7 +107,7 @@ def mean_oscillation(f: Symbol, z, r: float, q: float):
     base = ball_rule(0.0, r)
     out = np.empty(len(centres))
     for blk, F in _blocks(f, base, centres):
-        out[blk] = _lq_mean(np.abs(F), base, q)
+        out[blk] = _lq_mean(np.abs(F), base, r, q)
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -139,10 +138,10 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     for blk, F in _blocks(f, base, centres):
         C = pinv @ F
         if q != 2.0:
-            C, change = _irls(F, V, P, C, base, q)
+            C, change = _irls(F, V, P, C, base, r, q)
             unsettled.append(change)
         coeffs[blk] = C.T
-        residual[blk] = _lq_mean(np.abs(F - V @ C), base, q)
+        residual[blk] = _lq_mean(np.abs(F - V @ C), base, r, q)
     if unsettled and (late := np.concatenate(unsettled)).size:
         warnings.warn(
             f"IRLS did not settle at {late.size} of {len(centres)} "
@@ -158,7 +157,7 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
                               residual=residual.reshape(zs.shape))
 
 
-def _irls(F, V, P, C, base, q):
+def _irls(F, V, P, C, base, r, q):
     """IRLS from the q = 2 fits C (d+1, b) of one block; returns the fits
     and the last relative change of each centre left unsettled.
 
@@ -187,7 +186,7 @@ def _irls(F, V, P, C, base, q):
             N, ((W2 * (Fa - V @ Ca)).T @ Vh)[:, :, None])[:, :, 0].T
         C[:, active] = Ca
         res = np.abs(Fa - V @ Ca)
-        cur = _lq_mean(res, base, q)
+        cur = _lq_mean(res, base, r, q)
         change[active] = np.abs(prev[active] - cur) / np.maximum(cur, 1e-30)
         done = change[active] <= IRLS_TOL
         prev[active] = cur
@@ -197,9 +196,11 @@ def _irls(F, V, P, C, base, q):
     return C, change[active]
 
 
-def _lq_mean(absvals, base: BallRule, q) -> np.ndarray:
-    """( |B|^{-1} integral_B |v|^q dA )^{1/q} per column of |v| samples."""
-    return (base.weights @ absvals ** q / base.area) ** (1.0 / q)
+def _lq_mean(absvals, base: Rule, r, q) -> np.ndarray:
+    """( |B|^{-1} integral_B |v|^q dA )^{1/q} per column of |v| samples
+    on the ball rule `base` of radius r."""
+    area = np.pi * r ** 2
+    return (base.weights @ absvals ** q / area) ** (1.0 / q)
 
 
 def g_functional(f: Symbol, z, r: float, q: float = 2.0, d: int = 6) -> np.ndarray:
@@ -227,25 +228,23 @@ def ida_norm(f: Symbol, s: float, q: float, r: float, L: Lattice,
     return float(total ** (1.0 / s))
 
 
-def vda_profile(f: Symbol, q: float, r: float, d: int, shells,
-                n_angles: int = 12) -> RadialProfile:
+def vda_profile(f: Symbol, q: float, r: float, d: int,
+                shells) -> RadialProfile:
     """Per-shell samples of G_{q,r}(f); the limsup surrogate."""
     shells = np.asarray(shells, dtype=float)
     if np.any(np.diff(shells) <= 0):
         raise ValueError("shells must be strictly increasing")
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    pts = (shells[:, None] * angles[None, :]).ravel()
-    vals = g_functional(f, pts, r, q, d)
-    return RadialProfile(sample_points=pts, values=vals, functional="G",
-                         meta={"q": q, "r": r, "d": d})
+    pts = _shell_points(shells)
+    return RadialProfile(pts, g_functional(f, pts, r, q, d))
 
 
-def m_profile(f: Symbol, q: float, r: float, shells,
-              n_angles: int = 12) -> RadialProfile:
+def m_profile(f: Symbol, q: float, r: float, shells) -> RadialProfile:
     """Per-shell samples of the mean oscillation M_{q,r}(f)."""
-    shells = np.asarray(shells, dtype=float)
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    pts = (shells[:, None] * angles[None, :]).ravel()
-    vals = mean_oscillation(f, pts, r, q)
-    return RadialProfile(sample_points=pts, values=vals, functional="M",
-                         meta={"q": q, "r": r})
+    pts = _shell_points(np.asarray(shells, dtype=float))
+    return RadialProfile(pts, mean_oscillation(f, pts, r, q))
+
+
+def _shell_points(shells: np.ndarray) -> np.ndarray:
+    """N_ANGLES equally spaced points on each shell, shell by shell."""
+    angles = np.exp(2j * np.pi * np.arange(N_ANGLES) / N_ANGLES)
+    return (shells[:, None] * angles[None, :]).ravel()

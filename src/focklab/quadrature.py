@@ -1,8 +1,9 @@
 """Quadrature rules over the complex plane and over Euclidean disks.
 
 All integrals are taken against planar Lebesgue measure dA on C ~ R^2.
-Plane rules target integrands with Gaussian decay e^{-alpha|z|^2}; ball
-rules are polar product rules on B(center, r).
+A `Rule` is a set of nodes with weights.  Plane rules target integrands
+with Gaussian decay e^{-alpha|z|^2}; ball rules are polar product rules
+on B(center, r), whose weights do not depend on the center.
 """
 
 from dataclasses import dataclass
@@ -19,14 +20,11 @@ class CapabilityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PlaneRule:
-    """Nodes/weights approximating integral of g dA for Gaussian-decay g."""
+class Rule:
+    """Nodes/weights approximating the integral of g dA."""
 
     nodes: np.ndarray          # complex, shape (N,)
     weights: np.ndarray        # positive reals, shape (N,)
-    degree: int                # monomial exactness vs e^{-scale*|z|^2}
-    scale: float               # the Gaussian reference decay rate alpha
-    rcut: float                # radius containing all nodes
 
     def integrate(self, values: np.ndarray) -> complex:
         """Sum values (sampled at self.nodes) against the weights."""
@@ -35,41 +33,8 @@ class PlaneRule:
             raise ValueError("non-finite integrand samples")
         return np.sum(self.weights * values)
 
-    def integrate_fn(self, f) -> complex:
-        return self.integrate(f(self.nodes))
 
-
-@dataclass(frozen=True)
-class BallRule:
-    """Polar product rule for integral over B(center, r) against dA."""
-
-    center: complex
-    radius: float
-    nodes: np.ndarray          # complex, shape (N,)
-    weights: np.ndarray        # positive reals, shape (N,)
-    degree: int                # polynomial exactness in (Re w, Im w)
-
-    @property
-    def area(self) -> float:
-        return np.pi * self.radius ** 2
-
-    def integrate(self, values: np.ndarray) -> complex:
-        values = np.asarray(values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite integrand samples")
-        return np.sum(self.weights * values)
-
-    def integrate_fn(self, f) -> complex:
-        return self.integrate(f(self.nodes))
-
-    def shifted(self, new_center: complex) -> "BallRule":
-        """Translate the rule; weights are translation invariant."""
-        delta = new_center - self.center
-        return BallRule(new_center, self.radius, self.nodes + delta,
-                        self.weights, self.degree)
-
-
-def gaussian_plane_rule(order: int, scale: float = 1.0) -> PlaneRule:
+def gaussian_plane_rule(order: int, scale: float = 1.0) -> Rule:
     """Tensor Gauss-Hermite rule adapted to the weight e^{-scale*|z|^2}.
 
     Exact (to roundoff) for z^a conj(z)^b e^{-scale|z|^2} with
@@ -89,11 +54,10 @@ def gaussian_plane_rule(order: int, scale: float = 1.0) -> PlaneRule:
     w1 = wu * np.exp(u ** 2) / np.sqrt(scale)
     nodes = (x[:, None] + 1j * x[None, :]).ravel()
     weights = (w1[:, None] * w1[None, :]).ravel()
-    return PlaneRule(nodes=nodes, weights=weights, degree=2 * order - 1,
-                     scale=scale, rcut=float(np.hypot(x[-1], x[-1])))
+    return Rule(nodes=nodes, weights=weights)
 
 
-def ball_rule(center: complex, r: float, order: int = 40) -> BallRule:
+def ball_rule(center: complex, r: float, order: int = 40) -> Rule:
     """Gauss-Legendre (radial) x trapezoidal (angular) rule on B(center,r).
 
     Exact for polynomials in (Re w, Im w) of total degree <= order.
@@ -109,5 +73,4 @@ def ball_rule(center: complex, r: float, order: int = 40) -> BallRule:
     wtheta = 2.0 * np.pi / n_ang
     nodes = center + rho[:, None] * np.exp(1j * theta)[None, :]
     weights = (wrho[:, None] * np.full(n_ang, wtheta)[None, :])
-    return BallRule(center=center, radius=float(r), nodes=nodes.ravel(),
-                    weights=weights.ravel(), degree=order)
+    return Rule(nodes=nodes.ravel(), weights=weights.ravel())

@@ -11,7 +11,7 @@ at D' is formed on its first D'+1 columns, the one at D'+5 on all of it.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,10 +20,16 @@ from .fock import FockBasis, KernelEval, build_basis, \
     normalized_kernel, project
 from .lattice import Lattice
 from .oscillation import g_functional
-from .quadrature import BallRule, PlaneRule, ball_rule
+from .quadrature import Rule, ball_rule
 from .symbols import Symbol
 
 PSD_TOL = 1e-10
+# a series counts as convergent when the last quartile of its terms (in
+# tail order) carries under TAIL_THRESHOLD of its total
+TAIL_THRESHOLD = 1e-3
+# the essential-norm plateau must move by at most this share of itself
+# across its window
+SLOPE_THRESHOLD = 0.05
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -55,8 +61,6 @@ class SchattenGauge:
     functionals even though they sit outside the theorem's hypothesis.
     """
     h: Callable[[np.ndarray], np.ndarray]
-    scale: float = 1.0
-    name: str = "gauge"
     sqrt_convex: bool = field(init=False, default=True)
 
     def __post_init__(self):
@@ -75,21 +79,7 @@ class SchattenGauge:
 def power_gauge(p: float) -> SchattenGauge:
     if p <= 0:
         raise ValueError("power gauge needs p > 0")
-    return SchattenGauge(h=lambda t: np.asarray(t, dtype=float) ** p,
-                         name=f"power-{p}")
-
-
-@dataclass(frozen=True)
-class MeasureModel:
-    kind: str                                   # density | atomic
-    density: Optional[Callable] = None
-    atoms: tuple = field(default_factory=tuple)  # ((point, mass), ...)
-
-    def __post_init__(self):
-        if self.kind not in ("density", "atomic"):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "atomic" and any(m <= 0 for _, m in self.atoms):
-            raise ValueError("atomic masses must be positive")
+    return SchattenGauge(h=lambda t: np.asarray(t, dtype=float) ** p)
 
 
 def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -110,7 +100,7 @@ def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 def sampled_hankel_gram(samples: np.ndarray, basis: FockBasis, margin: int,
-                        rule: PlaneRule,
+                        rule: Rule,
                         stability_check: bool = True) -> HankelGram:
     """Hankel Gram of the symbol whose values on `rule.nodes` are `samples`."""
     if not np.all(np.isfinite(samples)):
@@ -131,14 +121,13 @@ def sampled_hankel_gram(samples: np.ndarray, basis: FockBasis, margin: int,
                       stability_shift=shift)
 
 
-def build_hankel_gram(f: Symbol, basis: FockBasis, margin: int = 10,
-                      rule: PlaneRule | None = None) -> HankelGram:
+def build_hankel_gram(f: Symbol, basis: FockBasis,
+                      margin: int = 10) -> HankelGram:
     """Hankel Gram matrix of f with a margin-stability certificate."""
-    if rule is None:
-        # sized for the largest Gram integrand (degree ~ 2*(D+margin+5)
-        # plus low-order symbol growth)
-        rule = default_rule_for_degree(basis.degree + margin + 5,
-                                       basis.weight.alpha, margin=8)
+    # sized for the largest Gram integrand (degree ~ 2*(D+margin+5) plus
+    # low-order symbol growth)
+    rule = default_rule_for_degree(basis.degree + margin + 5,
+                                   basis.weight.alpha, margin=8)
     return sampled_hankel_gram(f(rule.nodes), basis, margin, rule)
 
 
@@ -158,36 +147,29 @@ def singular_spectrum(G: HankelGram) -> SingularSpectrum:
                             stability_shift=G.stability_shift)
 
 
-@dataclass(frozen=True)
-class SchattenSums:
-    partial_sums: np.ndarray
-    total: float
-    tail_ratio: float          # last-quartile increment / total
-    convergent: bool
-
-
 _ZERO_TOTAL = 1e-8
 
 
-def schatten_sum(S: SingularSpectrum, gauge: SchattenGauge,
-                 tail_threshold: float = 1e-3) -> SchattenSums:
-    """Partial sums of h(c * s_k) with a tail-convergence flag."""
-    terms = gauge.h(gauge.scale * S.values)
-    sums = np.cumsum(terms)
-    total = float(sums[-1])
+def _tail_convergent(total: float, terms: np.ndarray) -> bool:
+    """Convergence flag of a series of nonnegative terms in tail order."""
     k = len(terms)
     tail = float(np.sum(terms[3 * k // 4:]))
     ratio = tail / total if total > 0 else 0.0
     # a numerically-zero total is trivially summable, whatever its tail
-    convergent = total <= _ZERO_TOTAL or ratio < tail_threshold
-    return SchattenSums(partial_sums=sums, total=total, tail_ratio=ratio,
-                        convergent=convergent)
+    return total <= _ZERO_TOTAL or ratio < TAIL_THRESHOLD
 
 
-def hankel_on_kernel(f: Symbol, z: complex, q: float, K: KernelEval,
-                     rule: PlaneRule | None = None) -> float:
+def schatten_sum(values: np.ndarray, gauge: SchattenGauge) -> tuple:
+    """(sum of h(s) over the singular values s, tail-convergence flag)."""
+    terms = gauge.h(values)
+    total = float(np.cumsum(terms)[-1])
+    return total, _tail_convergent(total, terms)
+
+
+def hankel_on_kernel(f: Symbol, z: complex, q: float,
+                     K: KernelEval) -> float:
     """||H_f(k_z)||_{q,phi} via projection of f * k_z."""
-    rule = K.basis.rule if rule is None else rule
+    rule = K.basis.rule
     kz = normalized_kernel(K, z)
     g = f(rule.nodes) * kz(rule.nodes)
     coeffs = project(K, g, rule)
@@ -203,65 +185,56 @@ class EssentialNormEstimate:
     reliable: bool
 
 
-def essential_norm_tail(S: SingularSpectrum,
-                        window: tuple | None = None,
-                        slope_threshold: float = 0.05) -> EssentialNormEstimate:
+def essential_norm_tail(S: SingularSpectrum) -> EssentialNormEstimate:
     """Plateau (median) of s_k over the window [D/2, 3D/4]."""
-    D = S.degree
-    if window is None:
-        window = (D // 2, 3 * D // 4 + 1)
-    lo, hi = window
+    lo, hi = S.degree // 2, 3 * S.degree // 4 + 1
     if hi - lo < 2 or hi > len(S.values):
         raise ValueError("spectrum too short for the plateau window")
     seg = S.values[lo:hi]
     est = float(np.median(seg))
     slope = float(np.polyfit(np.arange(lo, hi), seg, 1)[0])
-    reliable = abs(slope) * (hi - lo) <= max(slope_threshold * est,
-                                             slope_threshold * 1e-2)
+    reliable = abs(slope) * (hi - lo) <= max(SLOPE_THRESHOLD * est,
+                                             SLOPE_THRESHOLD * 1e-2)
     return EssentialNormEstimate(estimate=est, slope=slope,
                                  window=(lo, hi), reliable=reliable)
 
 
-def berezin_transform(mu: MeasureModel, K: KernelEval, z: complex,
-                      rule: PlaneRule | None = None) -> float:
-    """mu~(z) = integral |k_z|^2 e^{-2phi} dmu."""
-    phi = K.basis.weight.phi
-    kz = normalized_kernel(K, z)
-    if mu.kind == "atomic":
-        pts = np.array([a for a, _ in mu.atoms], dtype=complex)
-        masses = np.array([m for _, m in mu.atoms])
-        vals = np.abs(kz(pts)) ** 2 * np.exp(-2.0 * phi(pts))
-        return float(np.sum(masses * vals))
-    rule = K.basis.rule if rule is None else rule
-    dens = (np.ones(rule.nodes.shape) if mu.density is None
-            else np.asarray(mu.density(rule.nodes), dtype=float))
+def _density_on(density, nodes: np.ndarray) -> np.ndarray:
+    """The density at the nodes, checked nonnegative."""
+    if density is None:
+        return np.ones(nodes.shape)
+    dens = np.asarray(density(nodes), dtype=float)
     if np.any(dens < 0):
         raise ValueError("measure density must be nonnegative")
+    return dens
+
+
+def berezin_transform(density, K: KernelEval, z: complex) -> float:
+    """mu~(z) = integral |k_z|^2 e^{-2phi} dmu, dmu = density dA (dA for
+    density None)."""
+    phi = K.basis.weight.phi
+    kz = normalized_kernel(K, z)
+    rule = K.basis.rule
     integrand = np.abs(kz(rule.nodes)) ** 2 * np.exp(
-        -2.0 * phi(rule.nodes)) * dens
+        -2.0 * phi(rule.nodes)) * _density_on(density, rule.nodes)
     return float(np.real(rule.integrate(integrand)))
 
 
 @lru_cache(maxsize=8)
-def _origin_ball(r: float) -> BallRule:
-    """ball_rule(0, r); shifted to each probe, it equals ball_rule(z, r)."""
+def _origin_ball(r: float) -> Rule:
+    """ball_rule(0, r); its nodes shifted by z are those of ball_rule(z, r),
+    with the same weights."""
     return ball_rule(0, r)
 
 
-def measure_average(mu: MeasureModel, z: complex, r: float,
-                    rule: BallRule | None = None) -> float:
-    """mu^_r(z) = mu(B(z, r)) / |B(z, r)|."""
+def measure_average(density, z: complex, r: float) -> float:
+    """mu^_r(z) = mu(B(z, r)) / |B(z, r)|, dmu = density dA (dA for
+    density None)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    area = np.pi * r ** 2
-    if mu.kind == "atomic":
-        total = sum(m for a, m in mu.atoms if abs(a - z) < r)
-        return float(total / area)
-    if rule is None or rule.center != z or rule.radius != r:
-        rule = _origin_ball(r).shifted(z)
-    dens = (np.ones(rule.nodes.shape) if mu.density is None
-            else np.asarray(mu.density(rule.nodes), dtype=float))
-    return float(np.real(rule.integrate(dens)) / area)
+    base = _origin_ball(r)
+    dens = _density_on(density, base.nodes + z)
+    return float(np.real(base.integrate(dens)) / (np.pi * r ** 2))
 
 
 @dataclass(frozen=True)
@@ -279,8 +252,7 @@ class SchattenVerdict:
 
 def schatten_h_criterion(f: Symbol, gauges: Sequence[SchattenGauge],
                          r: float, d: int, L: Lattice, S: SingularSpectrum,
-                         c_grid=(0.5, 1.0, 2.0),
-                         tail_threshold: float = 1e-3
+                         c_grid=(0.5, 1.0, 2.0)
                          ) -> list[list[SchattenVerdict]]:
     """Compare finiteness proxies of the G-integral and the s_k-sum.
 
@@ -298,17 +270,10 @@ def schatten_h_criterion(f: Symbol, gauges: Sequence[SchattenGauge],
         for c in c_grid:
             terms = np.asarray(gauge.h(c * G)) * L.cell_area
             total = float(np.sum(terms))
-            sorted_terms = terms[order]
-            k = len(sorted_terms)
-            tail = float(np.sum(sorted_terms[3 * k // 4:]))
-            int_ratio = tail / total if total > 0 else 0.0
-            int_conv = total <= _ZERO_TOTAL or int_ratio < tail_threshold
-            ssum = schatten_sum(S, SchattenGauge(h=gauge.h, scale=c,
-                                                 name=gauge.name),
-                                tail_threshold)
+            sum_total, sum_conv = schatten_sum(c * S.values, gauge)
             verdicts.append(SchattenVerdict(
                 c=float(c), integral_value=total,
-                integral_convergent=int_conv,
-                sum_value=ssum.total, sum_convergent=ssum.convergent))
+                integral_convergent=_tail_convergent(total, terms[order]),
+                sum_value=sum_total, sum_convergent=sum_conv))
         out.append(verdicts)
     return out

@@ -19,7 +19,6 @@ class WeightEvaluationError(RuntimeError):
 class WeightModel:
     """Weight phi with declared ellipticity bounds 0 < m <= M."""
 
-    dimension: int
     phi: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]       # complex gradient
     hessian: Callable[[complex], np.ndarray]       # real 2x2 at a point
@@ -31,8 +30,6 @@ class WeightModel:
     def __post_init__(self):
         if not (0 < self.m <= self.M):
             raise ValueError("bounds must satisfy 0 < m <= M")
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
 
     @property
     def alpha(self) -> float:
@@ -48,7 +45,6 @@ class CertificationReport:
     eig_min: float
     eig_max: float
     worst_violation: float
-    worst_point: complex
 
 
 def gaussian_weight(alpha: float = 1.0) -> WeightModel:
@@ -65,7 +61,7 @@ def gaussian_weight(alpha: float = 1.0) -> WeightModel:
     def hessian(z):
         return alpha * np.eye(2)
 
-    return WeightModel(1, phi, grad, hessian, m=alpha, M=alpha,
+    return WeightModel(phi, grad, hessian, m=alpha, M=alpha,
                        kind="gaussian", params={"alpha": alpha})
 
 
@@ -84,7 +80,7 @@ def perturbed_gaussian_weight(eps: float = 0.1) -> WeightModel:
         x = np.real(z)
         return np.array([[1.0 - eps * np.sin(x), 0.0], [0.0, 1.0]])
 
-    return WeightModel(1, phi, grad, hessian, m=1.0 - eps, M=1.0 + eps,
+    return WeightModel(phi, grad, hessian, m=1.0 - eps, M=1.0 + eps,
                        kind="perturbed-gaussian", params={"eps": eps})
 
 
@@ -96,7 +92,7 @@ def certify_weight(w: WeightModel, probes, tol: float) -> CertificationReport:
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = np.inf, -np.inf
-    worst, worst_pt = 0.0, probes[0]
+    worst = 0.0
     for z in probes:
         val = w.phi(np.asarray(z))
         H = np.asarray(w.hessian(complex(z)), dtype=float)
@@ -105,12 +101,10 @@ def certify_weight(w: WeightModel, probes, tol: float) -> CertificationReport:
         eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
         lo = min(lo, eigs[0])
         hi = max(hi, eigs[-1])
-        viol = max(w.m - eigs[0], eigs[-1] - w.M, 0.0)
-        if viol > worst:
-            worst, worst_pt = viol, complex(z)
+        worst = max(worst, w.m - eigs[0], eigs[-1] - w.M)
     return CertificationReport(passed=worst <= tol, eig_min=float(lo),
-                               eig_max=float(hi), worst_violation=float(worst),
-                               worst_point=worst_pt)
+                               eig_max=float(hi),
+                               worst_violation=float(worst))
 
 
 def finite_difference_check(w: WeightModel, z: complex, h: float = 1e-4) -> float:

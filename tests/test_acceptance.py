@@ -20,9 +20,9 @@ from focklab.fock import (KernelEval, build_basis, default_rule_for_degree,
 from focklab.lattice import (Window, build_lattice, covering_multiplicity,
                              nearest_distance, split_sublattices)
 from focklab.oscillation import g_functional, mean_oscillation
-from focklab.spectral import (MeasureModel, berezin_transform,
-                              build_hankel_gram, essential_norm_tail,
-                              hankel_on_kernel, measure_average, power_gauge,
+from focklab.spectral import (berezin_transform, build_hankel_gram,
+                              essential_norm_tail, hankel_on_kernel,
+                              measure_average, power_gauge,
                               schatten_h_criterion, singular_spectrum)
 from focklab.weights import gaussian_weight
 
@@ -240,12 +240,12 @@ def test_criterion_09_approximants(w, basis20, solver):
     fb = symbols.make("bump")
     Lb = build_lattice(0.0, 0.5, Window.square(4.0))
     Db = decompose(fb, build_partition(Lb), 2.0, 6)
-    gap2 = compact_approximant(fb, Db, solver, 2.0, basis20, 10).gap
+    gap2 = compact_approximant(fb, Db, solver, 2.0, basis20, 10)
     assert gap2 <= 1e-2
     fm = symbols.make("mixed")
     Lm = build_lattice(0.0, 0.5, Window.square(7.0))
     Dm = decompose(fm, build_partition(Lm), 2.0, 6)
-    gap4 = compact_approximant(fm, Dm, solver, 4.0, basis20, 10).gap
+    gap4 = compact_approximant(fm, Dm, solver, 4.0, basis20, 10)
     assert gap4 >= 0.5
     assert abs(gap4 - ess) <= 0.5 * ess
     _report(9, f"bump gap(2) {gap2:.1e}; mixed gap(4) {gap4:.3f} vs "
@@ -276,16 +276,17 @@ def test_criterion_10_schatten_verdicts(basis25):
 
 
 def test_criterion_11_berezin(kernel25, rng_probes):
-    leb = MeasureModel(kind="density", density=None)
-    dev = max(abs(berezin_transform(leb, kernel25, z) - 1.0)
+    dev = max(abs(berezin_transform(None, kernel25, z) - 1.0)
               for z in rng_probes[:10])
     assert dev < 1e-8
-    mu = MeasureModel(kind="density",
-                      density=lambda z: np.exp(-np.abs(z) ** 2))
+
+    def density(z):
+        return np.exp(-np.abs(z) ** 2)
+
     chat = 0.0
     for z in rng_probes:
-        bt = berezin_transform(mu, kernel25, z)
-        chat = max(chat, measure_average(mu, z, 0.5) / bt)
+        bt = berezin_transform(density, kernel25, z)
+        chat = max(chat, measure_average(density, z, 0.5) / bt)
     assert chat <= 5.0
     _report(11, f"Lebesgue Berezin dev {dev:.1e}; hat-C {chat:.2f} <= 5")
 

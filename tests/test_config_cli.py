@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from focklab import symbols
-from focklab.cli import Runner, main, run
+from focklab.cli import SUBCOMMANDS, Runner, main, run
 from focklab.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text)
 
@@ -60,6 +62,8 @@ def test_hash_depends_on_seed_and_values():
     ("probes.half_width=-1", "probes.half_width"),
     ("functional.shells=", "functional.shells"),
     ("gauge.c_grid=", "gauge.c_grid"),
+    ("gauge.c_grid=-1", "gauge.c_grid"),
+    ("functional.shells=-1", "functional.shells"),
 ])
 def test_validation_names_offending_field(override, field):
     with pytest.raises(ConfigError) as exc:
@@ -160,3 +164,72 @@ def test_cli_records_warnings_in_manifest(tmp_path):
     assert lines["small"].index(warned[0]) < min(
         i for i, ln in enumerate(lines["small"]) if ln.startswith("file="))
     assert not any(ln.startswith("warning=") for ln in lines["wide"])
+
+
+# small sizes that still run every code path of every subcommand
+SMOKE = ["basis.degree=10", "functional.shells=2.0", "probes.count=5",
+         "lattice.window=3.0"]
+SMOKE_HEADERS = {
+    "berezin": {"berezin.csv": "re,im,berezin,ball_average,ratio"},
+    "build-basis": {"normalizations.csv": "k,c_k,c_k_squared"},
+    "certify-weight": {"probes.csv": "re,im",
+                       "report.csv": "passed,eig_min,eig_max,"
+                                     "worst_violation"},
+    "compact-approx": {"gap.csv": "t,gap,ess_tail"},
+    "dbar-check": {"residuals.csv": "form,re,im,abs_residual,max_abs_form"},
+    "decompose": {"controls.csv": "sup_dbar_f1,sup_m_f2,max_ratio_dbar,"
+                                  "max_ratio_m",
+                  "pointwise.csv": "re,im,abs_f,abs_f1,abs_f2,abs_dbar_f1,G"},
+    "essential-norm": {"essential_norm.csv": "estimate,slope,window_lo,"
+                                             "window_hi,reliable"},
+    "g-profile": {"g_profile.csv": "re,im,shell_radius,value"},
+    "hankel-svd": {"spectrum.csv": "k,s_k",
+                   "stability.csv": "degree,projection_degree,margin_shift"},
+    "ida-norm": {"ida_norm.csv": "s,q,r,value"},
+    "kernel-fit": {"kernel_fit.csv": "theta,C1,C2,r0,fit_residual,"
+                                     "bound_holds"},
+    "kz-profile": {"kz_profile.csv": "re,im,shell_radius,norm"},
+    "lattice": {"points.csv": "index,re,im,sublattice_id",
+                "sublattices.csv": "index,rep_re,rep_im,count"},
+    "m-profile": {"m_profile.csv": "re,im,shell_radius,value"},
+    "schatten": {"verdicts.csv": "c,integral,integral_convergent,sum,"
+                                 "sum_convergent,agree"},
+    "thm11-report": {"quantities.csv": "symbol,shell,ess_tail,kz_max,g_max,"
+                                       "decomposition_bound",
+                     "ratios.csv": "symbol,ess_tail,kz_max,g_max,"
+                                   "decomposition_bound,pairwise_ratio_135"},
+    "thm12-report": {"gaps.csv": "t,gap,ess_tail"},
+    "thm13-report": {"verdicts.csv": "symbol,p,c,integral_convergent,"
+                                     "sum_convergent,agree"},
+}
+
+
+def _smoke_run(sub, out):
+    assert main([sub, "--out", str(out)] + SMOKE) == 0
+    run_dir, = (out / sub).iterdir()
+    return run_dir
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+def test_every_subcommand_runs(sub, tmp_path):
+    run_dir = _smoke_run(sub, tmp_path)
+    headers = SMOKE_HEADERS[sub]
+    assert {p.name for p in run_dir.iterdir()} == set(headers) | {
+        "manifest.txt"}
+    manifest = (run_dir / "manifest.txt").read_text().splitlines()
+    digests = dict(ln[len("file="):].split(" sha256=")
+                   for ln in manifest if ln.startswith("file="))
+    assert set(digests) == set(headers)
+    for name, header in headers.items():
+        data = (run_dir / name).read_bytes()
+        assert data.decode().splitlines()[0] == header
+        assert hashlib.sha256(data).hexdigest() == digests[name]
+    if sub == "dbar-check":
+        residual, = [ln.split("=")[1] for ln in manifest
+                     if ln.startswith("calibration.residual=")]
+        assert float(residual) <= 1e-2
+    if sub == "compact-approx":
+        # the same gap at t = approx.t = 2 as thm12-report's t = 2 row
+        gaps = _smoke_run("thm12-report", tmp_path) / "gaps.csv"
+        assert (run_dir / "gap.csv").read_text().splitlines()[1:] == \
+            gaps.read_text().splitlines()[1:]

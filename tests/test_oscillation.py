@@ -120,10 +120,11 @@ def _reference_fit(f, z, r, q, d):
     """One centre at a time: lstsq on the shifted rule, IRLS for q != 2.
 
     Returns (coeffs of (w - z)^j, residual, IRLS iterations, max |f|)."""
-    rule = ball_rule(0.0, r).shifted(z)
-    u = rule.nodes - z
+    rule = ball_rule(0.0, r)
+    nodes = rule.nodes + z
+    u = nodes - z
     V = (u[:, None] / r) ** np.arange(d + 1)[None, :]
-    fv = f(rule.nodes)
+    fv = f(nodes)
     sw = np.sqrt(rule.weights)
 
     def solve(extra):
@@ -134,7 +135,8 @@ def _reference_fit(f, z, r, q, d):
 
     def q_residual(c):
         res = np.abs(fv - V @ c) ** q
-        return float((np.sum(rule.weights * res) / rule.area) ** (1.0 / q))
+        return float((np.sum(rule.weights * res) / (np.pi * r ** 2))
+                     ** (1.0 / q))
 
     coeffs, iters = solve(np.ones_like(sw)), 0
     if q != 2.0:
@@ -228,7 +230,7 @@ def test_mean_oscillation_vector_equals_scalar():
     for p, m in zip(z, vec):
         rule = ball_rule(p, 0.5)
         ref = (np.sum(rule.weights * np.abs(f(rule.nodes)) ** 3.0)
-               / rule.area) ** (1.0 / 3.0)
+               / (np.pi * 0.5 ** 2)) ** (1.0 / 3.0)
         assert abs(m - ref) <= 1e-14 * max(ref, 1.0)
 
 
@@ -260,7 +262,7 @@ def test_irls_block_with_weights_spanning_1e12(floored, scale, monkeypatch):
     ref = np.linalg.solve(R, Q.conj().T @ (W * F[:, 0]))
     monkeypatch.setattr(osc, "IRLS_ITERS", 1)
     try:
-        C, _ = osc._irls(F, V, P, c0[:, None].copy(), base, q)
+        C, _ = osc._irls(F, V, P, c0[:, None].copy(), base, r, q)
     except osc.DegreeCapError:
         assert np.linalg.cond(R) > osc.GRAM_COND_CAP
         return
