@@ -29,7 +29,7 @@ from .fock import KernelEval, build_basis, default_rule_for_degree, \
     fit_kernel_estimates, is_radial
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
-from .quadrature import gaussian_plane_rule
+from .quadrature import CapabilityError, gaussian_plane_rule
 from .oscillation import g_functional, m_profile, ida_norm, vda_profile
 from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
@@ -80,10 +80,15 @@ class Runner:
                                   f"radial weight, not "
                                   f"{self.cfg.get('weight.kind')!r}")
             order = self.cfg.get_int("quad.order")
-            rule = (default_rule_for_degree(degree, self.weight.alpha)
-                    if order == 0 else
-                    gaussian_plane_rule(order, self.weight.alpha))
-            self._bases[degree] = build_basis(self.weight, degree, rule)
+            try:
+                rule = (default_rule_for_degree(degree, self.weight.alpha)
+                        if order == 0 else
+                        gaussian_plane_rule(order, self.weight.alpha))
+                self._bases[degree] = build_basis(self.weight, degree, rule)
+            except (ValueError, CapabilityError) as exc:
+                key = "basis.degree" if order == 0 else "quad.order"
+                raise ConfigError(f"{key}: no stable degree-{degree} basis: "
+                                  f"{exc}") from exc
         return self._bases[degree]
 
     @cached_property
@@ -109,8 +114,12 @@ class Runner:
         base = complex(cfg.get_float("lattice.base_re"),
                        cfg.get_float("lattice.base_im"))
         half = cfg.get_float("lattice.window") if half is None else half
-        return build_lattice(base, cfg.get_float("lattice.r"),
-                             Window.square(half))
+        r = cfg.get_float("lattice.r")
+        try:
+            return build_lattice(base, r, Window.square(half))
+        except ValueError as exc:
+            raise ConfigError(f"lattice.window: half-width {half:g} at "
+                              f"lattice.r={r:g}: {exc}") from exc
 
     def probes(self, rng) -> np.ndarray:
         half = self.cfg.get_float("probes.half_width")
@@ -124,7 +133,21 @@ class Runner:
         basis = self.basis() if basis is None else basis
         margin = self.cfg.get_int("basis.margin") if margin is None \
             else margin
-        return singular_spectrum(build_hankel_gram(f, basis, margin))
+        try:
+            G = build_hankel_gram(f, basis, margin)
+        except (ValueError, CapabilityError) as exc:
+            raise ConfigError(f"basis.degree/basis.margin: no stable Gram "
+                              f"at degree {basis.degree}, margin {margin}: "
+                              f"{exc}") from exc
+        return singular_spectrum(G)
+
+    def essential_norm(self, f):
+        """Plateau estimate of ||H_f||_e from the configured spectrum."""
+        S = self.spectrum(f)
+        try:
+            return essential_norm_tail(S)
+        except ValueError as exc:
+            raise ConfigError(f"basis.degree: {exc}") from exc
 
     def decomposition(self, f, L):
         """f = f1 + f2 on the partition of unity of L, fitted at the
@@ -279,7 +302,7 @@ def cmd_kz_profile(r: Runner, rng):
 
 
 def cmd_essential_norm(r: Runner, rng):
-    est = essential_norm_tail(r.spectrum(r.symbol()))
+    est = r.essential_norm(r.symbol())
     return {"essential_norm.csv": (
         ["estimate", "slope", "window_lo", "window_hi", "reliable"],
         [[est.estimate, est.slope, est.window[0], est.window[1],
@@ -292,7 +315,7 @@ def _gap_rows(r: Runner, ts):
     t plus two bump radii; cells beyond that would add exact zeros."""
     cfg = r.cfg
     f = r.symbol()
-    ess = essential_norm_tail(r.spectrum(f)).estimate
+    ess = r.essential_norm(f).estimate
     L = r.lattice(max(cfg.get_float("lattice.window"),
                       ts[-1] + 1 + 2 * cfg.get_float("lattice.r")))
     D = r.decomposition(f, L)

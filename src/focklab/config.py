@@ -136,6 +136,13 @@ class ExperimentConfig:
         if self.get("symbol.id") not in FAMILIES:
             raise ConfigError(f"symbol.id: unknown family "
                               f"{self.get('symbol.id')!r}")
+        # checked whatever symbol.id is: the reports read every family
+        if self.get_float("symbol.radius") <= 0:
+            raise ConfigError("symbol.radius: must be positive")
+        if self.get_float("symbol.beta") < 0:
+            raise ConfigError("symbol.beta: must be >= 0")
+        if not self.get_floats("symbol.coeffs"):
+            raise ConfigError("symbol.coeffs: must list at least one number")
         if self.get("measure.density") not in ("lebesgue", "gaussian"):
             raise ConfigError("measure.density: must be lebesgue or gaussian")
         shells = self.get_floats("functional.shells")

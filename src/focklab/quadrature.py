@@ -1,18 +1,23 @@
 """Quadrature rules over the complex plane and over Euclidean disks.
 
 All integrals are taken against planar Lebesgue measure dA on C ~ R^2.
-A `Rule` is a set of nodes with weights.  Plane rules target integrands
-with Gaussian decay e^{-alpha|z|^2}; ball rules are polar product rules
-on B(center, r), whose weights do not depend on the center.
+A `Rule` is a set of nodes with weights, both read-only, so one rule can
+be shared by every caller.  Plane rules target integrands with Gaussian
+decay e^{-alpha|z|^2} and are memoised per (order, scale); ball rules
+are polar product rules on B(center, r), whose weights do not depend on
+the center.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-# exp(2 * hmax^2) must stay below DBL_MAX; hermgauss nodes grow like
-# sqrt(2*order), so this caps the per-axis order.
-_MAX_HERMITE_NODE = 18.5
+# The largest per-axis plane-rule order.  The weights carry exp(u^2) at
+# the hermgauss nodes u, and exp(2 u^2) must stay below DBL_MAX, so
+# max |u| <= 18.5; max |u| grows like sqrt(2*order) and first passes 18.5
+# at order 184.  Checked before hermgauss, whose cost grows like order^3.
+MAX_PLANE_ORDER = 183
 
 
 class CapabilityError(RuntimeError):
@@ -26,6 +31,12 @@ class Rule:
     nodes: np.ndarray          # complex, shape (N,)
     weights: np.ndarray        # positive reals, shape (N,)
 
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     def integrate(self, values: np.ndarray) -> complex:
         """Sum values (sampled at self.nodes) against the weights."""
         values = np.asarray(values)
@@ -34,21 +45,24 @@ class Rule:
         return np.sum(self.weights * values)
 
 
+@lru_cache(maxsize=32)
 def gaussian_plane_rule(order: int, scale: float = 1.0) -> Rule:
     """Tensor Gauss-Hermite rule adapted to the weight e^{-scale*|z|^2}.
 
     Exact (to roundoff) for z^a conj(z)^b e^{-scale|z|^2} with
     a + b <= 2*order - 1.  Weights absorb e^{+scale|x|^2} so the rule
-    integrates plain dA integrals of decaying integrands.
+    integrates plain dA integrals of decaying integrands.  Memoised: calls
+    with equal arguments return the same rule.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    u, wu = np.polynomial.hermite.hermgauss(order)
-    if u[-1] > _MAX_HERMITE_NODE:
+    if order > MAX_PLANE_ORDER:
         raise CapabilityError(
-            f"plane rule order {order} too large for stable weights")
+            f"plane rule order {order} too large for stable weights "
+            f"(cap {MAX_PLANE_ORDER})")
+    u, wu = np.polynomial.hermite.hermgauss(order)
     x = u / np.sqrt(scale)
     # 1-d weights for integral of g(x) dx with g ~ e^{-scale x^2}
     w1 = wu * np.exp(u ** 2) / np.sqrt(scale)

@@ -4,9 +4,10 @@ The Gram of the Hankel images is
     G_{jk} = <f e_j, f e_k>_{2phi} - sum_{m<=D'} <f e_j, e_m> conj(<f e_k, e_m>),
 with the projection truncated at D' = D + margin.  Singular values are
 square roots of its eigenvalues; compactness and essential-norm questions
-are read off the tail of the spectrum.  One basis matrix on the rule
-serves both projection degrees of the margin-stability check: the Gram
-at D' is formed on its first D'+1 columns, the one at D'+5 on all of it.
+are read off the tail of the spectrum.  One basis matrix E on the rule
+and one projection M = E^H (w f E) serve both projection degrees of the
+margin-stability check: the Gram at D' is formed on the first D'+1
+columns of E and rows of M, the one at D'+5 on all of them.
 """
 
 from dataclasses import dataclass, field
@@ -82,14 +83,21 @@ def power_gauge(p: float) -> SchattenGauge:
     return SchattenGauge(h=lambda t: np.asarray(t, dtype=float) ** p)
 
 
-def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray) -> np.ndarray:
+def _coefficients(E: np.ndarray, wFE: np.ndarray) -> np.ndarray:
+    """M = E^H (w f e_j): the projections of every f e_j, j <= D, onto the
+    columns of E, with the weights w already applied to wFE."""
+    return np.conj(E).T @ wFE
+
+
+def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray,
+               M: np.ndarray) -> np.ndarray:
     """Gram of (I - P) f e_j, j <= D, with P onto the columns of E.
 
-    FE holds f e_j on the nodes, wE the rule weights times the decay.
+    FE holds f e_j on the nodes, wE the rule weights times the decay and
+    M = _coefficients(E, wE FE).
     """
     # residual form of (I - P): Gram of pointwise residuals is PSD by
     # construction and avoids the cancellation of <fe_j, fe_k> - M M^H
-    M = np.conj(E).T @ (wE[:, None] * FE)        # (columns of E, D+1)
     # R and conj(R) reuse their inputs' buffers: at high degree this
     # Gram sets the peak memory of a run
     EM = E @ M
@@ -110,10 +118,12 @@ def sampled_hankel_gram(samples: np.ndarray, basis: FockBasis, margin: int,
     E = big.evaluate(rule.nodes, kmax=Dp + 5 if stability_check else Dp)
     wE = rule.weights * np.exp(-2.0 * big.weight.phi(rule.nodes))
     FE = samples[:, None] * E[:, :basis.degree + 1]
-    G = _gram_once(FE, wE, E[:, :Dp + 1])
+    # the projection at D' is the leading D'+1 rows of the one at D'+5
+    M = _coefficients(E, wE[:, None] * FE)
+    G = _gram_once(FE, wE, E[:, :Dp + 1], M[:Dp + 1])
     shift = np.nan
     if stability_check:
-        G2 = _gram_once(FE, wE, E)
+        G2 = _gram_once(FE, wE, E, M)
         s1 = _singular_from_gram(G)
         s2 = _singular_from_gram(G2)
         shift = float(np.max(np.abs(s1[:10] - s2[:10])))

@@ -64,10 +64,14 @@ def test_hash_depends_on_seed_and_values():
     ("gauge.c_grid=", "gauge.c_grid"),
     ("gauge.c_grid=-1", "gauge.c_grid"),
     ("functional.shells=-1", "functional.shells"),
+    ("symbol.id=conj-gaussian symbol.beta=-1", "symbol.beta"),
+    ("symbol.id=bump symbol.radius=-1", "symbol.radius"),
+    ("symbol.radius=0", "symbol.radius"),
+    ("symbol.coeffs=", "symbol.coeffs"),
 ])
 def test_validation_names_offending_field(override, field):
     with pytest.raises(ConfigError) as exc:
-        load_config(overrides=[override]).validate()
+        load_config(overrides=override.split()).validate()
     assert field in str(exc.value)
 
 
@@ -86,6 +90,25 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     # ops that need no basis still run on the non-radial weight
     assert main(["certify-weight", "--out", str(tmp_path),
                  "weight.kind=perturbed-gaussian"]) == 0
+
+
+@pytest.mark.parametrize("args,field", [
+    ("hankel-svd basis.degree=400", "basis.degree"),
+    ("hankel-svd basis.margin=200", "basis.margin"),
+    ("build-basis quad.order=500", "quad.order"),
+    ("lattice lattice.window=1e9", "lattice.window"),
+    ("essential-norm basis.degree=2", "basis.degree"),
+])
+def test_cli_capability_limit_exit_code(args, field, tmp_path, capsys):
+    assert main(args.split() + ["--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / args.split()[0]).exists()
+
+
+def test_cli_capability_limit_only_where_used(tmp_path):
+    # the lattice builds no basis, so its degree is never checked
+    assert main(["lattice", "--out", str(tmp_path), "basis.degree=400",
+                 "lattice.window=2.0"]) == 0
 
 
 def test_unknown_key_rejected():

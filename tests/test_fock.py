@@ -108,3 +108,53 @@ def test_rule_matrix_is_lazy_and_reused(weight):
     assert np.array_equal(evaluate_projection(K, co, z),
                           (basis.evaluate(z.ravel(), kmax=7) @ co)
                           .reshape(2, 3))
+
+
+def _reference_normalizations(w, degree, rule):
+    """c_k, one integral per degree: the loop build_basis replaced."""
+    decay = np.exp(-2.0 * w.phi(rule.nodes))
+    amp2 = np.abs(rule.nodes) ** 2
+    c2 = np.empty(degree + 1)
+    pw = np.ones_like(amp2)
+    for k in range(degree + 1):
+        c2[k] = np.real(rule.integrate(pw * decay))
+        if k < degree:
+            pw = pw * amp2
+    return np.sqrt(c2)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 20, 95])
+def test_normalizations_equal_per_degree_loop(weight, degree):
+    basis = build_basis(weight, degree)
+    ref = _reference_normalizations(weight, degree, basis.rule)
+    assert np.array_equal(basis.c, ref)
+
+
+def _exact(v: complex):
+    """(re, im, den): integers with v = (re + i im) / den exactly."""
+    (a, da), (b, db) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+    den = max(da, db)               # both are powers of two
+    return a * (den // da), b * (den // db), den
+
+
+def test_evaluate_matches_exact_powers(weight):
+    # e_k(z) = z^k / c_k against z^k in exact integer arithmetic
+    basis = build_basis(weight, 95)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(1.0, 20.0, 300) * np.exp(2j * np.pi * rng.uniform(size=300))
+    E = basis.evaluate(z)
+    cs = [float(c).as_integer_ratio() for c in basis.c]
+    worst = 0.0
+    for zi, row in zip(z, E):
+        x, y, dz = _exact(complex(zi))
+        px, py, dk = 1, 0, 1        # z^k = (px + i py) / dk
+        for val, (cn, cd) in zip(row, cs):
+            vx, vy, dv = _exact(complex(val))
+            # val * c - z^k over the common denominator dv * cd * dk
+            ex = vx * cn * dk - px * dv * cd
+            ey = vy * cn * dk - py * dv * cd
+            scale = dv * cd
+            worst = max(worst, (ex * ex + ey * ey)
+                        / ((px * px + py * py) * scale * scale))
+            px, py, dk = px * x - py * y, px * y + py * x, dk * dz
+    assert math.sqrt(worst) <= 4e-15

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focklab.quadrature import ball_rule, gaussian_plane_rule
+from focklab.quadrature import MAX_PLANE_ORDER, CapabilityError, ball_rule, \
+    gaussian_plane_rule
 
 
 def test_plane_rule_gaussian_mass():
@@ -59,3 +60,23 @@ def test_ball_rule_holomorphic_mean_value():
 def test_plane_rule_rejects_bad_order():
     with pytest.raises(ValueError):
         gaussian_plane_rule(0)
+
+
+def test_plane_rule_order_cap():
+    # the cap is the last order whose largest node keeps exp(2 u^2) finite
+    hermgauss = np.polynomial.hermite.hermgauss
+    assert hermgauss(MAX_PLANE_ORDER)[0][-1] <= 18.5 \
+        < hermgauss(MAX_PLANE_ORDER + 1)[0][-1]
+    assert np.all(np.isfinite(gaussian_plane_rule(MAX_PLANE_ORDER).weights))
+    with pytest.raises(CapabilityError):
+        gaussian_plane_rule(MAX_PLANE_ORDER + 1)
+
+
+def test_plane_rule_memoised_read_only():
+    rule = gaussian_plane_rule(12, scale=2.0)
+    assert gaussian_plane_rule(12, scale=2.0) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from focklab import symbols
+from focklab import spectral, symbols
 from focklab.fock import (FockBasis, KernelEval, build_basis,
                           default_rule_for_degree, lp_norm, normalized_kernel)
 from focklab.lattice import Window, build_lattice
@@ -227,3 +227,25 @@ def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
     for z in np.linspace(-2.0, 2.0, 16) + 0.5j:
         hankel_on_kernel(f, z, 2.0, K)
     assert len(calls) == 1
+
+
+def test_checked_gram_projects_once(monkeypatch, basis25):
+    # the D' Gram and the D'+5 certificate share one E^H (w f E)
+    calls = []
+    coefficients = spectral._coefficients
+
+    def counted(E, wFE):
+        calls.append(E.shape)
+        return coefficients(E, wFE)
+
+    monkeypatch.setattr(spectral, "_coefficients", counted)
+    build_hankel_gram(symbols.make("conj-linear"), basis25, margin=10)
+    assert calls == [(calls[0][0], 25 + 10 + 6)]
+
+
+def test_origin_ball_memoised_read_only():
+    rule = spectral._origin_ball(0.75)
+    assert spectral._origin_ball(0.75) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
