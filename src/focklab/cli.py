@@ -57,6 +57,14 @@ def write_csv(path: Path, header: list, rows: list) -> None:
     os.replace(tmp, path)
 
 
+def _lattice(base, r, half, key):
+    try:
+        return build_lattice(base, r, Window.square(half))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: half-width {half:g} at lattice spacing "
+                          f"{r:g}: {exc}") from exc
+
+
 class Runner:
     """Shared lazy construction of weight/basis/solver per invocation, and
     the pipeline steps the reports share."""
@@ -109,17 +117,15 @@ class Runner:
         return build(**{name: read[kind](f"symbol.{name}")
                         for name, kind in params.items()})
 
-    def lattice(self, half=None):
+    def lattice(self, half=None, key="lattice.window"):
+        """Lattice of the configured base and spacing on the square window
+        of half-width `half` (lattice.window unless given); a window too
+        large to enumerate is blamed on `key`."""
         cfg = self.cfg
         base = complex(cfg.get_float("lattice.base_re"),
                        cfg.get_float("lattice.base_im"))
         half = cfg.get_float("lattice.window") if half is None else half
-        r = cfg.get_float("lattice.r")
-        try:
-            return build_lattice(base, r, Window.square(half))
-        except ValueError as exc:
-            raise ConfigError(f"lattice.window: half-width {half:g} at "
-                              f"lattice.r={r:g}: {exc}") from exc
+        return _lattice(base, cfg.get_float("lattice.r"), half, key)
 
     def probes(self, rng) -> np.ndarray:
         half = self.cfg.get_float("probes.half_width")
@@ -285,6 +291,17 @@ def cmd_hankel_svd(r: Runner, rng):
     }
 
 
+def _kz_norm(f, z, q, K):
+    """hankel_on_kernel at a shell point; a kernel that overflows there is
+    blamed on functional.shells."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return hankel_on_kernel(f, z, q, K)
+    except (ValueError, FloatingPointError) as exc:
+        raise ConfigError(f"functional.shells: no ||H_f k_z|| at |z| = "
+                          f"{abs(z):g}: {exc}") from exc
+
+
 def cmd_kz_profile(r: Runner, rng):
     cfg = r.cfg
     f = r.symbol()
@@ -296,8 +313,7 @@ def cmd_kz_profile(r: Runner, rng):
     for rad in shells:
         for a in angles:
             z = rad * a
-            rows.append([z.real, z.imag, rad,
-                         hankel_on_kernel(f, z, q, K)])
+            rows.append([z.real, z.imag, rad, _kz_norm(f, z, q, K)])
     return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"], rows)}
 
 
@@ -309,24 +325,34 @@ def cmd_essential_norm(r: Runner, rng):
           int(est.reliable)]])}
 
 
-def _gap_rows(r: Runner, ts):
-    """Rows [t, ||H_f - H_{h_t}||, ess] for each cutoff radius t.  The
-    lattice covers the configured window and supp sigma_t of the largest
-    t plus two bump radii; cells beyond that would add exact zeros."""
+GAP_HEADER = ["t", "gap", "ess_tail", "margin_shift", "reliable"]
+
+
+def _gap_rows(r: Runner, ts, t_key):
+    """Rows of GAP_HEADER for each cutoff radius t, read from `t_key`.
+    The lattice covers the configured window and supp sigma_t of the
+    largest t plus two bump radii; cells beyond that would add exact
+    zeros."""
     cfg = r.cfg
     f = r.symbol()
     ess = r.essential_norm(f).estimate
-    L = r.lattice(max(cfg.get_float("lattice.window"),
-                      ts[-1] + 1 + 2 * cfg.get_float("lattice.r")))
+    window = cfg.get_float("lattice.window")
+    reach = ts[-1] + 1 + 2 * cfg.get_float("lattice.r")
+    L = r.lattice(max(window, reach),
+                  "lattice.window" if window >= reach else t_key)
     D = r.decomposition(f, L)
-    return [[t, compact_approximant(f, D, r.solver, t, r.basis(),
-                                    cfg.get_int("basis.margin")), ess]
-            for t in ts]
+    rows = []
+    for t in ts:
+        g = compact_approximant(f, D, r.solver, t, r.basis(),
+                                cfg.get_int("basis.margin"))
+        rows.append([t, g.gap, ess, g.margin_shift, int(g.reliable)])
+    return rows
 
 
 def cmd_compact_approx(r: Runner, rng):
-    return {"gap.csv": (["t", "gap", "ess_tail"],
-                        _gap_rows(r, [r.cfg.get_float("approx.t")]))}
+    return {"gap.csv": (GAP_HEADER,
+                        _gap_rows(r, [r.cfg.get_float("approx.t")],
+                                  "approx.t"))}
 
 
 def cmd_schatten(r: Runner, rng):
@@ -368,7 +394,7 @@ def cmd_thm11_report(r: Runner, rng):
     d = cfg.get_int("functional.d")
     shells = cfg.get_floats("functional.shells")
     K = KernelEval(r.basis(50))
-    L = build_lattice(0, 0.5, Window.square(shells[-1] + 1 + 2 * rr))
+    L = _lattice(0, 0.5, shells[-1] + 1 + 2 * rr, "functional.shells")
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
 
     all_rows, ratio_rows = [], []
@@ -378,7 +404,7 @@ def cmd_thm11_report(r: Runner, rng):
         D = r.decomposition(f, L)
         for rad in shells:
             pts = rad * angles
-            kz = max(hankel_on_kernel(f, z, q, K) for z in pts)
+            kz = max(_kz_norm(f, z, q, K) for z in pts)
             gmax = float(np.max(g_functional(f, pts, rr, q, d)))
             dec = (float(np.max(np.abs(D.dbar_f1(pts))))
                    + max(verify_controls(D, pts, rr, q).sup_m_f2, 0.0))
@@ -398,8 +424,9 @@ def cmd_thm11_report(r: Runner, rng):
 
 
 def cmd_thm12_report(r: Runner, rng):
-    return {"gaps.csv": (["t", "gap", "ess_tail"],
-                         _gap_rows(r, r.cfg.get_floats("functional.shells")))}
+    return {"gaps.csv": (GAP_HEADER,
+                         _gap_rows(r, r.cfg.get_floats("functional.shells"),
+                                   "functional.shells"))}
 
 
 THM13_POWERS = (1.0, 2.0, 4.0)

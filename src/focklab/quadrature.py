@@ -3,9 +3,10 @@
 All integrals are taken against planar Lebesgue measure dA on C ~ R^2.
 A `Rule` is a set of nodes with weights, both read-only, so one rule can
 be shared by every caller.  Plane rules target integrands with Gaussian
-decay e^{-alpha|z|^2} and are memoised per (order, scale); ball rules
-are polar product rules on B(center, r), whose weights do not depend on
-the center.
+decay e^{-alpha|z|^2} and are memoised per (order, scale); polar rules
+are Gauss-Legendre x trapezoid product rules on B(center, r), whose
+weights do not depend on the center, and ball rules are polar rules
+sized by a polynomial degree.
 """
 
 from dataclasses import dataclass
@@ -71,20 +72,26 @@ def gaussian_plane_rule(order: int, scale: float = 1.0) -> Rule:
     return Rule(nodes=nodes, weights=weights)
 
 
-def ball_rule(center: complex, r: float, order: int = 40) -> Rule:
+def polar_rule(center: complex, r: float, n_radial: int,
+               n_angular: int) -> Rule:
     """Gauss-Legendre (radial) x trapezoidal (angular) rule on B(center,r).
 
-    Exact for polynomials in (Re w, Im w) of total degree <= order.
+    The weights carry the polar Jacobian rho and do not depend on the
+    center.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    n_rad = max(order // 2 + 2, 4)
-    n_ang = 2 * order + 3
-    t, wt = np.polynomial.legendre.leggauss(n_rad)
+    t, wt = np.polynomial.legendre.leggauss(n_radial)
     rho = 0.5 * r * (t + 1.0)
     wrho = 0.5 * r * wt * rho          # polar Jacobian
-    theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    wtheta = 2.0 * np.pi / n_ang
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    wtheta = 2.0 * np.pi / n_angular
     nodes = center + rho[:, None] * np.exp(1j * theta)[None, :]
-    weights = (wrho[:, None] * np.full(n_ang, wtheta)[None, :])
+    weights = (wrho[:, None] * np.full(n_angular, wtheta)[None, :])
     return Rule(nodes=nodes.ravel(), weights=weights.ravel())
+
+
+def ball_rule(center: complex, r: float, order: int = 40) -> Rule:
+    """Polar rule on B(center, r), exact for polynomials in (Re w, Im w)
+    of total degree <= order."""
+    return polar_rule(center, r, max(order // 2 + 2, 4), 2 * order + 3)

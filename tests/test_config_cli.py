@@ -98,11 +98,31 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("build-basis quad.order=500", "quad.order"),
     ("lattice lattice.window=1e9", "lattice.window"),
     ("essential-norm basis.degree=2", "basis.degree"),
+    ("thm11-report functional.shells=1e9", "functional.shells"),
+    ("kz-profile functional.shells=1e9", "functional.shells"),
+    ("thm12-report functional.shells=1e9", "functional.shells"),
+    ("compact-approx approx.t=1e9", "approx.t"),
 ])
 def test_cli_capability_limit_exit_code(args, field, tmp_path, capsys):
     assert main(args.split() + ["--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / args.split()[0]).exists()
+
+
+def test_thm12_report_rows_certified_at_defaults(tmp_path):
+    # every row is within 5% of ess with its margin shift <= 1e-3, or is
+    # flagged reliable=0; t = 2 is inside the degree-20 basis's reach
+    assert main(["thm12-report", "--out", str(tmp_path)]) == 0
+    run_dir, = (tmp_path / "thm12-report").iterdir()
+    lines = (run_dir / "gaps.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert [float(row["t"]) for row in rows] == [2.0, 3.0, 4.0, 5.0]
+    for row in rows:
+        gap, ess = float(row["gap"]), float(row["ess_tail"])
+        certified = (abs(gap - ess) <= 0.05 * ess
+                     and float(row["margin_shift"]) <= 1e-3)
+        assert certified or row["reliable"] == "0"
+    assert rows[0]["reliable"] == "1"
 
 
 def test_cli_capability_limit_only_where_used(tmp_path):
@@ -198,7 +218,7 @@ SMOKE_HEADERS = {
     "certify-weight": {"probes.csv": "re,im",
                        "report.csv": "passed,eig_min,eig_max,"
                                      "worst_violation"},
-    "compact-approx": {"gap.csv": "t,gap,ess_tail"},
+    "compact-approx": {"gap.csv": "t,gap,ess_tail,margin_shift,reliable"},
     "dbar-check": {"residuals.csv": "form,re,im,abs_residual,max_abs_form"},
     "decompose": {"controls.csv": "sup_dbar_f1,sup_m_f2,max_ratio_dbar,"
                                   "max_ratio_m",
@@ -221,7 +241,7 @@ SMOKE_HEADERS = {
                                        "decomposition_bound",
                      "ratios.csv": "symbol,ess_tail,kz_max,g_max,"
                                    "decomposition_bound,pairwise_ratio_135"},
-    "thm12-report": {"gaps.csv": "t,gap,ess_tail"},
+    "thm12-report": {"gaps.csv": "t,gap,ess_tail,margin_shift,reliable"},
     "thm13-report": {"verdicts.csv": "symbol,p,c,integral_convergent,"
                                      "sum_convergent,agree"},
 }

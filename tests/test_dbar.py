@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from focklab import symbols
-from focklab.dbar import (CalibrationError, DbarSolver, ZeroOneForm,
-                          calibrate_orientation, dbar_fd,
+from focklab import dbar, symbols
+from focklab.approximant import compact_approximant
+from focklab.dbar import (CalibrationError, DbarSolver, DecayError,
+                          ZeroOneForm, calibrate_orientation, dbar_fd,
                           gaussian_test_forms, hankel_via_dbar)
-from focklab.fock import KernelEval, kernel
+from focklab.decomposition import build_partition, decompose
+from focklab.fock import KernelEval, build_basis, default_rule_for_degree, \
+    kernel
+from focklab.lattice import Window, build_lattice
+from focklab.quadrature import polar_rule
 from focklab.weights import gaussian_weight
 
 
@@ -89,3 +94,85 @@ def test_hankel_identity_requires_dbar(solver, basis25):
     f = symbols.make("step", radius=1.0)
     with pytest.raises(ValueError):
         hankel_via_dbar(solver, f, lambda xi: np.ones_like(xi), K)
+
+
+# --- the Cauchy engine for compact forms -------------------------------
+
+RADIAL_R = 2.0
+
+
+def _radial_form():
+    # omega(rho) = (1 - rho^2/R^2)^3 cos(2 rho) on B(0, R)
+    return ZeroOneForm(
+        lambda xi: (np.clip(1.0 - np.abs(xi) ** 2 / RADIAL_R ** 2, 0.0, None)
+                    ** 3 * np.cos(2.0 * np.abs(xi))),
+        decay="compact", support_radius=RADIAL_R)
+
+
+def _radial_exact(z):
+    """u(z) = (2/z) int_0^|z| omega(rho) rho d rho, by a fine Gauss rule."""
+    x, wx = np.polynomial.legendre.leggauss(200)
+    out = []
+    for zz in np.atleast_1d(z):
+        top = min(abs(zz), RADIAL_R)
+        rho = 0.5 * top * (x + 1.0)
+        vals = (1.0 - rho ** 2 / RADIAL_R ** 2) ** 3 * np.cos(2.0 * rho) * rho
+        out.append(2.0 / zz * 0.5 * top * np.sum(wx * vals))
+    return np.array(out)
+
+
+def test_cauchy_apply_radial_closed_form(solver):
+    omega = _radial_form()
+    inside = np.array([0.05 + 0.02j, 0.7 - 0.4j, -1.1 + 0.9j, 1.6j])
+    edge = np.array([1.95 + 0.1j, -2.1 + 0.0j, 0.3 - 2.3j, 2.45])
+    far = np.array([4.0 + 3.0j, -7.0 + 0.5j, 20.0j])
+    node = polar_rule(0.0, RADIAL_R, solver.n_radial,
+                      solver.n_angular).nodes[[5, 1000]]
+    for z in (inside, edge, far, node):
+        u = solver.cauchy_apply(omega, z)
+        assert np.max(np.abs(u - _radial_exact(z))) <= 1e-6
+    scalar = solver.cauchy_apply(omega, 0.7 - 0.4j)
+    assert np.ndim(scalar) == 0
+    assert abs(scalar - solver.cauchy_apply(omega, inside)[1]) <= 1e-14
+
+
+def test_cauchy_apply_dbar_residual(solver):
+    omega = _radial_form()
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1.3, 1.3, 10) + 1j * rng.uniform(-1.3, 1.3, 10)
+    resid = np.abs(dbar_fd(lambda w: solver.cauchy_apply(omega, w), z)
+                   - omega(z))
+    assert np.max(resid) <= 1e-3 * float(np.max(np.abs(omega(z))))
+
+
+def test_cauchy_apply_chunking_invariant(solver, monkeypatch):
+    omega = _radial_form()
+    z = np.array([0.3 + 0.1j, 1.9 - 0.2j, 2.2j, 5.0])
+    whole = solver.cauchy_apply(omega, z)
+    monkeypatch.setattr(dbar, "KERNEL_BYTES", 1)
+    monkeypatch.setattr(dbar, "OMEGA_CHUNK", 7)
+    assert np.max(np.abs(solver.cauchy_apply(omega, z) - whole)) <= 1e-14
+
+
+def test_cauchy_apply_rejections(solver):
+    uncalibrated = DbarSolver(gaussian_weight(1.0), n_radial=30, n_angular=48)
+    with pytest.raises(CalibrationError):
+        uncalibrated.cauchy_apply(_radial_form(), np.array([0.5]))
+    with pytest.raises(DecayError):
+        solver.cauchy_apply(gaussian_test_forms(1.0)[0], np.array([0.5]))
+
+
+def test_approximant_gap_converged_in_rule_and_patch(solver, monkeypatch):
+    # thm12-report's default t = 2 row: conj-linear, lattice.r = 1, D = 20
+    f = symbols.make("conj-linear")
+    basis = build_basis(solver.weight, 20, default_rule_for_degree(20, 1.0))
+    D = decompose(f, build_partition(build_lattice(0.0, 1.0,
+                                                   Window.square(5.0))))
+    base = compact_approximant(f, D, solver, 2.0, basis, 10)
+    monkeypatch.setattr(dbar, "PATCH_GRID",
+                        tuple(2 * n for n in dbar.PATCH_GRID))
+    fine = DbarSolver(solver.weight, n_radial=2 * solver.n_radial,
+                      n_angular=2 * solver.n_angular, c0=solver.c0)
+    doubled = compact_approximant(f, D, fine, 2.0, basis, 10)
+    assert abs(doubled.gap - base.gap) < 1e-6
+    assert base.reliable and abs(base.gap - 1.0) <= 0.05
