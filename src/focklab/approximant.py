@@ -71,11 +71,11 @@ def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
         return out
 
     omega = ZeroOneForm(lambda xi: masked(xi, decomp.dbar_f1),
-                        decay="compact", support_radius=t + 1.0)
+                        support_radius=t + 1.0)
     psi_vals = solver.cauchy_apply(omega, nodes)
     h_vals = psi_vals + masked(nodes, decomp.f2)
-    S = singular_spectrum(sampled_hankel_gram(f(nodes) - h_vals, basis,
-                                              margin, basis.rule))
+    S = singular_spectrum(sampled_hankel_gram(
+        f(nodes) - h_vals, basis.weight, basis.degree, margin, basis.rule))
     shift = S.stability_shift
     # e_j peaks at |z| = sqrt(j / alpha): a degree-D basis sees a cutoff
     # at t + 1 only if t + 1 <= sqrt(D / alpha)

@@ -26,7 +26,7 @@ from .dbar import DbarSolver, calibrate_orientation, dbar_fd, \
     gaussian_test_forms
 from .decomposition import build_partition, decompose, verify_controls
 from .fock import KernelEval, build_basis, default_rule_for_degree, \
-    fit_kernel_estimates, is_radial
+    fit_kernel_estimates, is_radial, kernel
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import CapabilityError, gaussian_plane_rule
@@ -80,19 +80,23 @@ class Runner:
             return gaussian_weight(self.cfg.get_float("weight.alpha"))
         return perturbed_gaussian_weight()
 
+    @cached_property
+    def radial_weight(self):
+        if not is_radial(self.weight):
+            raise ConfigError(f"weight.kind: the Fock basis needs a radial "
+                              f"weight, not {self.cfg.get('weight.kind')!r}")
+        return self.weight
+
     def basis(self, degree=None):
         degree = self.cfg.get_int("basis.degree") if degree is None else degree
         if degree not in self._bases:
-            if not is_radial(self.weight):
-                raise ConfigError(f"weight.kind: the Fock basis needs a "
-                                  f"radial weight, not "
-                                  f"{self.cfg.get('weight.kind')!r}")
+            w = self.radial_weight
             order = self.cfg.get_int("quad.order")
             try:
-                rule = (default_rule_for_degree(degree, self.weight.alpha)
+                rule = (default_rule_for_degree(degree, w.alpha)
                         if order == 0 else
-                        gaussian_plane_rule(order, self.weight.alpha))
-                self._bases[degree] = build_basis(self.weight, degree, rule)
+                        gaussian_plane_rule(order, w.alpha))
+                self._bases[degree] = build_basis(w, degree, rule)
             except (ValueError, CapabilityError) as exc:
                 key = "basis.degree" if order == 0 else "quad.order"
                 raise ConfigError(f"{key}: no stable degree-{degree} basis: "
@@ -133,17 +137,18 @@ class Runner:
         pts = rng.uniform(-half, half, (n, 2))
         return pts[:, 0] + 1j * pts[:, 1]
 
-    def spectrum(self, f, basis=None, margin=None):
-        """Singular spectrum of H_f, on the configured basis and margin
-        unless given."""
-        basis = self.basis() if basis is None else basis
+    def spectrum(self, f, degree=None, margin=None):
+        """Singular spectrum of H_f, at the configured basis degree and
+        margin unless given."""
+        degree = self.cfg.get_int("basis.degree") if degree is None \
+            else degree
         margin = self.cfg.get_int("basis.margin") if margin is None \
             else margin
         try:
-            G = build_hankel_gram(f, basis, margin)
+            G = build_hankel_gram(f, self.radial_weight, degree, margin)
         except (ValueError, CapabilityError) as exc:
             raise ConfigError(f"basis.degree/basis.margin: no stable Gram "
-                              f"at degree {basis.degree}, margin {margin}: "
+                              f"at degree {degree}, margin {margin}: "
                               f"{exc}") from exc
         return singular_spectrum(G)
 
@@ -291,11 +296,20 @@ def cmd_hankel_svd(r: Runner, rng):
     }
 
 
+KZ_MASS_LOSS = 1e-4
+
+
 def _kz_norm(f, z, q, K):
-    """hankel_on_kernel at a shell point; a kernel that overflows there is
-    blamed on functional.shells."""
+    """hankel_on_kernel at a shell point; a kernel that overflows there, or
+    whose truncation loses KZ_MASS_LOSS of K(z, z), is blamed on
+    functional.shells."""
     try:
         with np.errstate(over="raise", invalid="raise"):
+            kept = np.sum(np.abs(K.basis.evaluate(z)) ** 2)
+            lost = 1.0 - kept / np.real(kernel(K, z, z))
+            if lost > KZ_MASS_LOSS:
+                raise ValueError(f"the degree-{K.basis.degree} kernel "
+                                 f"loses {lost:.2g} of its mass there")
             return hankel_on_kernel(f, z, q, K)
     except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"functional.shells: no ||H_f k_z|| at |z| = "
@@ -400,7 +414,7 @@ def cmd_thm11_report(r: Runner, rng):
     all_rows, ratio_rows = [], []
     for family in THM11_FAMILIES:
         f = r.symbol(family)
-        ess = essential_norm_tail(r.spectrum(f, r.basis(30), 10)).estimate
+        ess = essential_norm_tail(r.spectrum(f, 30, 10)).estimate
         D = r.decomposition(f, L)
         for rad in shells:
             pts = rad * angles

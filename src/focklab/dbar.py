@@ -9,22 +9,23 @@ where the orientation constant c0 is never assumed: it is calibrated once
 against the finite-difference residual of the solution property
 dbar u = w over a family of test forms.  The |xi - z|^{-1} singularity is
 absorbed by integrating in polar coordinates centered at z, where the
-Jacobian cancels it exactly.
+Jacobian cancels it exactly; `_polar_sum` is that one sum, for A_phi
+and for the singular patch of the Cauchy transform.
 
-Compact forms have a cheaper solution, the Cauchy transform
-C(w)(z) = c0 * integral w(xi) / (xi - z) dA(xi), with the same c0 since
-the weight factor is 1 at xi = z.  C(w) - A_phi(w) is entire of
-exponential type, and the Hankel operator vanishes on such functions, so
-both give the same H_psi; but C(w) = O(1/z) off the support, so truncated
-projections represent it.  `cauchy_apply` samples w once on a polar rule
-over its support and splits the kernel with a floating cutoff
-chi(|xi - z| / PATCH_RADIUS) (Bruno & Kunyansky, J. Comput. Phys. 169,
-2001): the smooth part (1 - chi)/(xi - z) is one sum against the shared
-samples at every point, the singular part chi/(xi - z) a small polar
-patch about each point near the support.
+Compact forms (those with a support radius) have a cheaper solution, the
+Cauchy transform C(w)(z) = c0 * integral w(xi) / (xi - z) dA(xi), with
+the same c0 since the weight factor is 1 at xi = z.  C(w) - A_phi(w) is
+entire of exponential type, and the Hankel operator vanishes on such
+functions, so both give the same H_psi; but C(w) = O(1/z) off the
+support, so truncated projections represent it.  `cauchy_apply` samples
+w once on a polar rule over its support and splits the kernel with a
+floating cutoff chi(|xi - z| / PATCH_RADIUS) (Bruno & Kunyansky,
+J. Comput. Phys. 169, 2001): the smooth part (1 - chi)/(xi - z) is one
+sum against the shared samples at every point, the singular part
+chi/(xi - z) a small polar patch about each point near the support.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,10 +49,10 @@ C0_CANDIDATES = tuple(s * m for s in (1.0, -1.0, 1j, -1j)
 # goes on a PATCH_GRID (radial x angular) polar patch about z.  Set by a
 # convergence sweep: on a smooth radial form these values are within
 # 1e-7 of the closed form at the default 60 x 96 support rule, where
-# exp(-u/(1-u)) reached only 5e-5.  Forms are sampled OMEGA_CHUNK points
-# at a time and kernel blocks hold about KERNEL_BYTES (one point's row at
-# least), which bounds the engine's memory; 256 KiB blocks stay in cache
-# and ran 4x faster than 1 MiB ones.
+# exp(-u/(1-u)) reached only 5e-5.  Forms are sampled about OMEGA_CHUNK
+# nodes at a time and kernel blocks hold about KERNEL_BYTES (one point's
+# row at least), which bounds the engine's memory; 256 KiB blocks stay in
+# cache and ran 4x faster than 1 MiB ones.
 PATCH_RADIUS = 0.5
 PATCH_GRID = (8, 16)
 CUTOFF_POWER = 8
@@ -71,14 +72,7 @@ class CalibrationError(RuntimeError):
 class ZeroOneForm:
     """(0,1)-form w(xi) d(conj xi); evaluator vectorized over arrays."""
     coefficient: Callable[[np.ndarray], np.ndarray]
-    decay: str = "gaussian"            # gaussian | compact
-    support_radius: Optional[float] = None
-
-    def __post_init__(self):
-        if self.decay not in ("gaussian", "compact"):
-            raise ValueError(f"unknown decay tag {self.decay!r}")
-        if self.decay == "compact" and self.support_radius is None:
-            raise ValueError("compact forms must declare a support radius")
+    support_radius: Optional[float] = None   # compact iff set, else Gaussian
 
     def __call__(self, xi):
         return self.coefficient(np.asarray(xi, dtype=complex))
@@ -90,32 +84,19 @@ class DbarSolver:
     n_radial: int = 90
     n_angular: int = 128
     c0: Optional[complex] = None
-    calibration_residual: Optional[float] = field(default=None)
-
-    def _polar_template(self):
-        t, wt = np.polynomial.legendre.leggauss(self.n_radial)
-        theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
-        return t, wt, np.exp(1j * theta)
+    calibration_residual: Optional[float] = None
 
     def raw_apply(self, omega: ZeroOneForm, z) -> np.ndarray:
         """The integral with c0 = 1, batched over evaluation points."""
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        if omega.decay == "compact":
+        zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        if omega.support_radius is not None:
             reach = omega.support_radius + 0.25
         else:
             reach = GAUSSIAN_REACH / np.sqrt(self.weight.alpha)
-        t, wt, phase = self._polar_template()
         grad = self.weight.grad
-        out = np.empty(zs.shape, dtype=complex)
-        for i, zp in enumerate(zs):
-            R = abs(zp) + reach
-            rho = 0.5 * R * (t + 1.0)
-            wrho = 0.5 * R * wt
-            xi = zp + rho[:, None] * phase[None, :]
-            vals = (np.exp(2.0 * grad(xi) * (zp - xi)) * omega(xi)
-                    * np.conj(phase)[None, :])
-            out[i] = np.sum((wrho[:, None] * (2 * np.pi / self.n_angular))
-                            * vals)
+        out = _polar_sum(
+            lambda zc, xi: np.exp(2.0 * grad(xi) * (zc - xi)) * omega(xi),
+            zs, np.abs(zs) + reach, (self.n_radial, self.n_angular))
         return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
 
     def _calibrated_c0(self) -> complex:
@@ -134,15 +115,12 @@ class DbarSolver:
         """c0 * integral omega(xi) / (xi - z) dA(xi) for a compact form.
 
         One solution of dbar u = omega; it differs from A_phi(omega) by an
-        entire function.  omega is sampled once on a polar rule over its
-        support, of the solver's n_radial x n_angular size; the smooth
-        part (1 - chi)/(xi - z) of the kernel is summed against those
-        shared samples at every point, and points within PATCH_RADIUS of
-        the support add chi/(xi - z) on a polar patch about themselves,
-        where the Jacobian cancels the singularity.
+        entire function.  omega is sampled once on an n_radial x n_angular
+        polar rule over its support for the smooth part of the kernel;
+        points within PATCH_RADIUS of the support add the singular part.
         """
         c0 = self._calibrated_c0()
-        if omega.decay != "compact":
+        if omega.support_radius is None:
             raise DecayError("the Cauchy transform needs a compactly "
                              "supported form")
         zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
@@ -157,18 +135,14 @@ class DbarSolver:
                 xi[None, :] - zs[a:a + step, None]) @ wom
         near = np.flatnonzero(np.abs(zs) < R + PATCH_RADIUS)
         if near.size:
-            patch = polar_rule(0.0, PATCH_RADIUS, *PATCH_GRID)
-            p = patch.nodes
-            chi = (1.0 - np.abs(p) ** 2 / PATCH_RADIUS ** 2) ** CUTOFF_POWER
-            coef = patch.weights * chi / p
-            pts = zs[near, None] + p[None, :]
-            out[near] += _sample(omega, pts.ravel()).reshape(pts.shape) @ coef
+            out[near] += _polar_sum(lambda zc, pts: omega(pts), zs[near],
+                                    PATCH_RADIUS, PATCH_GRID, cutoff=True)
         out *= c0
         return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
 
     def _certify_decay(self, omega: ZeroOneForm):
         """Check the kernel-weighted integrand has died out at the reach."""
-        if omega.decay == "compact":
+        if omega.support_radius is not None:
             return
         ring = (GAUSSIAN_REACH / np.sqrt(self.weight.alpha)
                 * np.exp(2j * np.pi * np.arange(16) / 16))
@@ -178,6 +152,28 @@ class DbarSolver:
         if np.max(weighted) > 1e-8 * near:
             raise DecayError("kernel-weighted form does not decay within "
                              "the configured reach; refusing the integral")
+
+
+def _polar_sum(field, zs: np.ndarray, radius, grid,
+               cutoff: bool = False) -> np.ndarray:
+    """sum field(z, xi) dA(xi) / (xi - z) on B(z, radius) about each z in
+    the flat array zs (radius: one or one per point).  With xi = z + R p
+    on the unit polar_rule(0, 1, *grid), dA / (xi - z) = R w / p: the
+    Jacobian in w cancels the singularity.  With cutoff, w / p carries
+    (1 - |p|^2)^CUTOFF_POWER.  field gets (points, 1) and (points, nodes)
+    arrays: about OMEGA_CHUNK nodes, and at least one point, a call."""
+    unit = polar_rule(0.0, 1.0, *grid)
+    p = unit.nodes
+    coef = unit.weights / p
+    if cutoff:
+        coef *= (1.0 - np.abs(p) ** 2) ** CUTOFF_POWER
+    R = np.broadcast_to(radius, zs.shape)
+    out = np.empty(zs.shape, dtype=complex)
+    step = max(1, OMEGA_CHUNK // len(p))
+    for a in range(0, len(zs), step):
+        zc = zs[a:a + step, None]
+        out[a:a + step] = field(zc, zc + R[a:a + step, None] * p) @ coef
+    return R * out
 
 
 def _smooth_kernel(d: np.ndarray) -> np.ndarray:
@@ -207,10 +203,13 @@ def _sample(omega: ZeroOneForm, xi: np.ndarray) -> np.ndarray:
 
 def dbar_fd(u: Callable[[np.ndarray], np.ndarray], z,
             h: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference dbar = (d/dx + i d/dy)/2 of a field."""
+    """Central finite-difference dbar = (d/dx + i d/dy)/2 of a field, from
+    one call of u on the stacked stencil z + (h, -h, ih, -ih)."""
     z = np.asarray(z, dtype=complex)
-    ux = (u(z + h) - u(z - h)) / (2 * h)
-    uy = (u(z + 1j * h) - u(z - 1j * h)) / (2 * h)
+    steps = np.array([h, -h, 1j * h, -1j * h]).reshape((4,) + (1,) * z.ndim)
+    right, left, up, down = u(z + steps)
+    ux = (right - left) / (2 * h)
+    uy = (up - down) / (2 * h)
     return 0.5 * (ux + 1j * uy)
 
 
@@ -236,23 +235,12 @@ def calibrate_orientation(solver: DbarSolver, forms=None,
         forms = gaussian_test_forms(solver.weight.alpha)
     g = np.linspace(-1.2, 1.2, 5)
     probes = (g[:, None] + 1j * g[None, :]).ravel()
-    # raw solution is linear in c0: compute once, scale per candidate
-    stencil = np.concatenate([probes + FD_STEP, probes - FD_STEP,
-                              probes + 1j * FD_STEP, probes - 1j * FD_STEP])
-    solved = []
-    for omega in forms:
-        raw = solver.raw_apply(omega, stencil).reshape(4, -1)
-        solved.append(((raw[0] - raw[1]) / (2 * FD_STEP)
-                       + 1j * (raw[2] - raw[3]) / (2 * FD_STEP),
-                       omega(probes)))
-    residuals = {}
-    for c0 in C0_CANDIDATES:
-        worst = 0.0
-        for raw_2dbar, w in solved:
-            dbar_u = c0 * 0.5 * raw_2dbar
-            scale = float(np.max(np.abs(w))) + 1e-30
-            worst = max(worst, float(np.max(np.abs(dbar_u - w))) / scale)
-        residuals[c0] = worst
+    # u is linear in c0: one raw solve per form, scaled per candidate
+    solved = [(dbar_fd(lambda z: solver.raw_apply(omega, z), probes),
+               omega(probes)) for omega in forms]
+    residuals = {c0: max(float(np.max(np.abs(c0 * raw_dbar - w)))
+                         / (float(np.max(np.abs(w))) + 1e-30)
+                         for raw_dbar, w in solved) for c0 in C0_CANDIDATES}
     winner = min(residuals, key=residuals.get)
     if residuals[winner] > rel_tol:
         raise CalibrationError(
@@ -274,12 +262,10 @@ def hankel_via_dbar(solver: DbarSolver, f: Symbol, g, K: KernelEval):
     if not callable(g):
         raise TypeError("g must be a callable kernel-span evaluator")
     rule = K.basis.rule
-    gv = g(rule.nodes)
-    decay = "compact" if f.support_radius is not None else "gaussian"
-    omega = ZeroOneForm(lambda xi: g(xi) * f.dbar(xi), decay=decay,
+    omega = ZeroOneForm(lambda xi: g(xi) * f.dbar(xi),
                         support_radius=f.support_radius)
     u = solver.apply(omega, rule.nodes)
     lhs = u - evaluate_projection(K, project(K, u, rule), rule.nodes)
-    fg = f(rule.nodes) * gv
+    fg = f(rule.nodes) * g(rule.nodes)
     rhs = fg - evaluate_projection(K, project(K, fg, rule), rule.nodes)
     return lhs, rhs

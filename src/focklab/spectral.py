@@ -16,13 +16,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import FockBasis, KernelEval, build_basis, \
-    default_rule_for_degree, evaluate_projection, lp_norm, \
-    normalized_kernel, project
+from .fock import KernelEval, build_basis, default_rule_for_degree, \
+    evaluate_projection, lp_norm, normalized_kernel, project
 from .lattice import Lattice
 from .oscillation import g_functional
 from .quadrature import Rule, ball_rule
 from .symbols import Symbol
+from .weights import WeightModel
 
 PSD_TOL = 1e-10
 # a series counts as convergent when the last quartile of its terms (in
@@ -39,7 +39,7 @@ class NumericalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class HankelGram:
-    basis: FockBasis
+    degree: int                # of the Hankel images f e_j, j <= degree
     matrix: np.ndarray
     margin: int
     stability_shift: float     # top-10 singular move when margin grows by 5
@@ -85,8 +85,9 @@ def power_gauge(p: float) -> SchattenGauge:
 
 def _coefficients(E: np.ndarray, wFE: np.ndarray) -> np.ndarray:
     """M = E^H (w f e_j): the projections of every f e_j, j <= D, onto the
-    columns of E, with the weights w already applied to wFE."""
-    return np.conj(E).T @ wFE
+    columns of E, from wFE = w f E, overwritten: conj(E^T conj(wFE)) has
+    the products of E^H wFE to the bit, and copies no E."""
+    return np.conj(E.T @ np.conj(wFE, out=wFE))
 
 
 def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray,
@@ -107,38 +108,34 @@ def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray,
     return 0.5 * (G + np.conj(G).T)
 
 
-def sampled_hankel_gram(samples: np.ndarray, basis: FockBasis, margin: int,
-                        rule: Rule,
-                        stability_check: bool = True) -> HankelGram:
+def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
+                        degree: int, margin: int, rule: Rule) -> HankelGram:
     """Hankel Gram of the symbol whose values on `rule.nodes` are `samples`."""
     if not np.all(np.isfinite(samples)):
         raise ValueError("symbol evaluation failed on the plane rule")
-    Dp = basis.degree + margin
-    big = build_basis(basis.weight, Dp + 5, rule)
-    E = big.evaluate(rule.nodes, kmax=Dp + 5 if stability_check else Dp)
-    wE = rule.weights * np.exp(-2.0 * big.weight.phi(rule.nodes))
-    FE = samples[:, None] * E[:, :basis.degree + 1]
+    Dp = degree + margin
+    big = build_basis(weight, Dp + 5, rule)
+    E = big.evaluate(rule.nodes)
+    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
+    FE = samples[:, None] * E[:, :degree + 1]
     # the projection at D' is the leading D'+1 rows of the one at D'+5
     M = _coefficients(E, wE[:, None] * FE)
     G = _gram_once(FE, wE, E[:, :Dp + 1], M[:Dp + 1])
-    shift = np.nan
-    if stability_check:
-        G2 = _gram_once(FE, wE, E, M)
-        s1 = _singular_from_gram(G)
-        s2 = _singular_from_gram(G2)
-        shift = float(np.max(np.abs(s1[:10] - s2[:10])))
-    return HankelGram(basis=basis, matrix=G, margin=margin,
+    s1 = _singular_from_gram(G)
+    s2 = _singular_from_gram(_gram_once(FE, wE, E, M))
+    shift = float(np.max(np.abs(s1[:10] - s2[:10])))
+    return HankelGram(degree=degree, matrix=G, margin=margin,
                       stability_shift=shift)
 
 
-def build_hankel_gram(f: Symbol, basis: FockBasis,
+def build_hankel_gram(f: Symbol, weight: WeightModel, degree: int,
                       margin: int = 10) -> HankelGram:
     """Hankel Gram matrix of f with a margin-stability certificate."""
     # sized for the largest Gram integrand (degree ~ 2*(D+margin+5) plus
     # low-order symbol growth)
-    rule = default_rule_for_degree(basis.degree + margin + 5,
-                                   basis.weight.alpha, margin=8)
-    return sampled_hankel_gram(f(rule.nodes), basis, margin, rule)
+    rule = default_rule_for_degree(degree + margin + 5, weight.alpha,
+                                   margin=8)
+    return sampled_hankel_gram(f(rule.nodes), weight, degree, margin, rule)
 
 
 def _singular_from_gram(G: np.ndarray) -> np.ndarray:
@@ -152,8 +149,8 @@ def _singular_from_gram(G: np.ndarray) -> np.ndarray:
 
 def singular_spectrum(G: HankelGram) -> SingularSpectrum:
     return SingularSpectrum(values=_singular_from_gram(G.matrix),
-                            degree=G.basis.degree,
-                            projection_degree=G.basis.degree + G.margin,
+                            degree=G.degree,
+                            projection_degree=G.degree + G.margin,
                             stability_shift=G.stability_shift)
 
 

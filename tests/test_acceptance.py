@@ -41,11 +41,6 @@ def basis20(w):
 
 
 @pytest.fixture(scope="module")
-def basis30(w):
-    return build_basis(w, 30, default_rule_for_degree(30, 1.0))
-
-
-@pytest.fixture(scope="module")
 def solver(w):
     s = DbarSolver(w, n_radial=60, n_angular=96)
     calibrate_orientation(s)
@@ -196,12 +191,12 @@ def test_criterion_06_dbar_solver(solver, basis25, weight):
                f"Hankel identity rel err {rel:.1e}")
 
 
-def test_criterion_07_hankel_spectra(basis20):
+def test_criterion_07_hankel_spectra(w):
     poly = symbols.make("holo-poly", coeffs=[0.5, 1.0, -0.5j])
-    Sp = singular_spectrum(build_hankel_gram(poly, basis20, margin=10))
+    Sp = singular_spectrum(build_hankel_gram(poly, w, 20, margin=10))
     assert Sp.values[0] <= 1e-8
     f = symbols.make("conj-linear")
-    G = build_hankel_gram(f, basis20, margin=10)
+    G = build_hankel_gram(f, w, 20, margin=10)
     S = singular_spectrum(G)
     dev = float(np.max(np.abs(S.values[:16] - 1.0)))
     assert dev <= 1e-3
@@ -210,7 +205,7 @@ def test_criterion_07_hankel_spectra(basis20):
                f"margin shift {G.stability_shift:.1e}")
 
 
-def test_criterion_08_bracket(w, basis30):
+def test_criterion_08_bracket(w):
     K = KernelEval(build_basis(w, 50, default_rule_for_degree(50, 1.0)))
     shell = 5.0
     angles = shell * np.exp(2j * np.pi * np.arange(8) / 8)
@@ -218,7 +213,7 @@ def test_criterion_08_bracket(w, basis30):
     for fam, kw in FOUR_SYMBOLS:
         f = symbols.make(fam, **kw)
         ess = essential_norm_tail(
-            singular_spectrum(build_hankel_gram(f, basis30, 10))).estimate
+            singular_spectrum(build_hankel_gram(f, w, 30, 10))).estimate
         kz = max(hankel_on_kernel(f, z, 2.0, K) for z in angles)
         G = float(np.max(g_functional(f, angles, 0.5, 2.0, 6)))
         rows[fam] = (ess, kz, G)
@@ -235,7 +230,7 @@ def test_criterion_08_bracket(w, basis30):
 
 def test_criterion_09_approximants(w, basis20, solver):
     ess = essential_norm_tail(singular_spectrum(build_hankel_gram(
-        symbols.make("mixed"), basis20, 10))).estimate
+        symbols.make("mixed"), w, 20, 10))).estimate
     # compactly supported symbol: cutoff at t = 2 removes nearly everything
     fb = symbols.make("bump")
     Lb = build_lattice(0.0, 0.5, Window.square(4.0))
@@ -252,13 +247,13 @@ def test_criterion_09_approximants(w, basis20, solver):
                f"ess {ess:.3f}")
 
 
-def test_criterion_10_schatten_verdicts(basis25):
+def test_criterion_10_schatten_verdicts(weight):
     L = build_lattice(0.0, 0.5, Window.square(5.0))
     families = FOUR_SYMBOLS + [("step", {"radius": 2.0}),
                                ("holo-poly", {"coeffs": [0.0, 1.0]})]
     for fam, kw in families:
         f = symbols.make(fam, **kw)
-        S = singular_spectrum(build_hankel_gram(f, basis25, 10))
+        S = singular_spectrum(build_hankel_gram(f, weight, 25, 10))
         powers = (1.0, 2.0, 4.0)
         per_gauge = schatten_h_criterion(
             f, [power_gauge(p) for p in powers], 0.5, 6, L, S,

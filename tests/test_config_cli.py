@@ -100,6 +100,9 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("essential-norm basis.degree=2", "basis.degree"),
     ("thm11-report functional.shells=1e9", "functional.shells"),
     ("kz-profile functional.shells=1e9", "functional.shells"),
+    # beyond the degree-50 kernel's reach, short of any overflow
+    ("kz-profile functional.shells=6", "functional.shells"),
+    ("kz-profile functional.shells=20", "functional.shells"),
     ("thm12-report functional.shells=1e9", "functional.shells"),
     ("compact-approx approx.t=1e9", "approx.t"),
 ])

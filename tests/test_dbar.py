@@ -48,6 +48,76 @@ def test_calibration_solves_each_form_once(monkeypatch):
     assert len(calls) == len(forms)
 
 
+def test_dbar_fd_evaluates_field_once():
+    calls = []
+
+    def u(w):
+        calls.append(np.shape(w))
+        return np.conj(w) ** 2 + w ** 3
+
+    z = np.array([0.3 - 0.2j, -0.6 + 0.4j, 1.1j])
+    d = dbar_fd(u, z)
+    assert calls == [(4, 3)]
+    assert np.max(np.abs(d - 2.0 * np.conj(z))) < 1e-5
+
+
+# --- raw_apply against one polar rule per point, built in a loop ---
+
+def _reference_raw_apply(solver, omega, z):
+    """(the integrals, the sums of the absolute values of their terms)"""
+    if omega.support_radius is not None:
+        reach = omega.support_radius + 0.25
+    else:
+        reach = dbar.GAUSSIAN_REACH / np.sqrt(solver.weight.alpha)
+    t, wt = np.polynomial.legendre.leggauss(solver.n_radial)
+    phase = np.exp(2j * np.pi * np.arange(solver.n_angular)
+                   / solver.n_angular)
+    grad = solver.weight.grad
+    out = np.empty(len(z), dtype=complex)
+    size = np.empty(len(z))
+    for i, zp in enumerate(z):
+        R = abs(zp) + reach
+        rho = 0.5 * R * (t + 1.0)
+        wrho = 0.5 * R * wt
+        xi = zp + rho[:, None] * phase[None, :]
+        vals = (np.exp(2.0 * grad(xi) * (zp - xi)) * omega(xi)
+                * np.conj(phase)[None, :])
+        terms = (wrho[:, None] * (2 * np.pi / solver.n_angular)) * vals
+        out[i], size[i] = np.sum(terms), np.sum(np.abs(terms))
+    return out, size
+
+
+RAW_POINTS = {
+    "near": np.array([0.0, 0.05 + 0.02j, -0.3 + 0.1j, 0.2j]),
+    "far": np.array([4.0 + 3.0j, -7.0 + 0.5j, 9.0j]),
+    "outside-support": np.array([2.02 + 0.0j, -1.5 - 1.4j, 0.1 + 2.05j]),
+}
+
+
+@pytest.mark.parametrize("where", sorted(RAW_POINTS))
+def test_raw_apply_equals_per_point_reference(solver, where):
+    z = RAW_POINTS[where]
+    # relative to the terms' size: far out the kernel weight makes them
+    # much larger than the integral, and at 0 the integrals vanish
+    for omega in gaussian_test_forms(1.0) + [_radial_form()]:
+        ref, size = _reference_raw_apply(solver, omega, z)
+        got = solver.raw_apply(omega, z)
+        assert np.all(np.abs(got - ref) <= 1e-13 * size)
+
+
+def test_raw_apply_chunking_invariant(monkeypatch):
+    # on a 10 x 16 rule each field call gets six points; at OMEGA_CHUNK
+    # = 7 it gets one
+    s = DbarSolver(gaussian_weight(1.0), n_radial=10, n_angular=16)
+    z = np.linspace(-1.5, 2.5, 13) + 0.3j
+    omega = gaussian_test_forms(1.0)[1]
+    whole = s.raw_apply(omega, z)
+    monkeypatch.setattr(dbar, "OMEGA_CHUNK", 7)
+    chunked = s.raw_apply(omega, z)
+    assert np.all(np.abs(chunked - whole) <= 1e-14 * np.abs(whole))
+    assert s.raw_apply(omega, z[4]) == chunked[4]
+
+
 def test_uncalibrated_apply_rejected():
     s = DbarSolver(gaussian_weight(1.0), n_radial=30, n_angular=48)
     omega = gaussian_test_forms(1.0)[0]
@@ -106,7 +176,7 @@ def _radial_form():
     return ZeroOneForm(
         lambda xi: (np.clip(1.0 - np.abs(xi) ** 2 / RADIAL_R ** 2, 0.0, None)
                     ** 3 * np.cos(2.0 * np.abs(xi))),
-        decay="compact", support_radius=RADIAL_R)
+        support_radius=RADIAL_R)
 
 
 def _radial_exact(z):
