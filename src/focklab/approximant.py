@@ -32,7 +32,7 @@ def smooth_cutoff(t: float) -> Symbol:
         return (0.5 * ds * z / safe).astype(complex)
 
     return Symbol(evaluator=sigma, dbar=dbar, support_radius=t + 1.0,
-                  smoothness="C1", name=f"cutoff-{t}", params={"t": t})
+                  name=f"cutoff-{t}", params={"t": t})
 
 
 @dataclass(frozen=True)

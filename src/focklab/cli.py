@@ -25,8 +25,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dbar import DbarSolver, calibrate_orientation, dbar_fd, \
     gaussian_test_forms
 from .decomposition import build_partition, decompose, verify_controls
-from .fock import KernelEval, build_basis, default_rule_for_degree, \
-    fit_kernel_estimates, is_radial, kernel
+from .fock import build_basis, default_rule_for_degree, \
+    fit_kernel_estimates, kernel
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import CapabilityError, gaussian_plane_rule
@@ -82,9 +82,10 @@ class Runner:
 
     @cached_property
     def radial_weight(self):
-        if not is_radial(self.weight):
-            raise ConfigError(f"weight.kind: the Fock basis needs a radial "
-                              f"weight, not {self.cfg.get('weight.kind')!r}")
+        if self.weight.kind != "gaussian":
+            raise ConfigError(f"weight.kind: the Fock basis needs the "
+                              f"Gaussian weight, not "
+                              f"{self.cfg.get('weight.kind')!r}")
         return self.weight
 
     def basis(self, degree=None):
@@ -144,8 +145,9 @@ class Runner:
             else degree
         margin = self.cfg.get_int("basis.margin") if margin is None \
             else margin
+        w = self.radial_weight
         try:
-            G = build_hankel_gram(f, self.radial_weight, degree, margin)
+            G = build_hankel_gram(f, w, degree, margin)
         except (ValueError, CapabilityError) as exc:
             raise ConfigError(f"basis.degree/basis.margin: no stable Gram "
                               f"at degree {degree}, margin {margin}: "
@@ -189,10 +191,10 @@ def cmd_build_basis(r: Runner, rng):
 
 
 def cmd_kernel_fit(r: Runner, rng):
-    K = KernelEval(r.basis())
+    b = r.basis()
     half = r.cfg.get_float("probes.half_width")
     g = np.linspace(-half, half, 7)
-    est = fit_kernel_estimates(K, (g[:, None] + 1j * g[None, :]).ravel())
+    est = fit_kernel_estimates(b, (g[:, None] + 1j * g[None, :]).ravel())
     return {"kernel_fit.csv": (
         ["theta", "C1", "C2", "r0", "fit_residual", "bound_holds"],
         [[est.theta, est.C1, est.C2, est.r0, est.fit_residual,
@@ -299,18 +301,18 @@ def cmd_hankel_svd(r: Runner, rng):
 KZ_MASS_LOSS = 1e-4
 
 
-def _kz_norm(f, z, q, K):
+def _kz_norm(f, z, q, basis):
     """hankel_on_kernel at a shell point; a kernel that overflows there, or
     whose truncation loses KZ_MASS_LOSS of K(z, z), is blamed on
     functional.shells."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            kept = np.sum(np.abs(K.basis.evaluate(z)) ** 2)
-            lost = 1.0 - kept / np.real(kernel(K, z, z))
+            kept = np.sum(np.abs(basis.evaluate(z)) ** 2)
+            lost = 1.0 - kept / np.real(kernel(basis, z, z))
             if lost > KZ_MASS_LOSS:
-                raise ValueError(f"the degree-{K.basis.degree} kernel "
+                raise ValueError(f"the degree-{basis.degree} kernel "
                                  f"loses {lost:.2g} of its mass there")
-            return hankel_on_kernel(f, z, q, K)
+            return hankel_on_kernel(f, z, q, basis)
     except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"functional.shells: no ||H_f k_z|| at |z| = "
                           f"{abs(z):g}: {exc}") from exc
@@ -319,7 +321,7 @@ def _kz_norm(f, z, q, K):
 def cmd_kz_profile(r: Runner, rng):
     cfg = r.cfg
     f = r.symbol()
-    K = KernelEval(r.basis(max(cfg.get_int("basis.degree"), 50)))
+    basis = r.basis(max(cfg.get_int("basis.degree"), 50))
     q = cfg.get_float("functional.q")
     shells = cfg.get_floats("functional.shells")
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
@@ -327,7 +329,7 @@ def cmd_kz_profile(r: Runner, rng):
     for rad in shells:
         for a in angles:
             z = rad * a
-            rows.append([z.real, z.imag, rad, _kz_norm(f, z, q, K)])
+            rows.append([z.real, z.imag, rad, _kz_norm(f, z, q, basis)])
     return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"], rows)}
 
 
@@ -387,10 +389,10 @@ def cmd_berezin(r: Runner, rng):
     cfg = r.cfg
     density = None if cfg.get("measure.density") == "lebesgue" else \
         (lambda z: np.exp(-np.abs(z) ** 2))
-    K = KernelEval(r.basis(max(cfg.get_int("basis.degree"), 40)))
+    basis = r.basis(max(cfg.get_int("basis.degree"), 40))
     rows = []
     for z in r.probes(rng):
-        bt = berezin_transform(density, K, z)
+        bt = berezin_transform(density, basis, z)
         avg = measure_average(density, z, cfg.get_float("functional.r"))
         rows.append([z.real, z.imag, bt, avg,
                      avg / bt if bt > 0 else 0.0])
@@ -407,7 +409,7 @@ def cmd_thm11_report(r: Runner, rng):
     rr = cfg.get_float("functional.r")
     d = cfg.get_int("functional.d")
     shells = cfg.get_floats("functional.shells")
-    K = KernelEval(r.basis(50))
+    basis = r.basis(50)
     L = _lattice(0, 0.5, shells[-1] + 1 + 2 * rr, "functional.shells")
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
 
@@ -418,7 +420,7 @@ def cmd_thm11_report(r: Runner, rng):
         D = r.decomposition(f, L)
         for rad in shells:
             pts = rad * angles
-            kz = max(_kz_norm(f, z, q, K) for z in pts)
+            kz = max(_kz_norm(f, z, q, basis) for z in pts)
             gmax = float(np.max(g_functional(f, pts, rr, q, d)))
             dec = (float(np.max(np.abs(D.dbar_f1(pts))))
                    + max(verify_controls(D, pts, rr, q).sup_m_f2, 0.0))

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fock import KernelEval, evaluate_projection, project
+from .fock import FockBasis, evaluate_projection, project
 from .quadrature import polar_rule
 from .symbols import Symbol
 from .weights import WeightModel
@@ -251,7 +251,8 @@ def calibrate_orientation(solver: DbarSolver, forms=None,
     return winner
 
 
-def hankel_via_dbar(solver: DbarSolver, f: Symbol, g, K: KernelEval):
+def hankel_via_dbar(solver: DbarSolver, f: Symbol, g,
+                    basis: FockBasis):
     """Evaluator for A_phi(g dbar f) - P(A_phi(g dbar f)) on rule nodes.
 
     Returns (lhs values, rhs values) on the rule nodes, where the rhs is
@@ -261,11 +262,13 @@ def hankel_via_dbar(solver: DbarSolver, f: Symbol, g, K: KernelEval):
         raise ValueError("symbol lacks an analytic dbar evaluator")
     if not callable(g):
         raise TypeError("g must be a callable kernel-span evaluator")
-    rule = K.basis.rule
+    rule = basis.rule
     omega = ZeroOneForm(lambda xi: g(xi) * f.dbar(xi),
                         support_radius=f.support_radius)
     u = solver.apply(omega, rule.nodes)
-    lhs = u - evaluate_projection(K, project(K, u, rule), rule.nodes)
+    lhs = u - evaluate_projection(basis, project(basis, u, rule),
+                                  rule.nodes)
     fg = f(rule.nodes) * g(rule.nodes)
-    rhs = fg - evaluate_projection(K, project(K, fg, rule), rule.nodes)
+    rhs = fg - evaluate_projection(basis, project(basis, fg, rule),
+                                   rule.nodes)
     return lhs, rhs

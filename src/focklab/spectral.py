@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import KernelEval, build_basis, default_rule_for_degree, \
+from .fock import FockBasis, build_basis, default_rule_for_degree, \
     evaluate_projection, lp_norm, normalized_kernel, project
 from .lattice import Lattice
 from .oscillation import g_functional
@@ -174,14 +174,14 @@ def schatten_sum(values: np.ndarray, gauge: SchattenGauge) -> tuple:
 
 
 def hankel_on_kernel(f: Symbol, z: complex, q: float,
-                     K: KernelEval) -> float:
+                     basis: FockBasis) -> float:
     """||H_f(k_z)||_{q,phi} via projection of f * k_z."""
-    rule = K.basis.rule
-    kz = normalized_kernel(K, z)
+    rule = basis.rule
+    kz = normalized_kernel(basis, z)
     g = f(rule.nodes) * kz(rule.nodes)
-    coeffs = project(K, g, rule)
-    resid = g - evaluate_projection(K, coeffs, rule.nodes)
-    return lp_norm(resid, q, rule, K.basis.weight)
+    coeffs = project(basis, g, rule)
+    resid = g - evaluate_projection(basis, coeffs, rule.nodes)
+    return lp_norm(resid, q, rule, basis.weight)
 
 
 @dataclass(frozen=True)
@@ -216,12 +216,12 @@ def _density_on(density, nodes: np.ndarray) -> np.ndarray:
     return dens
 
 
-def berezin_transform(density, K: KernelEval, z: complex) -> float:
+def berezin_transform(density, basis: FockBasis, z: complex) -> float:
     """mu~(z) = integral |k_z|^2 e^{-2phi} dmu, dmu = density dA (dA for
     density None)."""
-    phi = K.basis.weight.phi
-    kz = normalized_kernel(K, z)
-    rule = K.basis.rule
+    phi = basis.weight.phi
+    kz = normalized_kernel(basis, z)
+    rule = basis.rule
     integrand = np.abs(kz(rule.nodes)) ** 2 * np.exp(
         -2.0 * phi(rule.nodes)) * _density_on(density, rule.nodes)
     return float(np.real(rule.integrate(integrand)))

@@ -16,7 +16,6 @@ class Symbol:
     evaluator: Callable[[np.ndarray], np.ndarray]
     dbar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: Optional[float] = None   # None => entire plane
-    smoothness: str = "C2"                   # measurable | C1 | C2
     name: str = "symbol"
     params: dict = field(default_factory=dict)
 
@@ -31,7 +30,6 @@ class Symbol:
             dbar=None if db is None else (lambda z: db(z - a)),
             support_radius=None if self.support_radius is None
             else self.support_radius + abs(a),
-            smoothness=self.smoothness,
             name=f"{self.name}-shift",
             params=dict(self.params, shift=a))
 
@@ -41,7 +39,7 @@ def _holo_poly(coeffs=(0.0, 1.0)) -> Symbol:
     return Symbol(
         evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs),
         dbar=lambda z: np.zeros(np.shape(z), dtype=complex),
-        smoothness="C2", name="holo-poly",
+        name="holo-poly",
         params={"coeffs": tuple(coeffs.tolist())})
 
 
@@ -49,7 +47,7 @@ def _conj_linear() -> Symbol:
     return Symbol(
         evaluator=lambda z: np.conj(z),
         dbar=lambda z: np.ones(np.shape(z), dtype=complex),
-        smoothness="C2", name="conj-linear")
+        name="conj-linear")
 
 
 def _conj_gaussian(beta=1.0) -> Symbol:
@@ -58,7 +56,7 @@ def _conj_gaussian(beta=1.0) -> Symbol:
         evaluator=lambda z: np.conj(z) * np.exp(-beta * np.abs(z) ** 2),
         dbar=lambda z: (1.0 - beta * np.abs(z) ** 2)
         * np.exp(-beta * np.abs(z) ** 2),
-        smoothness="C2", name="conj-gaussian", params={"beta": beta})
+        name="conj-gaussian", params={"beta": beta})
 
 
 def _bump(radius=1.0) -> Symbol:
@@ -74,16 +72,15 @@ def _bump(radius=1.0) -> Symbol:
         body = (-2.0 / R ** 2) * (1.0 - rho2 / R ** 2) * z
         return np.where(rho2 < R ** 2, body, 0.0).astype(complex)
 
-    return Symbol(evaluator=f, dbar=db, support_radius=R,
-                  smoothness="C1", name="bump", params={"radius": R})
+    return Symbol(evaluator=f, dbar=db, support_radius=R, name="bump",
+                  params={"radius": R})
 
 
 def _step(radius=1.0) -> Symbol:
     R = float(radius)
     return Symbol(
         evaluator=lambda z: (np.abs(z) < R).astype(complex),
-        dbar=None, support_radius=R, smoothness="measurable",
-        name="step", params={"radius": R})
+        dbar=None, support_radius=R, name="step", params={"radius": R})
 
 
 def _mixed(radius=1.0) -> Symbol:
@@ -91,7 +88,7 @@ def _mixed(radius=1.0) -> Symbol:
     return Symbol(
         evaluator=lambda z: np.conj(z) + bump.evaluator(z),
         dbar=lambda z: 1.0 + bump.dbar(z),
-        smoothness="C1", name="mixed", params=dict(bump.params))
+        name="mixed", params=dict(bump.params))
 
 
 # Built-in families: id -> (constructor, {parameter: type}).  The config

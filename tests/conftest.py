@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from focklab.fock import KernelEval, build_basis, default_rule_for_degree
+from focklab.fock import build_basis, default_rule_for_degree
 from focklab.weights import gaussian_weight
 
 
@@ -13,11 +13,6 @@ def weight():
 @pytest.fixture(scope="session")
 def basis25(weight):
     return build_basis(weight, 25, default_rule_for_degree(25, 1.0))
-
-
-@pytest.fixture(scope="session")
-def kernel25(basis25):
-    return KernelEval(basis25)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from focklab.cli import main as cli_main
 from focklab.dbar import (DbarSolver, calibrate_orientation, dbar_fd,
                           gaussian_test_forms, hankel_via_dbar)
 from focklab.decomposition import build_partition, decompose, verify_controls
-from focklab.fock import (KernelEval, build_basis, default_rule_for_degree,
+from focklab.fock import (build_basis, default_rule_for_degree,
                           evaluate_projection, kernel, lp_norm, project)
 from focklab.lattice import (Window, build_lattice, covering_multiplicity,
                              nearest_distance, split_sublattices)
@@ -63,29 +63,30 @@ def test_criterion_01_kernel_engine(w):
     rel = max(abs(b.c[k] ** 2 - np.pi * math.factorial(k))
               / (np.pi * math.factorial(k)) for k in range(21))
     assert rel < 1e-10
-    Kc, Kb = KernelEval(b), KernelEval(b, mode="basis-sum")
     g = np.linspace(-2.0, 2.0, 9)
     zz = (g[:, None] + 1j * g[None, :]).ravel()
+    Ez = b.evaluate(zz)
     worst = 0.0
     for wpt in zz[::7]:
-        a = kernel(Kc, zz, wpt)
-        worst = max(worst, float(np.max(np.abs(kernel(Kb, zz, wpt) - a)
+        a = kernel(b, zz, wpt)
+        basis_sum = Ez @ np.conj(b.evaluate(wpt)[0])
+        worst = max(worst, float(np.max(np.abs(basis_sum - a)
                                         / np.abs(a))))
     assert worst < 1e-8
     _report(1, f"c_k^2 rel err {rel:.1e}; basis-sum vs closed {worst:.1e}")
 
 
-def test_criterion_02_projection(basis25, kernel25, weight):
+def test_criterion_02_projection(basis25, weight):
     rule = basis25.rule
     worst = 0.0
     for k in range(11):
         ek = rule.nodes ** k / basis25.c[k]
-        co = project(kernel25, ek, rule)
-        diff = evaluate_projection(kernel25, co, rule.nodes) - ek
+        co = project(basis25, ek, rule)
+        diff = evaluate_projection(basis25, co, rule.nodes) - ek
         worst = max(worst, lp_norm(diff, 2.0, rule, weight))
     assert worst < 1e-8
-    n2 = lp_norm(kernel(kernel25, rule.nodes, 1.0), 2.0, rule, weight) ** 2
-    K11 = float(np.real(kernel(kernel25, 1.0, 1.0)))
+    n2 = lp_norm(kernel(basis25, rule.nodes, 1.0), 2.0, rule, weight) ** 2
+    K11 = float(np.real(kernel(basis25, 1.0, 1.0)))
     assert abs(n2 - K11) / K11 < 1e-6
     _report(2, f"max ||P e_k - e_k|| {worst:.1e}; "
                f"kernel norm rel err {abs(n2 - K11) / K11:.1e}")
@@ -175,14 +176,14 @@ def test_criterion_06_dbar_solver(solver, basis25, weight):
             dbar_fd(lambda q: solver.apply(omega, q), z) - omega(z))))
         worst = max(worst, resid / scale)
     assert worst <= 1e-3
-    K = KernelEval(basis25)
     rule = basis25.rule
     ew2 = np.exp(-2.0 * weight.phi(rule.nodes))
     f = symbols.make("bump", radius=2.0)
     rel = 0.0
     for w0 in (0.0, 0.5 + 0.3j):
-        lhs, rhs = hankel_via_dbar(solver, f, lambda xi: kernel(K, xi, w0),
-                                   K)
+        lhs, rhs = hankel_via_dbar(solver, f,
+                                   lambda xi: kernel(basis25, xi, w0),
+                                   basis25)
         num = np.sqrt(abs(rule.integrate(np.abs(lhs - rhs) ** 2 * ew2)))
         den = np.sqrt(abs(rule.integrate(np.abs(rhs) ** 2 * ew2)))
         rel = max(rel, num / den)
@@ -206,7 +207,7 @@ def test_criterion_07_hankel_spectra(w):
 
 
 def test_criterion_08_bracket(w):
-    K = KernelEval(build_basis(w, 50, default_rule_for_degree(50, 1.0)))
+    basis = build_basis(w, 50, default_rule_for_degree(50, 1.0))
     shell = 5.0
     angles = shell * np.exp(2j * np.pi * np.arange(8) / 8)
     rows = {}
@@ -214,7 +215,7 @@ def test_criterion_08_bracket(w):
         f = symbols.make(fam, **kw)
         ess = essential_norm_tail(
             singular_spectrum(build_hankel_gram(f, w, 30, 10))).estimate
-        kz = max(hankel_on_kernel(f, z, 2.0, K) for z in angles)
+        kz = max(hankel_on_kernel(f, z, 2.0, basis) for z in angles)
         G = float(np.max(g_functional(f, angles, 0.5, 2.0, 6)))
         rows[fam] = (ess, kz, G)
     for fam in ("conj-linear", "mixed"):
@@ -270,8 +271,8 @@ def test_criterion_10_schatten_verdicts(weight):
                 "p in {1,2,4}, 3-point c-grid")
 
 
-def test_criterion_11_berezin(kernel25, rng_probes):
-    dev = max(abs(berezin_transform(None, kernel25, z) - 1.0)
+def test_criterion_11_berezin(basis25, rng_probes):
+    dev = max(abs(berezin_transform(None, basis25, z) - 1.0)
               for z in rng_probes[:10])
     assert dev < 1e-8
 
@@ -280,7 +281,7 @@ def test_criterion_11_berezin(kernel25, rng_probes):
 
     chat = 0.0
     for z in rng_probes:
-        bt = berezin_transform(density, kernel25, z)
+        bt = berezin_transform(density, basis25, z)
         chat = max(chat, measure_average(density, z, 0.5) / bt)
     assert chat <= 5.0
     _report(11, f"Lebesgue Berezin dev {dev:.1e}; hat-C {chat:.2f} <= 5")

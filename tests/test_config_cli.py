@@ -93,6 +93,7 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args,field", [
+    ("hankel-svd basis.degree=165", "basis.degree"),
     ("hankel-svd basis.degree=400", "basis.degree"),
     ("hankel-svd basis.margin=200", "basis.margin"),
     ("build-basis quad.order=500", "quad.order"),

@@ -7,7 +7,7 @@ from focklab.dbar import (CalibrationError, DbarSolver, DecayError,
                           ZeroOneForm, calibrate_orientation, dbar_fd,
                           gaussian_test_forms, hankel_via_dbar)
 from focklab.decomposition import build_partition, decompose
-from focklab.fock import KernelEval, build_basis, default_rule_for_degree, \
+from focklab.fock import build_basis, default_rule_for_degree, \
     kernel
 from focklab.lattice import Window, build_lattice
 from focklab.quadrature import polar_rule
@@ -147,23 +147,21 @@ def test_linearity(solver):
 
 def test_hankel_identity_on_kernel_span(solver, basis25, weight):
     # A_phi(g dbar f) - P A_phi(g dbar f) agrees with fg - P(fg)
-    K = KernelEval(basis25)
     rule = basis25.rule
     ew2 = np.exp(-2.0 * weight.phi(rule.nodes))
     f = symbols.make("bump", radius=2.0)
     for w0 in (0.0, 0.5 + 0.3j):
-        g = lambda xi: kernel(K, xi, w0)
-        lhs, rhs = hankel_via_dbar(solver, f, g, K)
+        g = lambda xi: kernel(basis25, xi, w0)
+        lhs, rhs = hankel_via_dbar(solver, f, g, basis25)
         num = np.sqrt(abs(rule.integrate(np.abs(lhs - rhs) ** 2 * ew2)))
         den = np.sqrt(abs(rule.integrate(np.abs(rhs) ** 2 * ew2)))
         assert num / den < 5e-2
 
 
 def test_hankel_identity_requires_dbar(solver, basis25):
-    K = KernelEval(basis25)
     f = symbols.make("step", radius=1.0)
     with pytest.raises(ValueError):
-        hankel_via_dbar(solver, f, lambda xi: np.ones_like(xi), K)
+        hankel_via_dbar(solver, f, lambda xi: np.ones_like(xi), basis25)
 
 
 # --- the Cauchy engine for compact forms -------------------------------

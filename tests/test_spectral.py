@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from focklab import spectral, symbols
-from focklab.fock import (FockBasis, KernelEval, build_basis,
+from focklab.fock import (FockBasis, build_basis,
                           default_rule_for_degree, lp_norm, normalized_kernel)
 from focklab.lattice import Window, build_lattice
 from focklab.quadrature import ball_rule
@@ -23,6 +23,17 @@ def conj_spectrum(weight):
 def test_conj_linear_flat_spectrum(conj_spectrum):
     # H_{conj z} maps e_k to an element of norm exactly 1
     assert np.max(np.abs(conj_spectrum.values[:16] - 1.0)) < 1e-3
+
+
+@pytest.mark.parametrize("alpha,degree", [(1.0, 110), (0.5, 100)])
+def test_conj_linear_flat_spectrum_past_degree_100(alpha, degree):
+    # s_k = 1/sqrt(alpha) for every k; at these degrees |z|^{2k} overflows
+    # on the Gram's plane rule, so the basis must never form it
+    S = singular_spectrum(build_hankel_gram(
+        symbols.make("conj-linear"), gaussian_weight(alpha), degree,
+        margin=10))
+    assert np.max(np.abs(S.values * np.sqrt(alpha) - 1.0)) <= 1e-12
+    assert S.stability_shift <= 1e-12
 
 
 def test_holomorphic_spectrum_vanishes(weight):
@@ -94,26 +105,26 @@ def test_schatten_verdicts(weight):
         assert v.agree
 
 
-def test_hankel_on_kernel_conj_linear(kernel25):
+def test_hankel_on_kernel_conj_linear(basis25):
     f = symbols.make("conj-linear")
     # ||H_{conj z} k_z|| = 1 at every z
     for z in (0.0, 1.0 + 0.5j, 2.0):
-        assert abs(hankel_on_kernel(f, z, 2.0, kernel25) - 1.0) < 1e-6
+        assert abs(hankel_on_kernel(f, z, 2.0, basis25) - 1.0) < 1e-6
 
 
-def test_berezin_of_lebesgue_is_one(kernel25):
+def test_berezin_of_lebesgue_is_one(basis25):
     for z in (0.0, 0.7 - 0.4j, 1.5):
-        assert abs(berezin_transform(None, kernel25, z) - 1.0) < 1e-8
+        assert abs(berezin_transform(None, basis25, z) - 1.0) < 1e-8
 
 
-def test_ball_average_controlled_by_berezin(kernel25):
+def test_ball_average_controlled_by_berezin(basis25):
     def density(z):
         return np.exp(-np.abs(z) ** 2)
 
     rng = np.random.default_rng(12)
     z = rng.uniform(-1.5, 1.5, 15) + 1j * rng.uniform(-1.5, 1.5, 15)
     for p in z:
-        bt = berezin_transform(density, kernel25, p)
+        bt = berezin_transform(density, basis25, p)
         avg = measure_average(density, p, 0.5)
         assert avg <= 5.0 * bt
 
@@ -150,9 +161,9 @@ def _reference_gram(fv, weight, degree, margin, rule):
     return G, float(np.max(np.abs(s1[:10] - s2[:10])))
 
 
-def _reference_hankel_on_kernel(f, z, q, K):
-    basis, rule = K.basis, K.basis.rule
-    kz = normalized_kernel(K, z)
+def _reference_hankel_on_kernel(f, z, q, basis):
+    rule = basis.rule
+    kz = normalized_kernel(basis, z)
     g = f(rule.nodes) * kz(rule.nodes)
     decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
     E = basis.evaluate(rule.nodes, kmax=basis.degree)
@@ -180,11 +191,11 @@ def test_gram_equals_two_evaluation_reference(weight, family, params,
 
 
 def test_hankel_on_kernel_equals_fresh_projection(weight):
-    K = KernelEval(build_basis(weight, 30))
+    basis = build_basis(weight, 30)
     f = symbols.make("conj-gaussian", beta=0.8)
     for z in 1.7 * np.exp(2j * np.pi * np.arange(8) / 8) + 0.3:
-        assert hankel_on_kernel(f, z, 2.0, K) == \
-            _reference_hankel_on_kernel(f, z, 2.0, K)
+        assert hankel_on_kernel(f, z, 2.0, basis) == \
+            _reference_hankel_on_kernel(f, z, 2.0, basis)
 
 
 @pytest.mark.parametrize("density", [None, lambda z: np.exp(-np.abs(z) ** 2)])
@@ -218,11 +229,11 @@ def test_checked_gram_evaluates_basis_once(monkeypatch, weight):
 
 
 def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
-    K = KernelEval(build_basis(weight, 25))
+    basis = build_basis(weight, 25)
     calls = _count_evaluate(monkeypatch)
     f = symbols.make("conj-linear")
     for z in np.linspace(-2.0, 2.0, 16) + 0.5j:
-        hankel_on_kernel(f, z, 2.0, K)
+        hankel_on_kernel(f, z, 2.0, basis)
     assert len(calls) == 1
 
 

@@ -33,7 +33,6 @@ def test_bump_dbar_finite_differences():
 def test_step_has_no_dbar():
     f = symbols.make("step", radius=1.0)
     assert f.dbar is None
-    assert f.smoothness == "measurable"
     assert np.allclose(f(np.array([0.5, 1.5])), [1.0, 0.0])
 
 
