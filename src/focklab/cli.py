@@ -14,6 +14,7 @@ import os
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 
@@ -24,18 +25,19 @@ from .approximant import compact_approximant
 from .config import ConfigError, ExperimentConfig, load_config
 from .dbar import DbarSolver, calibrate_orientation, dbar_fd, \
     gaussian_test_forms
-from .decomposition import build_partition, decompose, verify_controls
-from .fock import build_basis, default_rule_for_degree, \
-    fit_kernel_estimates, kernel
+from .decomposition import InvalidProfileError, build_partition, \
+    decompose, verify_controls
+from .fock import build_basis, fit_kernel_estimates, kernel
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
-from .quadrature import CapabilityError, gaussian_plane_rule
-from .oscillation import g_functional, m_profile, ida_norm, vda_profile
+from .quadrature import CapabilityError
+from .oscillation import m_profile, ida_norm, vda_profile
+from .oscillation import g_functional  # noqa: F401 (hooked by perfbench)
 from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
     schatten_h_criterion, singular_spectrum
-from .weights import certify_weight, gaussian_weight, \
-    perturbed_gaussian_weight
+from .weights import WeightEvaluationError, certify_weight, \
+    gaussian_weight, perturbed_gaussian_weight
 
 
 def _fmt(x) -> str:
@@ -55,6 +57,17 @@ def write_csv(path: Path, header: list, rows: list) -> None:
     body += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     tmp.write_text(body, newline="\n")
     os.replace(tmp, path)
+
+
+@contextmanager
+def _blamed_on(key, *errors):
+    """An overflow, an invalid operation or one of `errors` in the block
+    becomes a ConfigError naming `key`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, *errors) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _lattice(base, r, half, key):
@@ -92,16 +105,11 @@ class Runner:
         degree = self.cfg.get_int("basis.degree") if degree is None else degree
         if degree not in self._bases:
             w = self.radial_weight
-            order = self.cfg.get_int("quad.order")
             try:
-                rule = (default_rule_for_degree(degree, w.alpha)
-                        if order == 0 else
-                        gaussian_plane_rule(order, w.alpha))
-                self._bases[degree] = build_basis(w, degree, rule)
+                self._bases[degree] = build_basis(w, degree)
             except (ValueError, CapabilityError) as exc:
-                key = "basis.degree" if order == 0 else "quad.order"
-                raise ConfigError(f"{key}: no stable degree-{degree} basis: "
-                                  f"{exc}") from exc
+                raise ConfigError(f"basis.degree: no stable degree-{degree} "
+                                  f"basis: {exc}") from exc
         return self._bases[degree]
 
     @cached_property
@@ -174,7 +182,8 @@ class Runner:
 
 def cmd_certify_weight(r: Runner, rng):
     probes = r.probes(rng)
-    rep = certify_weight(r.weight, probes, tol=1e-8)
+    with _blamed_on("probes.half_width", WeightEvaluationError):
+        rep = certify_weight(r.weight, probes, tol=1e-8)
     rows = [[p.real, p.imag] for p in probes]
     return {
         "probes.csv": (["re", "im"], rows),
@@ -194,7 +203,8 @@ def cmd_kernel_fit(r: Runner, rng):
     b = r.basis()
     half = r.cfg.get_float("probes.half_width")
     g = np.linspace(-half, half, 7)
-    est = fit_kernel_estimates(b, (g[:, None] + 1j * g[None, :]).ravel())
+    with _blamed_on("probes.half_width"):
+        est = fit_kernel_estimates(b, (g[:, None] + 1j * g[None, :]).ravel())
     return {"kernel_fit.csv": (
         ["theta", "C1", "C2", "r0", "fit_residual", "bound_holds"],
         [[est.theta, est.C1, est.C2, est.r0, est.fit_residual,
@@ -257,8 +267,9 @@ def cmd_decompose(r: Runner, rng):
     f = r.symbol()
     D = r.decomposition(f, r.lattice())
     probes = r.probes(rng)
-    rep = verify_controls(D, probes, cfg.get_float("functional.r"),
-                          cfg.get_float("functional.q"))
+    with _blamed_on("probes.half_width", InvalidProfileError):
+        rep = verify_controls(D, probes, cfg.get_float("functional.r"),
+                              cfg.get_float("functional.q"))
     fv, f1 = f(probes), D.f1(probes)
     rows = np.column_stack([probes.real, probes.imag, np.abs(fv), np.abs(f1),
                             np.abs(fv - f1), np.abs(D.dbar_f1(probes)),
@@ -299,37 +310,34 @@ def cmd_hankel_svd(r: Runner, rng):
 
 
 KZ_MASS_LOSS = 1e-4
+KZ_ANGLES = np.exp(2j * np.pi * np.arange(8) / 8)
 
 
-def _kz_norm(f, z, q, basis):
-    """hankel_on_kernel at a shell point; a kernel that overflows there, or
-    whose truncation loses KZ_MASS_LOSS of K(z, z), is blamed on
-    functional.shells."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            kept = np.sum(np.abs(basis.evaluate(z)) ** 2)
-            lost = 1.0 - kept / np.real(kernel(basis, z, z))
-            if lost > KZ_MASS_LOSS:
-                raise ValueError(f"the degree-{basis.degree} kernel "
-                                 f"loses {lost:.2g} of its mass there")
-            return hankel_on_kernel(f, z, q, basis)
-    except (ValueError, FloatingPointError) as exc:
-        raise ConfigError(f"functional.shells: no ||H_f k_z|| at |z| = "
-                          f"{abs(z):g}: {exc}") from exc
+def _in_reach(basis, z, key):
+    """z, checked as the points of a kernel-on-rule integral: a kernel that
+    overflows at a point of z, or whose degree-D truncation loses
+    KZ_MASS_LOSS of K(z, z) there, is beyond the rule; blamed on `key`."""
+    zs = np.ravel(z)
+    with _blamed_on(key):
+        kept = np.sum(np.abs(basis.evaluate(zs)) ** 2, axis=1)
+        lost = np.max(1.0 - kept / np.real(kernel(basis, zs, zs)))
+    if lost > KZ_MASS_LOSS:
+        raise ConfigError(f"{key}: out to |z| = {np.max(np.abs(zs)):g} the "
+                          f"degree-{basis.degree} kernel loses {lost:.2g} "
+                          f"of its mass")
+    return z
 
 
 def cmd_kz_profile(r: Runner, rng):
     cfg = r.cfg
-    f = r.symbol()
     basis = r.basis(max(cfg.get_int("basis.degree"), 50))
-    q = cfg.get_float("functional.q")
     shells = cfg.get_floats("functional.shells")
-    angles = np.exp(2j * np.pi * np.arange(8) / 8)
-    rows = []
-    for rad in shells:
-        for a in angles:
-            z = rad * a
-            rows.append([z.real, z.imag, rad, _kz_norm(f, z, q, basis)])
+    z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES).ravel(),
+                  "functional.shells")
+    norms = hankel_on_kernel(r.symbol(), z, cfg.get_float("functional.q"),
+                             basis)
+    rows = np.column_stack([z.real, z.imag, np.repeat(shells, len(KZ_ANGLES)),
+                            norms]).tolist()
     return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"], rows)}
 
 
@@ -390,12 +398,11 @@ def cmd_berezin(r: Runner, rng):
     density = None if cfg.get("measure.density") == "lebesgue" else \
         (lambda z: np.exp(-np.abs(z) ** 2))
     basis = r.basis(max(cfg.get_int("basis.degree"), 40))
-    rows = []
-    for z in r.probes(rng):
-        bt = berezin_transform(density, basis, z)
-        avg = measure_average(density, z, cfg.get_float("functional.r"))
-        rows.append([z.real, z.imag, bt, avg,
-                     avg / bt if bt > 0 else 0.0])
+    z = _in_reach(basis, r.probes(rng), "probes.half_width")
+    bt = berezin_transform(density, basis, z)
+    avg = measure_average(density, z, cfg.get_float("functional.r"))
+    ratio = np.divide(avg, bt, out=np.zeros_like(avg), where=bt > 0)
+    rows = np.column_stack([z.real, z.imag, bt, avg, ratio]).tolist()
     return {"berezin.csv": (["re", "im", "berezin", "ball_average",
                              "ratio"], rows)}
 
@@ -407,24 +414,22 @@ def cmd_thm11_report(r: Runner, rng):
     cfg = r.cfg
     q = cfg.get_float("functional.q")
     rr = cfg.get_float("functional.r")
-    d = cfg.get_int("functional.d")
     shells = cfg.get_floats("functional.shells")
     basis = r.basis(50)
     L = _lattice(0, 0.5, shells[-1] + 1 + 2 * rr, "functional.shells")
-    angles = np.exp(2j * np.pi * np.arange(8) / 8)
+    z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES),
+                  "functional.shells")
 
     all_rows, ratio_rows = [], []
     for family in THM11_FAMILIES:
         f = r.symbol(family)
         ess = essential_norm_tail(r.spectrum(f, 30, 10)).estimate
         D = r.decomposition(f, L)
-        for rad in shells:
-            pts = rad * angles
-            kz = max(_kz_norm(f, z, q, basis) for z in pts)
-            gmax = float(np.max(g_functional(f, pts, rr, q, d)))
-            dec = (float(np.max(np.abs(D.dbar_f1(pts))))
-                   + max(verify_controls(D, pts, rr, q).sup_m_f2, 0.0))
-            all_rows.append([family, rad, ess, kz, gmax, dec])
+        for rad, pts in zip(shells, z):
+            kz = float(np.max(hankel_on_kernel(f, pts, q, basis)))
+            rep = verify_controls(D, pts, rr, q)
+            all_rows.append([family, rad, ess, kz, float(np.max(rep.g_values)),
+                             rep.sup_dbar_f1 + max(rep.sup_m_f2, 0.0)])
         final = all_rows[-1]
         vals = [v for v in final[2:5] if v > 0]
         ratio = max(vals) / min(vals) if len(vals) == 3 else 0.0

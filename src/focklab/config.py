@@ -17,7 +17,7 @@ DEFAULTS = {
     "weight.alpha": "1.0",
     "basis.degree": "20",
     "basis.margin": "10",
-    "quad.order": "0",             # 0 => derived from basis degree
+    "quad.order": "0",             # retired: the rule follows basis.degree
     "lattice.base_re": "0.0",
     "lattice.base_im": "0.0",
     "lattice.r": "1.0",
@@ -111,8 +111,9 @@ class ExperimentConfig:
             raise ConfigError("basis.margin: must be >= 0")
         if self.get_int("functional.d") < 0:
             raise ConfigError("functional.d: must be >= 0")
-        if self.get_int("quad.order") < 0:
-            raise ConfigError("quad.order: must be >= 0")
+        if self.get_int("quad.order") != 0:
+            raise ConfigError("quad.order: retired; the plane rule is sized "
+                              "by basis.degree")
         for key in ("dbar.n_radial", "dbar.n_angular"):
             if self.get_int(key) < 1:
                 raise ConfigError(f"{key}: must be >= 1")

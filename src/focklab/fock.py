@@ -13,14 +13,9 @@ the degree axis.  Neither overflows on any plane rule up to
 MAX_PLANE_ORDER, so the degree is capped by the rules alone: a Hankel
 Gram at degree D integrates on order D + margin + 13, hence D <= 160 at
 margin 10.  Any other weight is refused.
-
-A basis evaluates e_k on its own rule's nodes at most once: the matrix
-is cached on first use, and `project`/`evaluate_projection` on that rule
-read it (or a column slice of it) instead of building it again.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,20 +46,6 @@ class FockBasis:
         np.multiply(z[:, None], np.sqrt(alpha / np.arange(1, kmax + 1)),
                     out=E[:, 1:])
         return np.cumprod(E, axis=1, out=E)
-
-    @cached_property
-    def rule_matrix(self) -> np.ndarray:
-        """e_k on `rule.nodes`, shape (len(nodes), degree+1); built lazily."""
-        return self.evaluate(self.rule.nodes)
-
-    def _matrix(self, z, kmax: int) -> np.ndarray:
-        """e_k at the points of z (raveled) for k <= kmax.
-
-        Read from `rule_matrix` when z is the rule's own node array.
-        """
-        if z is self.rule.nodes and kmax <= self.degree:
-            return self.rule_matrix[:, :kmax + 1]
-        return self.evaluate(np.ravel(z), kmax=kmax)
 
 
 @dataclass(frozen=True)
@@ -137,14 +118,14 @@ def project(basis: FockBasis, vals, rule: Rule | None = None,
     rule = basis.rule if rule is None else rule
     degree = basis.degree if degree is None else degree
     decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
-    E = basis._matrix(rule.nodes, degree)
+    E = basis.evaluate(rule.nodes, kmax=degree)
     return np.conj(E).T @ (rule.weights * decay * np.asarray(vals))
 
 
 def evaluate_projection(basis: FockBasis, coeffs: np.ndarray,
                         z) -> np.ndarray:
     """Evaluate sum coeffs_k e_k at points z."""
-    E = basis._matrix(z, len(coeffs) - 1)
+    E = basis.evaluate(np.ravel(z), kmax=len(coeffs) - 1)
     return (E @ coeffs).reshape(np.shape(z))
 
 

@@ -27,9 +27,11 @@ class Window:
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("window is degenerate")
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.xmin + margin <= z.real <= self.xmax - margin
-                and self.ymin + margin <= z.imag <= self.ymax - margin)
+    def contains(self, z, margin: float = 0.0):
+        """Whether z lies in the window less margin; elementwise on arrays."""
+        x, y = np.real(z), np.imag(z)
+        return ((self.xmin + margin <= x) & (x <= self.xmax - margin)
+                & (self.ymin + margin <= y) & (y <= self.ymax - margin))
 
     @staticmethod
     def square(half: float) -> "Window":

@@ -220,7 +220,7 @@ def ida_norm(f: Symbol, s: float, q: float, r: float, L: Lattice,
     total = np.sum(G ** s) * L.cell_area
     # boundary ring check: outermost cells should not carry the mass
     margin = 2 * L.step
-    interior = np.array([L.window.contains(p, margin) for p in L.points])
+    interior = L.window.contains(L.points, margin)
     boundary_part = np.sum(G[~interior] ** s) * L.cell_area
     if total > 0 and boundary_part / total > 0.01:
         warnings.warn("window too small: boundary cells contribute > 1% "

@@ -11,13 +11,13 @@ columns of E and rows of M, the one at D'+5 on all of them.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fock import FockBasis, build_basis, default_rule_for_degree, \
-    evaluate_projection, lp_norm, normalized_kernel, project
+    lp_norm, normalized_kernel
+from .fock import project  # noqa: F401 (perfbench/layers.py hooks it)
 from .lattice import Lattice
 from .oscillation import g_functional
 from .quadrature import Rule, ball_rule
@@ -173,15 +173,29 @@ def schatten_sum(values: np.ndarray, gauge: SchattenGauge) -> tuple:
     return total, _tail_convergent(total, terms)
 
 
-def hankel_on_kernel(f: Symbol, z: complex, q: float,
-                     basis: FockBasis) -> float:
-    """||H_f(k_z)||_{q,phi} via projection of f * k_z."""
+def _at_points(value, z):
+    """value(p) at each point p of z: a float for a scalar z, else an array
+    of z's shape.  Work shared by the points is done once by the caller;
+    each point keeps O(nodes) memory however many points there are."""
+    vals = [value(p) for p in np.ravel(z)]
+    return float(vals[0]) if np.ndim(z) == 0 else np.reshape(vals,
+                                                            np.shape(z))
+
+
+def hankel_on_kernel(f: Symbol, z, q: float, basis: FockBasis):
+    """||H_f(k_z)||_{q,phi} at each point of z, via projection of f * k_z;
+    E and f are sampled on the rule once per call.  Each point is projected
+    alone: one product over all points would sum in another order."""
     rule = basis.rule
-    kz = normalized_kernel(basis, z)
-    g = f(rule.nodes) * kz(rule.nodes)
-    coeffs = project(basis, g, rule)
-    resid = g - evaluate_projection(basis, coeffs, rule.nodes)
-    return lp_norm(resid, q, rule, basis.weight)
+    E = basis.evaluate(rule.nodes)
+    EH = np.conj(E).T
+    fv = f(rule.nodes)
+    wd = rule.weights * np.exp(-2.0 * basis.weight.phi(rule.nodes))
+
+    def norm(p):
+        g = fv * normalized_kernel(basis, p)(rule.nodes)
+        return lp_norm(g - E @ (EH @ (wd * g)), q, rule, basis.weight)
+    return _at_points(norm, z)
 
 
 @dataclass(frozen=True)
@@ -216,32 +230,25 @@ def _density_on(density, nodes: np.ndarray) -> np.ndarray:
     return dens
 
 
-def berezin_transform(density, basis: FockBasis, z: complex) -> float:
-    """mu~(z) = integral |k_z|^2 e^{-2phi} dmu, dmu = density dA (dA for
-    density None)."""
-    phi = basis.weight.phi
-    kz = normalized_kernel(basis, z)
+def berezin_transform(density, basis: FockBasis, z):
+    """mu~(z) = integral |k_z|^2 e^{-2phi} dmu at each point of z,
+    dmu = density dA (dA for density None)."""
     rule = basis.rule
-    integrand = np.abs(kz(rule.nodes)) ** 2 * np.exp(
-        -2.0 * phi(rule.nodes)) * _density_on(density, rule.nodes)
-    return float(np.real(rule.integrate(integrand)))
+    decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
+    dens = _density_on(density, rule.nodes)
+    return _at_points(lambda p: np.real(rule.integrate(
+        np.abs(normalized_kernel(basis, p)(rule.nodes)) ** 2 * decay
+        * dens)), z)
 
 
-@lru_cache(maxsize=8)
-def _origin_ball(r: float) -> Rule:
-    """ball_rule(0, r); its nodes shifted by z are those of ball_rule(z, r),
-    with the same weights."""
-    return ball_rule(0, r)
-
-
-def measure_average(density, z: complex, r: float) -> float:
-    """mu^_r(z) = mu(B(z, r)) / |B(z, r)|, dmu = density dA (dA for
-    density None)."""
+def measure_average(density, z, r: float):
+    """mu^_r(z) = mu(B(z, r)) / |B(z, r)| at each point of z,
+    dmu = density dA (dA for density None)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    base = _origin_ball(r)
-    dens = _density_on(density, base.nodes + z)
-    return float(np.real(base.integrate(dens)) / (np.pi * r ** 2))
+    base = ball_rule(0, r)     # shifted by z: ball_rule(z, r), same weights
+    return _at_points(lambda p: np.real(base.integrate(
+        _density_on(density, base.nodes + p))) / (np.pi * r ** 2), z)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ def test_hash_depends_on_seed_and_values():
     ("functional.s=many", "functional.s"),
     ("gauge.p=0", "gauge.p"),
     ("quad.order=-1", "quad.order"),
+    ("quad.order=60", "quad.order"),   # retired: only its default 0
     ("weight.alpha=nan", "weight.alpha"),
     ("functional.r=nan", "functional.r"),
     ("functional.q=inf", "functional.q"),
@@ -106,11 +107,36 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("kz-profile functional.shells=20", "functional.shells"),
     ("thm12-report functional.shells=1e9", "functional.shells"),
     ("compact-approx approx.t=1e9", "approx.t"),
+    # probes beyond the kernel's or the lattice window's reach
+    ("berezin probes.half_width=30", "probes.half_width"),
+    ("berezin probes.half_width=100", "probes.half_width"),
+    ("kernel-fit probes.half_width=100", "probes.half_width"),
+    ("decompose probes.half_width=100", "probes.half_width"),
+    ("certify-weight probes.half_width=1e300", "probes.half_width"),
 ])
 def test_cli_capability_limit_exit_code(args, field, tmp_path, capsys):
     assert main(args.split() + ["--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / args.split()[0]).exists()
+
+
+def test_thm11_report_fits_each_shell_once(monkeypatch, tmp_path):
+    # g_max and the dbar f1 bound are read from the shell's control report
+    from focklab import cli, decomposition
+    calls = []
+
+    def counted(g):
+        def wrapped(f, z, *args):
+            calls.append(np.size(z))
+            return g(f, z, *args)
+        return wrapped
+
+    for module in (cli, decomposition):
+        monkeypatch.setattr(module, "g_functional",
+                            counted(module.g_functional))
+    assert main(["thm11-report", "--out", str(tmp_path),
+                 "functional.shells=2.0,3.0"]) == 0
+    assert calls == [8] * (4 * 2)    # one per family and shell
 
 
 def test_thm12_report_rows_certified_at_defaults(tmp_path):

@@ -209,6 +209,37 @@ def test_measure_average_equals_direct_ball_rule(density):
         assert measure_average(density, z, 0.75) == direct
 
 
+def _points():
+    rng = np.random.default_rng(11)
+    return (rng.uniform(-2, 2, 6) + 1j * rng.uniform(-2, 2, 6)).reshape(2, 3)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_hankel_on_kernel_array_equals_per_point(weight, q):
+    # one call on a point set gives every point's own value to the bit
+    basis = build_basis(weight, 30)
+    f = symbols.make("conj-gaussian", beta=0.8)
+    z = _points()
+    vals = hankel_on_kernel(f, z, q, basis)
+    assert vals.shape == z.shape
+    for i, p in np.ndenumerate(z):
+        assert vals[i] == hankel_on_kernel(f, p, q, basis)
+    assert type(hankel_on_kernel(f, z[0, 0], q, basis)) is float
+
+
+@pytest.mark.parametrize("density", [None, lambda z: np.exp(-np.abs(z) ** 2)])
+def test_berezin_layer_array_equals_per_point(basis25, density):
+    z = _points()
+    bt = berezin_transform(density, basis25, z)
+    avg = measure_average(density, z, 0.75)
+    assert bt.shape == avg.shape == z.shape
+    for i, p in np.ndenumerate(z):
+        assert bt[i] == berezin_transform(density, basis25, p)
+        assert avg[i] == measure_average(density, p, 0.75)
+    assert type(berezin_transform(density, basis25, z[0, 0])) is float
+    assert type(measure_average(density, z[0, 0], 0.75)) is float
+
+
 def _count_evaluate(monkeypatch):
     calls = []
     evaluate = FockBasis.evaluate
@@ -232,8 +263,7 @@ def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
     basis = build_basis(weight, 25)
     calls = _count_evaluate(monkeypatch)
     f = symbols.make("conj-linear")
-    for z in np.linspace(-2.0, 2.0, 16) + 0.5j:
-        hankel_on_kernel(f, z, 2.0, basis)
+    hankel_on_kernel(f, np.linspace(-2.0, 2.0, 16) + 0.5j, 2.0, basis)
     assert len(calls) == 1
 
 
@@ -250,11 +280,3 @@ def test_checked_gram_projects_once(monkeypatch, weight):
     build_hankel_gram(symbols.make("conj-linear"), weight, 25,
                       margin=10)
     assert calls == [(calls[0][0], 25 + 10 + 6)]
-
-
-def test_origin_ball_memoised_read_only():
-    rule = spectral._origin_ball(0.75)
-    assert spectral._origin_ball(0.75) is rule
-    for arr in (rule.nodes, rule.weights):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
