@@ -272,7 +272,7 @@ def cmd_decompose(r: Runner, rng):
                               cfg.get_float("functional.q"))
     fv, f1 = f(probes), D.f1(probes)
     rows = np.column_stack([probes.real, probes.imag, np.abs(fv), np.abs(f1),
-                            np.abs(fv - f1), np.abs(D.dbar_f1(probes)),
+                            np.abs(fv - f1), rep.abs_dbar_f1,
                             rep.g_values]).tolist()
     summary = [[rep.sup_dbar_f1, rep.sup_m_f2, rep.max_ratio_dbar,
                 rep.max_ratio_m]]

@@ -141,6 +141,7 @@ class ControlReport:
     max_ratio_dbar: float
     max_ratio_m: float
     g_values: np.ndarray
+    abs_dbar_f1: np.ndarray    # |dbar f1| at each probe
 
 
 def verify_controls(D: Decomposition, probes, r: float,
@@ -157,4 +158,4 @@ def verify_controls(D: Decomposition, probes, r: float,
         sup_m_f2=float(np.max(m_vals)),
         max_ratio_dbar=float(np.max(dbar_vals / denom)),
         max_ratio_m=float(np.max(m_vals / denom)),
-        g_values=G)
+        g_values=G, abs_dbar_f1=dbar_vals)

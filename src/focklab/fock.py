@@ -9,10 +9,12 @@ property P e_k = e_k with dv = dA.
 c_k is the running product c_0 = sqrt(pi/alpha), c_k = c_{k-1}
 sqrt(k/alpha), and e_k the recursion e_0 = sqrt(alpha/pi),
 e_k = e_{k-1} z sqrt(alpha/k): one fill and one cumulative product along
-the degree axis.  Neither overflows on any plane rule up to
-MAX_PLANE_ORDER, so the degree is capped by the rules alone: a Hankel
-Gram at degree D integrates on order D + margin + 13, hence D <= 160 at
-margin 10.  Any other weight is refused.
+the degree axis of a column-major array, so each e_k, and each block of
+consecutive degrees, is contiguous on the points.  Neither overflows on
+any plane rule up to MAX_PLANE_ORDER, so the degree is capped by the
+rules alone: a Hankel Gram at degree D integrates on order
+D + margin + 13, hence D <= 160 at margin 10.  Any other weight is
+refused.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ class FockBasis:
             raise ValueError(f"kmax {kmax} exceeds the basis degree "
                              f"{self.degree}")
         alpha = self.weight.alpha
-        E = np.empty((z.size, kmax + 1), dtype=complex)
+        E = np.empty((kmax + 1, z.size), dtype=complex).T
         E[:, 0] = np.sqrt(alpha / np.pi)
         np.multiply(z[:, None], np.sqrt(alpha / np.arange(1, kmax + 1)),
                     out=E[:, 1:])

@@ -6,8 +6,10 @@ with the projection truncated at D' = D + margin.  Singular values are
 square roots of its eigenvalues; compactness and essential-norm questions
 are read off the tail of the spectrum.  One basis matrix E on the rule
 and one projection M = E^H (w f E) serve both projection degrees of the
-margin-stability check: the Gram at D' is formed on the first D'+1
-columns of E and rows of M, the one at D'+5 on all of them.
+margin-stability check: the Gram at D' is formed from one residual on
+the first D'+1 columns of E and rows of M, the one at D'+5 from it by an
+exact rank-5 update in the five extra columns (least-squares updating,
+Golub & Van Loan, Matrix Computations, 6.5).
 """
 
 from dataclasses import dataclass, field
@@ -90,22 +92,28 @@ def _coefficients(E: np.ndarray, wFE: np.ndarray) -> np.ndarray:
     return np.conj(E.T @ np.conj(wFE, out=wFE))
 
 
-def _gram_once(FE: np.ndarray, wE: np.ndarray, E: np.ndarray,
-               M: np.ndarray) -> np.ndarray:
-    """Gram of (I - P) f e_j, j <= D, with P onto the columns of E.
+def _margin_grams(FE: np.ndarray, wE: np.ndarray, E: np.ndarray,
+                  M: np.ndarray, Dp: int) -> tuple:
+    """Grams of (I - P) f e_j, j <= D, with P onto the first Dp+1 columns
+    of E and with P onto all of them.
 
-    FE holds f e_j on the nodes, wE the rule weights times the decay and
-    M = _coefficients(E, wE FE).
+    FE holds f e_j on the nodes and is overwritten by the residual, wE the
+    rule weights times the decay and M = _coefficients(E, wE FE).
     """
     # residual form of (I - P): Gram of pointwise residuals is PSD by
-    # construction and avoids the cancellation of <fe_j, fe_k> - M M^H
-    # R and conj(R) reuse their inputs' buffers: at high degree this
-    # Gram sets the peak memory of a run
-    EM = E @ M
-    R = np.subtract(FE, EM, out=EM)
+    # construction and avoids the cancellation of <fe_j, fe_k> - M M^H;
+    # R and conj(R) reuse fE's buffer, dead once R exists
+    R = np.subtract(FE, E[:, :Dp + 1] @ M[:Dp + 1], out=FE)
     wR = wE[:, None] * R
     G = np.conj(R, out=R).T @ wR
-    return 0.5 * (G + np.conj(G).T)
+    # R2 = R - Ex Mx on any rule, so G2 = G - C - C^H + Mx^H (Ex^H W Ex) Mx
+    # with C = (R^H W Ex) Mx, and R^H is R.T as R holds conj(R) by now: no
+    # second residual and no second big product
+    Ex, Mx = E[:, Dp + 1:], M[Dp + 1:]
+    wEx = wE[:, None] * Ex
+    C = (R.T @ wEx) @ Mx
+    G2 = G - C - np.conj(C).T + np.conj(Mx).T @ (np.conj(Ex).T @ wEx @ Mx)
+    return 0.5 * (G + np.conj(G).T), 0.5 * (G2 + np.conj(G2).T)
 
 
 def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
@@ -120,9 +128,8 @@ def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
     FE = samples[:, None] * E[:, :degree + 1]
     # the projection at D' is the leading D'+1 rows of the one at D'+5
     M = _coefficients(E, wE[:, None] * FE)
-    G = _gram_once(FE, wE, E[:, :Dp + 1], M[:Dp + 1])
-    s1 = _singular_from_gram(G)
-    s2 = _singular_from_gram(_gram_once(FE, wE, E, M))
+    G, G2 = _margin_grams(FE, wE, E, M, Dp)
+    s1, s2 = _singular_from_gram(G), _singular_from_gram(G2)
     shift = float(np.max(np.abs(s1[:10] - s2[:10])))
     return HankelGram(degree=degree, matrix=G, margin=margin,
                       stability_shift=shift)

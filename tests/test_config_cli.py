@@ -139,6 +139,21 @@ def test_thm11_report_fits_each_shell_once(monkeypatch, tmp_path):
     assert calls == [8] * (4 * 2)    # one per family and shell
 
 
+def test_decompose_evaluates_dbar_f1_once(monkeypatch, tmp_path):
+    # the abs_dbar_f1 column is read from the control report
+    from focklab.decomposition import Decomposition
+    calls = []
+    dbar_f1 = Decomposition.dbar_f1
+
+    def counted(self, z):
+        calls.append(np.size(z))
+        return dbar_f1(self, z)
+
+    monkeypatch.setattr(Decomposition, "dbar_f1", counted)
+    assert main(["decompose", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_thm12_report_rows_certified_at_defaults(tmp_path):
     # every row is within 5% of ess with its margin shift <= 1e-3, or is
     # flagged reliable=0; t = 2 is inside the degree-20 basis's reach

@@ -159,3 +159,22 @@ def test_evaluate_matches_exact_powers(alpha):
                         / ((px * px + py * py) * scale * scale))
             px, py, dk = px * x - py * y, px * y + py * x, dk * dz
     assert math.sqrt(worst) <= 4e-15
+
+
+def _reference_evaluate(basis, z):
+    """e_k(z): the same fill and cumulative product on a row-major array."""
+    alpha = basis.weight.alpha
+    E = np.empty((z.size, basis.degree + 1), dtype=complex)
+    E[:, 0] = np.sqrt(alpha / np.pi)
+    np.multiply(z[:, None], np.sqrt(alpha / np.arange(1, basis.degree + 1)),
+                out=E[:, 1:])
+    return np.cumprod(E, axis=1, out=E)
+
+
+@pytest.mark.parametrize("degree", [20, 95, 160])
+def test_evaluate_is_column_major_and_bit_identical(weight, degree):
+    # column-major storage changes where e_k lives, not its value
+    basis = build_basis(weight, degree)
+    E = basis.evaluate(basis.rule.nodes)
+    assert E.flags.f_contiguous
+    assert np.array_equal(E, _reference_evaluate(basis, basis.rule.nodes))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,49 @@ def test_gram_equals_two_evaluation_reference(weight, family, params,
     G = sampled_hankel_gram(fv, weight, degree, 10, rule)
     ref, shift = _reference_gram(fv, weight, degree, 10, rule)
     assert np.array_equal(G.matrix, ref)
-    assert G.stability_shift == shift
+    # the D'+5 Gram comes by a rank-5 update, not a second residual: the
+    # certificate is equal in exact arithmetic, not to the bit
+    assert abs(G.stability_shift - shift) <= 1e-13
+
+
+@pytest.mark.parametrize("undersized", [False, True])
+@pytest.mark.parametrize("degree", [20, 40])
+@pytest.mark.parametrize("family,params", GRAM_SYMBOLS + [("step", {})])
+def test_margin_update_needs_no_orthonormality(weight, family, params,
+                                               degree, undersized):
+    # the rank-5 update is exact algebra on any rule: also on one too small
+    # for E to be discretely orthonormal
+    Dp = degree + 10
+    rule = (default_rule_for_degree(degree, 1.0) if undersized else
+            default_rule_for_degree(degree + 15, 1.0, margin=8))
+    fv = symbols.make(family, **params)(rule.nodes)
+    big = build_basis(weight, Dp + 5, rule)
+    E = big.evaluate(rule.nodes)
+    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
+    FE = fv[:, None] * E[:, :degree + 1]
+    # holo-poly's Gram is ~0: scale by the unprojected norms ||f e_j||^2
+    scale = np.max(wE @ np.abs(FE) ** 2)
+    M = np.conj(E).T @ (wE[:, None] * FE)
+    _, G2 = spectral._margin_grams(FE, wE, E, M, Dp)
+    ref = _reference_gram_once(fv, big, degree, Dp + 5, rule)
+    assert np.max(np.abs(G2 - ref)) <= 1e-13 * scale
+
+
+def test_gram_peak_memory_reuses_the_image_buffer(weight):
+    # the residual overwrites f e_j: no third N x (D+1) array is live
+    degree, margin = 40, 10
+    f = symbols.make("mixed", radius=1.0)
+    rule = default_rule_for_degree(degree + margin + 5, 1.0, margin=8)
+    n = rule.nodes.size
+    tracemalloc.start()
+    try:
+        build_hankel_gram(f, weight, degree, margin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    E_bytes = 16 * n * (degree + margin + 6)
+    fE_bytes = 16 * n * (degree + 1)
+    assert peak <= E_bytes + 2.5 * fE_bytes
 
 
 def test_hankel_on_kernel_equals_fresh_projection(weight):
