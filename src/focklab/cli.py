@@ -23,15 +23,15 @@ import numpy as np
 from . import __version__, symbols
 from .approximant import compact_approximant
 from .config import ConfigError, ExperimentConfig, load_config
-from .dbar import DbarSolver, calibrate_orientation, dbar_fd, \
-    gaussian_test_forms
+from .dbar import CalibrationError, DbarSolver, calibrate_orientation, \
+    dbar_fd, gaussian_test_forms
 from .decomposition import InvalidProfileError, build_partition, \
     decompose, verify_controls
 from .fock import build_basis, fit_kernel_estimates, kernel
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import CapabilityError
-from .oscillation import m_profile, ida_norm, vda_profile
+from .oscillation import DegreeCapError, m_profile, ida_norm, vda_profile
 from .oscillation import g_functional  # noqa: F401 (hooked by perfbench)
 from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
@@ -62,20 +62,23 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 @contextmanager
 def _blamed_on(key, *errors):
     """An overflow, an invalid operation or one of `errors` in the block
-    becomes a ConfigError naming `key`."""
+    becomes a ConfigError naming `key`; the one conversion of a runtime
+    failure into a config error.  A ConfigError from an inner block keeps
+    the key it names."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (FloatingPointError, *errors) as exc:
+    except ConfigError:
+        raise
+    except (FloatingPointError, OverflowError, *errors) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _lattice(base, r, half, key):
-    try:
+    """Lattice of spacing r on the square window of half-width `half`; a
+    window too large to enumerate is blamed on `key`."""
+    with _blamed_on(key, ValueError):
         return build_lattice(base, r, Window.square(half))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: half-width {half:g} at lattice spacing "
-                          f"{r:g}: {exc}") from exc
 
 
 class Runner:
@@ -89,8 +92,8 @@ class Runner:
 
     @cached_property
     def weight(self):
-        if self.cfg.get("weight.kind") == "gaussian":
-            return gaussian_weight(self.cfg.get_float("weight.alpha"))
+        if self.cfg["weight.kind"] == "gaussian":
+            return gaussian_weight(self.cfg["weight.alpha"])
         return perturbed_gaussian_weight()
 
     @cached_property
@@ -98,84 +101,67 @@ class Runner:
         if self.weight.kind != "gaussian":
             raise ConfigError(f"weight.kind: the Fock basis needs the "
                               f"Gaussian weight, not "
-                              f"{self.cfg.get('weight.kind')!r}")
+                              f"{self.cfg['weight.kind']!r}")
         return self.weight
 
     def basis(self, degree=None):
-        degree = self.cfg.get_int("basis.degree") if degree is None else degree
+        degree = self.cfg["basis.degree"] if degree is None else degree
         if degree not in self._bases:
-            w = self.radial_weight
-            try:
-                self._bases[degree] = build_basis(w, degree)
-            except (ValueError, CapabilityError) as exc:
-                raise ConfigError(f"basis.degree: no stable degree-{degree} "
-                                  f"basis: {exc}") from exc
+            with _blamed_on("basis.degree", ValueError, CapabilityError):
+                self._bases[degree] = build_basis(self.radial_weight, degree)
         return self._bases[degree]
 
     @cached_property
     def solver(self):
-        s = DbarSolver(self.weight,
-                       n_radial=self.cfg.get_int("dbar.n_radial"),
-                       n_angular=self.cfg.get_int("dbar.n_angular"))
-        calibrate_orientation(s)
+        with _blamed_on("dbar.n_radial/dbar.n_angular", CalibrationError):
+            s = DbarSolver(self.weight, n_radial=self.cfg["dbar.n_radial"],
+                           n_angular=self.cfg["dbar.n_angular"])
+            calibrate_orientation(s)
         self.calibration["c0"] = s.c0
         self.calibration["residual"] = s.calibration_residual
         return s
 
     def symbol(self, family=None):
-        cfg = self.cfg
-        family = cfg.get("symbol.id") if family is None else family
+        family = self.cfg["symbol.id"] if family is None else family
         build, params = symbols.FAMILIES[family]
-        read = {float: cfg.get_float, list: cfg.get_floats}
-        return build(**{name: read[kind](f"symbol.{name}")
-                        for name, kind in params.items()})
+        return build(**{name: self.cfg[f"symbol.{name}"] for name in params})
 
     def lattice(self, half=None, key="lattice.window"):
         """Lattice of the configured base and spacing on the square window
         of half-width `half` (lattice.window unless given); a window too
         large to enumerate is blamed on `key`."""
         cfg = self.cfg
-        base = complex(cfg.get_float("lattice.base_re"),
-                       cfg.get_float("lattice.base_im"))
-        half = cfg.get_float("lattice.window") if half is None else half
-        return _lattice(base, cfg.get_float("lattice.r"), half, key)
+        base = complex(cfg["lattice.base_re"], cfg["lattice.base_im"])
+        half = cfg["lattice.window"] if half is None else half
+        return _lattice(base, cfg["lattice.r"], half, key)
 
     def probes(self, rng) -> np.ndarray:
-        half = self.cfg.get_float("probes.half_width")
-        n = self.cfg.get_int("probes.count")
+        half = self.cfg["probes.half_width"]
+        n = self.cfg["probes.count"]
         pts = rng.uniform(-half, half, (n, 2))
         return pts[:, 0] + 1j * pts[:, 1]
 
     def spectrum(self, f, degree=None, margin=None):
         """Singular spectrum of H_f, at the configured basis degree and
         margin unless given."""
-        degree = self.cfg.get_int("basis.degree") if degree is None \
-            else degree
-        margin = self.cfg.get_int("basis.margin") if margin is None \
-            else margin
-        w = self.radial_weight
-        try:
-            G = build_hankel_gram(f, w, degree, margin)
-        except (ValueError, CapabilityError) as exc:
-            raise ConfigError(f"basis.degree/basis.margin: no stable Gram "
-                              f"at degree {degree}, margin {margin}: "
-                              f"{exc}") from exc
-        return singular_spectrum(G)
+        degree = self.cfg["basis.degree"] if degree is None else degree
+        margin = self.cfg["basis.margin"] if margin is None else margin
+        with _blamed_on("basis.degree/basis.margin", ValueError,
+                        CapabilityError):
+            return singular_spectrum(build_hankel_gram(
+                f, self.radial_weight, degree, margin))
 
     def essential_norm(self, f):
         """Plateau estimate of ||H_f||_e from the configured spectrum."""
-        S = self.spectrum(f)
-        try:
-            return essential_norm_tail(S)
-        except ValueError as exc:
-            raise ConfigError(f"basis.degree: {exc}") from exc
+        with _blamed_on("basis.degree", ValueError):
+            return essential_norm_tail(self.spectrum(f))
 
     def decomposition(self, f, L):
         """f = f1 + f2 on the partition of unity of L, fitted at the
         configured functional.q and functional.d."""
-        return decompose(f, build_partition(L),
-                         self.cfg.get_float("functional.q"),
-                         self.cfg.get_int("functional.d"))
+        with _blamed_on("functional.q", DegreeCapError):
+            return decompose(f, build_partition(L), self.cfg["functional.q"],
+                             self.cfg["functional.d"])
 
 
 # --- subcommand implementations: each returns {filename: (header, rows)} ---
@@ -201,7 +187,7 @@ def cmd_build_basis(r: Runner, rng):
 
 def cmd_kernel_fit(r: Runner, rng):
     b = r.basis()
-    half = r.cfg.get_float("probes.half_width")
+    half = r.cfg["probes.half_width"]
     g = np.linspace(-half, half, 7)
     with _blamed_on("probes.half_width"):
         est = fit_kernel_estimates(b, (g[:, None] + 1j * g[None, :]).ravel())
@@ -213,7 +199,7 @@ def cmd_kernel_fit(r: Runner, rng):
 
 def cmd_lattice(r: Runner, rng):
     L = r.lattice()
-    K = r.cfg.get_int("lattice.K")
+    K = r.cfg["lattice.K"]
     rows = export_points_csv(L, K)
     sub_sizes = [[s.index, s.representative.real, s.representative.imag,
                   len(s.points)] for s in split_sublattices(L, K)]
@@ -233,33 +219,33 @@ def _shell_rows(profile):
 
 def cmd_g_profile(r: Runner, rng):
     cfg = r.cfg
-    prof = vda_profile(r.symbol(), cfg.get_float("functional.q"),
-                       cfg.get_float("functional.r"),
-                       cfg.get_int("functional.d"),
-                       cfg.get_floats("functional.shells"))
+    with _blamed_on("functional.q", DegreeCapError):
+        prof = vda_profile(r.symbol(), cfg["functional.q"],
+                           cfg["functional.r"], cfg["functional.d"],
+                           cfg["functional.shells"])
     return {"g_profile.csv": (["re", "im", "shell_radius", "value"],
                               _shell_rows(prof))}
 
 
 def cmd_m_profile(r: Runner, rng):
     cfg = r.cfg
-    prof = m_profile(r.symbol(), cfg.get_float("functional.q"),
-                     cfg.get_float("functional.r"),
-                     cfg.get_floats("functional.shells"))
+    with _blamed_on("functional.q"):
+        prof = m_profile(r.symbol(), cfg["functional.q"],
+                         cfg["functional.r"], cfg["functional.shells"])
     return {"m_profile.csv": (["re", "im", "shell_radius", "value"],
                               _shell_rows(prof))}
 
 
 def cmd_ida_norm(r: Runner, rng):
     cfg = r.cfg
-    s_raw = cfg.get("functional.s")
-    s = np.inf if s_raw == "inf" else float(s_raw)
-    val = ida_norm(r.symbol(), s, cfg.get_float("functional.q"),
-                   cfg.get_float("functional.r"), r.lattice(),
-                   cfg.get_int("functional.d"))
+    L = r.lattice()
+    with _blamed_on("functional.q", DegreeCapError):
+        val = ida_norm(r.symbol(), cfg["functional.s"], cfg["functional.q"],
+                       cfg["functional.r"], L, cfg["functional.d"])
+    # s echoed as given, "inf" included
     return {"ida_norm.csv": (["s", "q", "r", "value"],
-                             [[s_raw, cfg.get_float("functional.q"),
-                               cfg.get_float("functional.r"), val]])}
+                             [[cfg.get("functional.s"), cfg["functional.q"],
+                               cfg["functional.r"], val]])}
 
 
 def cmd_decompose(r: Runner, rng):
@@ -268,8 +254,8 @@ def cmd_decompose(r: Runner, rng):
     D = r.decomposition(f, r.lattice())
     probes = r.probes(rng)
     with _blamed_on("probes.half_width", InvalidProfileError):
-        rep = verify_controls(D, probes, cfg.get_float("functional.r"),
-                              cfg.get_float("functional.q"))
+        rep = verify_controls(D, probes, cfg["functional.r"],
+                              cfg["functional.q"])
     fv, f1 = f(probes), D.f1(probes)
     rows = np.column_stack([probes.real, probes.imag, np.abs(fv), np.abs(f1),
                             np.abs(fv - f1), rep.abs_dbar_f1,
@@ -330,11 +316,11 @@ def _in_reach(basis, z, key):
 
 def cmd_kz_profile(r: Runner, rng):
     cfg = r.cfg
-    basis = r.basis(max(cfg.get_int("basis.degree"), 50))
-    shells = cfg.get_floats("functional.shells")
+    basis = r.basis(max(cfg["basis.degree"], 50))
+    shells = cfg["functional.shells"]
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES).ravel(),
                   "functional.shells")
-    norms = hankel_on_kernel(r.symbol(), z, cfg.get_float("functional.q"),
+    norms = hankel_on_kernel(r.symbol(), z, cfg["functional.q"],
                              basis)
     rows = np.column_stack([z.real, z.imag, np.repeat(shells, len(KZ_ANGLES)),
                             norms]).tolist()
@@ -360,32 +346,34 @@ def _gap_rows(r: Runner, ts, t_key):
     cfg = r.cfg
     f = r.symbol()
     ess = r.essential_norm(f).estimate
-    window = cfg.get_float("lattice.window")
-    reach = ts[-1] + 1 + 2 * cfg.get_float("lattice.r")
+    window = cfg["lattice.window"]
+    reach = ts[-1] + 1 + 2 * cfg["lattice.r"]
     L = r.lattice(max(window, reach),
                   "lattice.window" if window >= reach else t_key)
     D = r.decomposition(f, L)
     rows = []
     for t in ts:
         g = compact_approximant(f, D, r.solver, t, r.basis(),
-                                cfg.get_int("basis.margin"))
+                                cfg["basis.margin"])
         rows.append([t, g.gap, ess, g.margin_shift, int(g.reliable)])
     return rows
 
 
 def cmd_compact_approx(r: Runner, rng):
     return {"gap.csv": (GAP_HEADER,
-                        _gap_rows(r, [r.cfg.get_float("approx.t")],
-                                  "approx.t"))}
+                        _gap_rows(r, [r.cfg["approx.t"]], "approx.t"))}
 
 
 def cmd_schatten(r: Runner, rng):
     cfg = r.cfg
     f = r.symbol()
-    verdicts, = schatten_h_criterion(
-        f, [power_gauge(cfg.get_float("gauge.p"))],
-        cfg.get_float("functional.r"), cfg.get_int("functional.d"),
-        r.lattice(), r.spectrum(f), c_grid=cfg.get_floats("gauge.c_grid"))
+    L, S = r.lattice(), r.spectrum(f)
+    with _blamed_on("gauge.p"):
+        gauge = power_gauge(cfg["gauge.p"])
+    with _blamed_on("gauge.c_grid"):
+        verdicts, = schatten_h_criterion(
+            f, [gauge], cfg["functional.r"], cfg["functional.d"], L, S,
+            c_grid=cfg["gauge.c_grid"])
     rows = [[v.c, v.integral_value, int(v.integral_convergent),
              v.sum_value, int(v.sum_convergent), int(v.agree)]
             for v in verdicts]
@@ -395,12 +383,12 @@ def cmd_schatten(r: Runner, rng):
 
 def cmd_berezin(r: Runner, rng):
     cfg = r.cfg
-    density = None if cfg.get("measure.density") == "lebesgue" else \
+    density = None if cfg["measure.density"] == "lebesgue" else \
         (lambda z: np.exp(-np.abs(z) ** 2))
-    basis = r.basis(max(cfg.get_int("basis.degree"), 40))
+    basis = r.basis(max(cfg["basis.degree"], 40))
     z = _in_reach(basis, r.probes(rng), "probes.half_width")
     bt = berezin_transform(density, basis, z)
-    avg = measure_average(density, z, cfg.get_float("functional.r"))
+    avg = measure_average(density, z, cfg["functional.r"])
     ratio = np.divide(avg, bt, out=np.zeros_like(avg), where=bt > 0)
     rows = np.column_stack([z.real, z.imag, bt, avg, ratio]).tolist()
     return {"berezin.csv": (["re", "im", "berezin", "ball_average",
@@ -412,9 +400,9 @@ THM11_FAMILIES = ("conj-linear", "conj-gaussian", "bump", "mixed")
 
 def cmd_thm11_report(r: Runner, rng):
     cfg = r.cfg
-    q = cfg.get_float("functional.q")
-    rr = cfg.get_float("functional.r")
-    shells = cfg.get_floats("functional.shells")
+    q = cfg["functional.q"]
+    rr = cfg["functional.r"]
+    shells = cfg["functional.shells"]
     basis = r.basis(50)
     L = _lattice(0, 0.5, shells[-1] + 1 + 2 * rr, "functional.shells")
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES),
@@ -446,7 +434,7 @@ def cmd_thm11_report(r: Runner, rng):
 
 def cmd_thm12_report(r: Runner, rng):
     return {"gaps.csv": (GAP_HEADER,
-                         _gap_rows(r, r.cfg.get_floats("functional.shells"),
+                         _gap_rows(r, r.cfg["functional.shells"],
                                    "functional.shells"))}
 
 
@@ -459,10 +447,12 @@ def cmd_thm13_report(r: Runner, rng):
     rows = []
     for family in ("bump", "conj-linear"):
         f = r.symbol(family)
-        per_gauge = schatten_h_criterion(
-            f, [power_gauge(p) for p in THM13_POWERS],
-            cfg.get_float("functional.r"), cfg.get_int("functional.d"), L,
-            r.spectrum(f), c_grid=cfg.get_floats("gauge.c_grid"))
+        S = r.spectrum(f)
+        with _blamed_on("gauge.c_grid"):
+            per_gauge = schatten_h_criterion(
+                f, [power_gauge(p) for p in THM13_POWERS],
+                cfg["functional.r"], cfg["functional.d"], L, S,
+                c_grid=cfg["gauge.c_grid"])
         for p, verdicts in zip(THM13_POWERS, per_gauge):
             for v in verdicts:
                 rows.append([family, p, v.c, int(v.integral_convergent),

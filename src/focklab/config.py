@@ -1,5 +1,12 @@
 """Flat key=value experiment configuration with dotted section prefixes.
 
+Every key is declared once, in KEYS: its default, as the raw string, and
+its Domain, which parses a raw string into the typed value or rejects
+it.  `cfg[key]` is the typed value, read through that Domain; a value
+outside it is a ConfigError naming the key.  `cfg.get(key)` is the raw
+string.  `validate` parses every key once, so a bad value fails before
+any work runs.
+
 CLI flags of the form key=value override file keys.  The config hash
 (first 12 hex of sha256 over the sorted canonical key=value lines plus
 the seed) names the output directory, so identical configs land in the
@@ -9,42 +16,99 @@ same place byte for byte.
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
+from .lattice import POINT_CAP
 from .symbols import FAMILIES
-
-DEFAULTS = {
-    "weight.kind": "gaussian",
-    "weight.alpha": "1.0",
-    "basis.degree": "20",
-    "basis.margin": "10",
-    "quad.order": "0",             # retired: the rule follows basis.degree
-    "lattice.base_re": "0.0",
-    "lattice.base_im": "0.0",
-    "lattice.r": "1.0",
-    "lattice.K": "1",
-    "lattice.window": "5.0",       # half-width of the square window
-    "symbol.id": "conj-linear",
-    "symbol.radius": "1.0",
-    "symbol.beta": "1.0",
-    "symbol.coeffs": "0.0,1.0",
-    "functional.q": "2.0",
-    "functional.r": "1.0",
-    "functional.d": "6",
-    "functional.s": "inf",
-    "functional.shells": "2.0,3.0,4.0,5.0",
-    "gauge.p": "2.0",
-    "gauge.c_grid": "0.5,1.0,2.0",
-    "dbar.n_radial": "60",
-    "dbar.n_angular": "96",
-    "approx.t": "2.0",
-    "measure.density": "lebesgue",  # lebesgue | gaussian
-    "probes.half_width": "2.0",
-    "probes.count": "25",
-}
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The values `kind(raw)` on which `ok` holds; `text` names them."""
+    kind: Callable
+    ok: Callable
+    text: str
+
+    def __call__(self, raw: str):
+        try:
+            val = self.kind(raw)
+            if self.ok(val):
+                return val
+        except ValueError:
+            pass
+        raise ValueError(f"expected {self.text}, got {raw!r}")
+
+
+def _real(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(raw)
+    return val
+
+
+def _reals(raw: str) -> list:
+    return [_real(tok) for tok in raw.split(",") if tok.strip()]
+
+
+def _one_of(*names) -> Domain:
+    return Domain(str, names.__contains__, " | ".join(names))
+
+
+_ANY = Domain(_real, math.isfinite, "a number")
+_POSITIVE = Domain(_real, lambda x: x > 0, "a number > 0")
+_NATURAL = Domain(int, lambda k: k >= 0, "an integer >= 0")
+_COUNT = Domain(int, lambda k: k >= 1, "an integer >= 1")
+
+KEYS = {
+    "weight.kind": ("gaussian", _one_of("gaussian", "perturbed-gaussian")),
+    "weight.alpha": ("1.0", _POSITIVE),
+    "basis.degree": ("20", _NATURAL),
+    "basis.margin": ("10", _NATURAL),
+    "quad.order": ("0", Domain(int, lambda k: k == 0, "0 (retired: the "
+                               "plane rule is sized by basis.degree)")),
+    "lattice.base_re": ("0.0", _ANY),
+    "lattice.base_im": ("0.0", _ANY),
+    "lattice.r": ("1.0", _POSITIVE),
+    # K^2 sublattices, each a row of sublattices.csv, within the point cap
+    "lattice.K": ("1", Domain(int, lambda k: 1 <= k <= math.isqrt(POINT_CAP),
+                              f"an integer in 1..{math.isqrt(POINT_CAP)}")),
+    "lattice.window": ("5.0", _POSITIVE),     # half-width of the square
+    "symbol.id": ("conj-linear", _one_of(*FAMILIES)),
+    "symbol.radius": ("1.0", _POSITIVE),
+    "symbol.beta": ("1.0", Domain(_real, lambda x: x >= 0, "a number >= 0")),
+    "symbol.coeffs": ("0.0,1.0", Domain(_reals, bool, "numbers, "
+                                        "comma-separated, at least one")),
+    "functional.q": ("2.0", Domain(_real, lambda q: q >= 1,
+                                   "a number >= 1")),
+    # the balls B(z, r) need a positive, finite area pi r^2
+    "functional.r": ("1.0", Domain(
+        _real, lambda r: r > 0 and 0 < math.pi * r * r < math.inf,
+        "a number > 0 with pi r^2 a positive finite float")),
+    "functional.d": ("6", _NATURAL),
+    "functional.s": ("inf", Domain(
+        lambda raw: math.inf if raw == "inf" else _real(raw),
+        lambda s: s >= 1, "inf or a number >= 1")),
+    "functional.shells": ("2.0,3.0,4.0,5.0", Domain(
+        _reals, lambda v: v and 0 < v[0]
+        and all(a < b for a, b in zip(v, v[1:])),
+        "increasing numbers > 0, comma-separated")),
+    "gauge.p": ("2.0", _POSITIVE),
+    "gauge.c_grid": ("0.5,1.0,2.0", Domain(
+        _reals, lambda v: v and min(v) > 0,
+        "numbers > 0, comma-separated")),
+    "dbar.n_radial": ("60", _COUNT),
+    "dbar.n_angular": ("96", _COUNT),
+    "approx.t": ("2.0", _POSITIVE),
+    "measure.density": ("lebesgue", _one_of("lebesgue", "gaussian")),
+    "probes.half_width": ("2.0", _POSITIVE),
+    "probes.count": ("25", _COUNT),
+}
+
+DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
 
 
 @dataclass
@@ -53,39 +117,20 @@ class ExperimentConfig:
     seed: int = 0
 
     def get(self, key: str) -> str:
+        """The raw string of `key`."""
         if key in self.values:
             return self.values[key]
         if key in DEFAULTS:
             return DEFAULTS[key]
         raise ConfigError(f"unknown config key: {key}")
 
-    def get_float(self, key: str) -> float:
+    def __getitem__(self, key: str):
+        """The value of `key`, parsed by its Domain in KEYS."""
         raw = self.get(key)
         try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}")
-        if not math.isfinite(val):
-            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-        return val
-
-    def get_int(self, key: str) -> int:
-        raw = self.get(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-
-    def get_floats(self, key: str) -> list:
-        raw = self.get(key)
-        try:
-            vals = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers, "
-                              f"got {raw!r}")
-        if not all(map(math.isfinite, vals)):
-            raise ConfigError(f"{key}: expected finite numbers, got {raw!r}")
-        return vals
+            return KEYS[key][1](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
     def canonical_lines(self) -> list:
         merged = dict(DEFAULTS)
@@ -98,63 +143,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for key in self.values:
-            if key not in DEFAULTS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key: {key}")
-        if self.get("weight.kind") not in ("gaussian", "perturbed-gaussian"):
-            raise ConfigError("weight.kind: must be gaussian or "
-                              "perturbed-gaussian")
-        if self.get_float("weight.alpha") <= 0:
-            raise ConfigError("weight.alpha: must be positive")
-        if self.get_int("basis.degree") < 0:
-            raise ConfigError("basis.degree: must be >= 0")
-        if self.get_int("basis.margin") < 0:
-            raise ConfigError("basis.margin: must be >= 0")
-        if self.get_int("functional.d") < 0:
-            raise ConfigError("functional.d: must be >= 0")
-        if self.get_int("quad.order") != 0:
-            raise ConfigError("quad.order: retired; the plane rule is sized "
-                              "by basis.degree")
-        for key in ("dbar.n_radial", "dbar.n_angular"):
-            if self.get_int(key) < 1:
-                raise ConfigError(f"{key}: must be >= 1")
-        for key in ("approx.t", "lattice.window", "probes.half_width"):
-            if self.get_float(key) <= 0:
-                raise ConfigError(f"{key}: must be positive")
-        if self.get_float("functional.q") < 1:
-            raise ConfigError("functional.q: must be >= 1")
-        if self.get_float("functional.r") <= 0:
-            raise ConfigError("functional.r: must be positive")
-        if self.get_float("lattice.r") <= 0:
-            raise ConfigError("lattice.r: must be positive")
-        for key in ("lattice.K", "probes.count"):
-            if self.get_int(key) < 1:
-                raise ConfigError(f"{key}: must be >= 1")
-        if self.get("functional.s") != "inf" and \
-                self.get_float("functional.s") < 1:
-            raise ConfigError("functional.s: must be inf or >= 1")
-        if self.get_float("gauge.p") <= 0:
-            raise ConfigError("gauge.p: must be positive")
-        if self.get("symbol.id") not in FAMILIES:
-            raise ConfigError(f"symbol.id: unknown family "
-                              f"{self.get('symbol.id')!r}")
-        # checked whatever symbol.id is: the reports read every family
-        if self.get_float("symbol.radius") <= 0:
-            raise ConfigError("symbol.radius: must be positive")
-        if self.get_float("symbol.beta") < 0:
-            raise ConfigError("symbol.beta: must be >= 0")
-        if not self.get_floats("symbol.coeffs"):
-            raise ConfigError("symbol.coeffs: must list at least one number")
-        if self.get("measure.density") not in ("lebesgue", "gaussian"):
-            raise ConfigError("measure.density: must be lebesgue or gaussian")
-        shells = self.get_floats("functional.shells")
-        if any(b <= a for a, b in zip(shells, shells[1:])):
-            raise ConfigError("functional.shells: must be increasing")
-        for key in ("functional.shells", "gauge.c_grid"):
-            vals = self.get_floats(key)
-            if not vals:
-                raise ConfigError(f"{key}: must list at least one number")
-            if min(vals) <= 0:
-                raise ConfigError(f"{key}: entries must be positive")
+        for key in KEYS:
+            self[key]
 
 
 def parse_config_text(text: str) -> dict:

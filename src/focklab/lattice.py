@@ -93,20 +93,24 @@ def covering_multiplicity(L: Lattice, z: complex, factor: float) -> int:
     return int(np.count_nonzero(np.abs(L.points - z) < radius))
 
 
+def sublattice_ids(L: Lattice, K: int) -> np.ndarray:
+    """Sublattice id (1 .. K^2) of each point: the residue class of its
+    (m, s) modulo K, numbered s-major."""
+    return np.mod(L.ms[:, 1], K) * K + np.mod(L.ms[:, 0], K) + 1
+
+
 def split_sublattices(L: Lattice, K: int) -> list[Sublattice]:
-    """Partition into K^2 residue-class sublattices (eq-style residues)."""
+    """Partition into the K^2 residue-class sublattices, each in lattice
+    order, from one id per point: O(points + K^2), not a mask per class."""
     if K < 1:
         raise ValueError("modulus K must be >= 1")
-    subs = []
-    index = 1
-    for s0 in range(K):
-        for m0 in range(K):
-            mask = (np.mod(L.ms[:, 0], K) == m0) & (np.mod(L.ms[:, 1], K) == s0)
-            rep = L.base + L.step * (m0 + 1j * s0)
-            subs.append(Sublattice(index=index, representative=rep,
-                                   points=L.points[mask]))
-            index += 1
-    return subs
+    ids = sublattice_ids(L, K)
+    counts = np.bincount(ids, minlength=K * K + 1)[1:]
+    parts = np.split(L.points[np.argsort(ids, kind="stable")],
+                     np.cumsum(counts)[:-1])
+    return [Sublattice(index=i + 1, points=pts, representative=L.base
+                       + L.step * (i % K + 1j * (i // K)))
+            for i, pts in enumerate(parts)]
 
 
 def _grid_coords(L: Lattice, z: np.ndarray):
@@ -181,6 +185,6 @@ def nearest_distance(L: Lattice, z) -> np.ndarray:
 
 def export_points_csv(L: Lattice, K: int = 1) -> list[tuple]:
     """Rows (index, re, im, sublattice_id) in enumeration order."""
-    sub_id = np.mod(L.ms[:, 1], K) * K + np.mod(L.ms[:, 0], K) + 1
+    sub_id = sublattice_ids(L, K)
     return [(i, p.real, p.imag, int(sub_id[i]))
             for i, p in enumerate(L.points)]

@@ -45,6 +45,7 @@ class HankelGram:
     matrix: np.ndarray
     margin: int
     stability_shift: float     # top-10 singular move when margin grows by 5
+    singular_values: np.ndarray    # of the matrix, found for the shift
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
     s1, s2 = _singular_from_gram(G), _singular_from_gram(G2)
     shift = float(np.max(np.abs(s1[:10] - s2[:10])))
     return HankelGram(degree=degree, matrix=G, margin=margin,
-                      stability_shift=shift)
+                      stability_shift=shift, singular_values=s1)
 
 
 def build_hankel_gram(f: Symbol, weight: WeightModel, degree: int,
@@ -155,7 +156,7 @@ def _singular_from_gram(G: np.ndarray) -> np.ndarray:
 
 
 def singular_spectrum(G: HankelGram) -> SingularSpectrum:
-    return SingularSpectrum(values=_singular_from_gram(G.matrix),
+    return SingularSpectrum(values=G.singular_values,
                             degree=G.degree,
                             projection_degree=G.degree + G.margin,
                             stability_shift=G.stability_shift)

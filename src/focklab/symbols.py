@@ -91,16 +91,16 @@ def _mixed(radius=1.0) -> Symbol:
         name="mixed", params=dict(bump.params))
 
 
-# Built-in families: id -> (constructor, {parameter: type}).  The config
+# Built-in families: id -> (constructor, parameter names).  The config
 # validates symbol.id against this table and reads each parameter from
-# the key symbol.<parameter>.
+# the key symbol.<parameter>, which declares its type and domain.
 FAMILIES = {
-    "holo-poly": (_holo_poly, {"coeffs": list}),
-    "conj-linear": (_conj_linear, {}),
-    "conj-gaussian": (_conj_gaussian, {"beta": float}),
-    "bump": (_bump, {"radius": float}),
-    "step": (_step, {"radius": float}),
-    "mixed": (_mixed, {"radius": float}),
+    "holo-poly": (_holo_poly, ("coeffs",)),
+    "conj-linear": (_conj_linear, ()),
+    "conj-gaussian": (_conj_gaussian, ("beta",)),
+    "bump": (_bump, ("radius",)),
+    "step": (_step, ("radius",)),
+    "mixed": (_mixed, ("radius",)),
 }
 
 

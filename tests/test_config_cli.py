@@ -1,12 +1,15 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from focklab import symbols
 from focklab.cli import SUBCOMMANDS, Runner, main, run
-from focklab.config import (ConfigError, ExperimentConfig, load_config,
-                            parse_config_text)
+from focklab.config import (KEYS, ConfigError, ExperimentConfig,
+                            load_config, parse_config_text)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_validate():
@@ -23,7 +26,7 @@ def test_overrides_win(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("weight.alpha = 2.0\n")
     cfg = load_config(str(p), overrides=["weight.alpha=3.5"])
-    assert cfg.get_float("weight.alpha") == 3.5
+    assert cfg["weight.alpha"] == 3.5
 
 
 def test_hash_depends_on_seed_and_values():
@@ -32,6 +35,36 @@ def test_hash_depends_on_seed_and_values():
     c = ExperimentConfig({"weight.alpha": "2.0"}, seed=0)
     assert len({a.hash(), b.hash(), c.hash()}) == 3
     assert a.hash() == ExperimentConfig({}, seed=0).hash()
+
+
+@pytest.mark.parametrize("overrides,seed,digest", [
+    ((), 0, "e3172957417d"),
+    (("symbol.id=bump", "functional.q=1", "basis.degree=40"), 3,
+     "2ac1aaca8722"),
+    (("functional.s=2", "gauge.c_grid=0.25,4", "lattice.K=3",
+      "weight.alpha=0.5"), 1, "0c70f182f2dd"),
+])
+def test_hash_pinned(overrides, seed, digest):
+    # output directory names of earlier runs stay valid
+    assert load_config(overrides=overrides, seed=seed).hash() == digest
+
+
+def test_key_table():
+    cfg = ExperimentConfig({})
+    for key, (default, parse) in KEYS.items():
+        assert cfg.get(key) == default
+        assert cfg[key] == parse(default)
+    for _, params in symbols.FAMILIES.values():
+        for name in params:
+            assert f"symbol.{name}" in KEYS
+
+
+def test_readme_lists_every_key():
+    # one line per key: key, default and domain, as the table declares them
+    lines = README.read_text().splitlines()
+    for key, (default, parse) in KEYS.items():
+        line, = [ln for ln in lines if ln.startswith(f"- `{key}`")]
+        assert f"`{default}`" in line and parse.text in line, line
 
 
 @pytest.mark.parametrize("override,field", [
@@ -69,6 +102,11 @@ def test_hash_depends_on_seed_and_values():
     ("symbol.id=bump symbol.radius=-1", "symbol.radius"),
     ("symbol.radius=0", "symbol.radius"),
     ("symbol.coeffs=", "symbol.coeffs"),
+    ("lattice.K=-1", "lattice.K"),
+    ("lattice.K=448", "lattice.K"),
+    ("lattice.K=1000000", "lattice.K"),
+    ("functional.r=1e200", "functional.r"),
+    ("functional.r=1e-200", "functional.r"),
 ])
 def test_validation_names_offending_field(override, field):
     with pytest.raises(ConfigError) as exc:
@@ -113,6 +151,18 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("kernel-fit probes.half_width=100", "probes.half_width"),
     ("decompose probes.half_width=100", "probes.half_width"),
     ("certify-weight probes.half_width=1e300", "probes.half_width"),
+    # a fit or a mean whose |f|^q overflows, or an IRLS that cannot settle
+    ("g-profile functional.q=1e6", "functional.q"),
+    ("ida-norm functional.q=1e6", "functional.q"),
+    ("decompose functional.q=1e6", "functional.q"),
+    ("m-profile functional.q=400", "functional.q"),
+    # gauges whose values overflow
+    ("schatten gauge.p=1e300", "gauge.p"),
+    ("thm13-report gauge.c_grid=1e300", "gauge.c_grid"),
+    # a polar grid too coarse for the dbar solver's calibration
+    ("dbar-check dbar.n_radial=1 dbar.n_angular=1", "dbar.n_radial"),
+    ("thm12-report dbar.n_radial=1", "dbar.n_radial"),
+    ("compact-approx dbar.n_angular=2", "dbar.n_angular"),
 ])
 def test_cli_capability_limit_exit_code(args, field, tmp_path, capsys):
     assert main(args.split() + ["--out", str(tmp_path)]) == 2
