@@ -11,10 +11,14 @@ B(0, r) translated by z with unchanged weights, so in the local variable
 u = w - z the weighted disk Vandermonde A = sqrt(w) (u/r)^j is the same
 at every centre: it is QR-factored and condition-checked once per call.
 Symbol samples are taken FIT_BLOCK centres at a time, which bounds the
-working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)),
-and the IRLS refits all still-active centres of a block together (see
-_irls), each centre stopping at its own iteration.  Mean oscillation
-samples the symbol in the same blocks.
+working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)).
+For q != 2 that fit is the start.  A centre whose q = 2 residual is
+exactly 0 at every node keeps it: its L^q objective is 0, the least for
+every q.  The other centres are pooled across blocks into batches whose
+sample array stays below IRLS_BATCH_BYTES, and the IRLS refits all
+still-active centres of a batch together (see _irls), each centre
+stopping at its own iteration.  Mean oscillation samples the symbol in
+the same blocks.
 """
 
 import warnings
@@ -33,6 +37,10 @@ COND_CAP = 1e12
 # the cond(W V) eps of a QR solve while cond(W V)^3 eps <= 1
 GRAM_COND_CAP = np.finfo(float).eps ** (-1.0 / 3.0)     # 1.65e5
 FIT_BLOCK = 16             # centres per block of symbol samples
+# largest complex sample array of one IRLS batch (143 centres at the
+# 1,826-node ball rule): numpy madvises huge pages for arrays of 4 MiB and
+# up, and peak RSS then follows their layout
+IRLS_BATCH_BYTES = (4 << 20) - 1
 N_ANGLES = 12              # sample points per shell of a radial profile
 
 
@@ -66,24 +74,9 @@ class RadialProfile:
     sample_points: np.ndarray
     values: np.ndarray
 
-    @property
-    def shell_radii(self) -> np.ndarray:
-        return np.unique(np.round(np.abs(self.sample_points), 9))
-
     def shell_max(self, radius: float) -> float:
         mask = np.isclose(np.abs(self.sample_points), radius)
         return float(np.max(self.values[mask]))
-
-    def final_shell_max(self) -> float:
-        return self.shell_max(self.shell_radii[-1])
-
-    def trend_slope(self) -> float:
-        """Least-squares slope of shell maxima against shell radius."""
-        radii = self.shell_radii
-        maxima = np.array([self.shell_max(r) for r in radii])
-        if len(radii) < 2:
-            return 0.0
-        return float(np.polyfit(radii, maxima, 1)[0])
 
 
 def _blocks(f: Symbol, base: Rule, centres: np.ndarray):
@@ -129,19 +122,33 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     if np.linalg.cond(R) > COND_CAP:
         raise DegreeCapError(f"disk Vandermonde ill-conditioned at degree {d}")
     pinv = np.linalg.solve(R, Q.conj().T) * sw     # (sw V)^+ diag(sw)
-    if q != 2.0:
-        # P[n, (i, j)] = conj(V[n, i]) V[n, j], so w^T P = V^H diag(w) V
-        P = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), -1)
-    unsettled = []       # last relative change of each unsettled IRLS fit
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
     residual = np.empty(len(centres))
-    for blk, F in _blocks(f, base, centres):
-        C = pinv @ F
-        if q != 2.0:
-            C, change = _irls(F, V, P, C, base, r, q)
-            unsettled.append(change)
-        coeffs[blk] = C.T
-        residual[blk] = _lq_mean(np.abs(F - V @ C), base, r, q)
+
+    def q2_fits():
+        """Fit every block at q = 2; for q != 2 yield the (centre indices,
+        samples, fits) columns whose residual is not exactly 0."""
+        for blk, F in _blocks(f, base, centres):
+            C = pinv @ F
+            res = np.abs(F - V @ C)
+            coeffs[blk] = C.T
+            residual[blk] = _lq_mean(res, base, r, q)
+            if q != 2.0:
+                # a zero residual is already the least L^q objective
+                move = np.flatnonzero(np.any(res, axis=0))
+                yield blk.start + move, F[:, move], C[:, move]
+
+    batch = max(1, IRLS_BATCH_BYTES // (len(V) * V.itemsize))
+    P = None
+    unsettled = []       # last relative change of each unsettled IRLS fit
+    for idx, F, C in _batches(q2_fits(), batch):
+        if P is None:
+            # P[n, (i, j)] = conj(V[n, i]) V[n, j], so w^T P = V^H diag(w) V
+            P = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), -1)
+        C, change = _irls(F, V, P, C, base, r, q)
+        unsettled.append(change)
+        coeffs[idx] = C.T
+        residual[idx] = _lq_mean(np.abs(F - V @ C), base, r, q)
     if unsettled and (late := np.concatenate(unsettled)).size:
         warnings.warn(
             f"IRLS did not settle at {late.size} of {len(centres)} "
@@ -157,9 +164,27 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
                               residual=residual.reshape(zs.shape))
 
 
+def _batches(groups, size):
+    """Regroup a stream of (indices, F, C) column groups into batches of
+    `size` columns, the last one shorter."""
+    held, count = [], 0
+    for group in groups:
+        while len(group[0]):
+            take = min(size - count, len(group[0]))
+            held.append([a[..., :take] for a in group])
+            group = [a[..., take:] for a in group]
+            count += take
+            if count == size:
+                yield [np.concatenate(a, axis=-1) for a in zip(*held)]
+                held, count = [], 0
+    if count:
+        yield [np.concatenate(a, axis=-1) for a in zip(*held)]
+
+
 def _irls(F, V, P, C, base, r, q):
-    """IRLS from the q = 2 fits C (d+1, b) of one block; returns the fits
-    and the last relative change of each centre left unsettled.
+    """IRLS from the q = 2 fits C (d+1, b) of one batch of centres, pooled
+    across sample blocks; returns the fits and the last relative change of
+    each centre left unsettled.
 
     Each step solves the normal equations (W V)^H (W V) c = V^H W^2 f of
     every active centre, the Grams formed by one real product with P, and

@@ -70,11 +70,12 @@ def test_scaling_homogeneity(probes):
 
 def test_vda_profile_conj_gaussian_decays():
     f = symbols.make("conj-gaussian", beta=1.0)
-    prof = vda_profile(f, 2.0, 0.5, 6, [2.0, 3.0, 4.0, 5.0, 6.0])
-    maxima = [prof.shell_max(rho) for rho in (2.0, 3.0, 4.0, 5.0, 6.0)]
+    shells = [2.0, 3.0, 4.0, 5.0, 6.0]
+    prof = vda_profile(f, 2.0, 0.5, 6, shells)
+    maxima = [prof.shell_max(rho) for rho in shells]
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
-    assert prof.final_shell_max() < 1e-6
-    assert prof.trend_slope() < 0
+    assert maxima[-1] < 1e-6
+    assert np.polyfit(shells, maxima, 1)[0] < 0
 
 
 def test_vda_profile_compact_zero():
@@ -161,26 +162,41 @@ def _column_deviation(a, b, floor):
 
 
 B = osc.FIT_BLOCK
+# centres per pooled IRLS batch on the ball rule of the engine tests
+BATCH = osc.IRLS_BATCH_BYTES // (16 * len(ball_rule(0.0, 0.75).nodes))
 ENGINE_CASES = {"conj-linear": {}, "mixed": {"radius": 1.2},
                 "step": {"radius": 1.0}, "bump": {"radius": 1.5},
                 "holo-poly": {"coeffs": [1.0, -2.0, 0.5, 1.0j]}}
 
 
 ENGINE_PARAMS = (
-    [pytest.param(family, q, count, 5, id=f"{family}-{q}-{count}")
+    [pytest.param(family, q, count, 5, 1.6, id=f"{family}-{q}-{count}")
      for family in sorted(ENGINE_CASES) for q in (1.0, 2.0, 3.0)
      for count in (1, B - 1, B + 1, 2 * B + 3)]
     # the IRLS at degree 10 as well
-    + [pytest.param(family, q, count, 10, id=f"{family}-{q}-{count}-d10")
+    + [pytest.param(family, q, count, 10, 1.6, id=f"{family}-{q}-{count}-d10")
        for family in ("mixed", "step") for q in (1.0, 3.0)
-       for count in (1, 2 * B + 3)])
+       for count in (1, 2 * B + 3)]
+    # more moving centres than one pooled IRLS batch holds
+    + [pytest.param(family, q, count, 5, 1.6, id=f"{family}-{q}-{count}")
+       for family, q, count in [
+           ("conj-linear", 1.0, BATCH + 1), ("conj-linear", 3.0, BATCH + 1),
+           ("conj-linear", 1.0, 2 * BATCH + B + 3),
+           ("conj-linear", 3.0, 2 * BATCH + B + 3),
+           ("mixed", 1.0, BATCH + 1), ("mixed", 3.0, 2 * BATCH + B + 3)]]
+    # centres on both sides of the support's edge, so that exact q = 2 fits
+    # sit between the centres the IRLS pools from many blocks
+    + [pytest.param(family, q, 2 * BATCH + B + 3, 5, 2.4,
+                    id=f"{family}-{q}-{2 * BATCH + B + 3}-wide")
+       for family, q in [("step", 3.0), ("bump", 1.0)]])
 
 
-@pytest.mark.parametrize("family, q, count, d", ENGINE_PARAMS)
-def test_engine_equals_per_centre_definition(family, q, count, d):
+@pytest.mark.parametrize("family, q, count, d, half_width", ENGINE_PARAMS)
+def test_engine_equals_per_centre_definition(family, q, count, d, half_width):
     f = symbols.make(family, **ENGINE_CASES[family])
     rng = np.random.default_rng(count)
-    z = rng.uniform(-1.6, 1.6, count) + 1j * rng.uniform(-1.6, 1.6, count)
+    z = (rng.uniform(-half_width, half_width, count)
+         + 1j * rng.uniform(-half_width, half_width, count))
     r = 0.75
     fit = ida_distance(f, z, r, q, d)
     ref = [_reference_fit(f, p, r, q, d) for p in z]
@@ -195,15 +211,52 @@ def test_engine_equals_per_centre_definition(family, q, count, d):
         assert len({it for _, _, it, _ in ref}) > 1
 
 
+@pytest.mark.parametrize("family, q", [("step", 1.0), ("step", 3.0),
+                                       ("bump", 1.0), ("bump", 3.0)])
+def test_exact_q2_fits_skip_the_irls(family, q, monkeypatch):
+    # balls outside the support sample f as identically 0: the q = 2 fit
+    # is exact there, the least L^q objective for every q
+    f = symbols.make(family)
+    z = build_lattice(0.0, 0.5, Window.square(3.0)).points
+    r, d = 0.5, 5
+    seen = []
+    irls = osc._irls
+
+    def recording(F, *args):
+        seen.append(F.copy())
+        return irls(F, *args)
+
+    monkeypatch.setattr(osc, "_irls", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", osc.IRLSWarning)
+        fit = ida_distance(f, z, r, q, d)
+    l2 = ida_distance(f, z, r, 2.0, d)
+    exact = l2.residual == 0.0
+    assert 0 < np.count_nonzero(exact) < len(z)
+    # the IRLS sees each other centre once, in order, and no exact one
+    moved = f(ball_rule(0.0, r).nodes[:, None] + z[~exact][None, :])
+    assert np.array_equal(np.concatenate(seen, axis=1), moved)
+    assert np.all(fit.residual[exact] == 0.0)
+    assert np.array_equal(fit.coeffs[exact], l2.coeffs[exact])
+
+
 def test_scalar_centre_gives_scalar_fields():
     f = symbols.make("mixed")
-    for q in (1.0, 2.0):
+    grid = np.linspace(-2.0, 2.0, 2 * B + 3).reshape(5, -1) * (1 + 0.3j)
+    for q in (1.0, 2.0, 3.0):
         fit = ida_distance(f, 0.3 - 0.2j, 0.5, q, 4)
         assert isinstance(fit.center, complex)
         assert isinstance(fit.residual, float)
         assert fit.coeffs.shape == (5,)
         both = ida_distance(f, np.array([0.3 - 0.2j, 1.0]), 0.5, q, 4)
         assert abs(both.residual[0] - fit.residual) <= 1e-14
+        # empty and 2-D centre arrays keep their shapes
+        empty = ida_distance(f, np.zeros(0, dtype=complex), 0.5, q, 4)
+        assert empty.residual.shape == (0,)
+        assert empty.coeffs.shape == (0, 5)
+        fits = ida_distance(f, grid, 0.5, q, 4)
+        assert fits.center.shape == fits.residual.shape == grid.shape
+        assert fits.coeffs.shape == grid.shape + (5,)
     assert isinstance(mean_oscillation(f, 0.3, 0.5, 2.0), float)
 
 
@@ -275,7 +328,7 @@ def test_irls_warns_when_centres_do_not_settle(tmp_path):
     # lattice.r=0.5" op: 44 of its 441 centres use up IRLS_ITERS
     f = symbols.make("step")
     L = build_lattice(0.0, 0.5, Window.square(5.0))
-    with pytest.warns(osc.IRLSWarning, match=r"did not settle at \d+ of 441"):
+    with pytest.warns(osc.IRLSWarning, match=r"did not settle at 44 of 441"):
         ida_distance(f, L.points, 1.0, 3.0, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
