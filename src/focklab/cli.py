@@ -31,8 +31,8 @@ from .fock import build_basis, fit_kernel_estimates, kernel
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import CapabilityError
-from .oscillation import DegreeCapError, m_profile, ida_norm, vda_profile
-from .oscillation import g_functional  # noqa: F401 (hooked by perfbench)
+from .oscillation import DegreeCapError, g_functional, m_profile, \
+    ida_norm, vda_profile
 from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
     schatten_h_criterion, singular_spectrum
@@ -163,6 +163,13 @@ class Runner:
             return decompose(f, build_partition(L), self.cfg["functional.q"],
                              self.cfg["functional.d"])
 
+    def g_on_lattice(self, f, L):
+        """G_{2,r}(f) at the points of L, at the configured functional.r
+        and functional.d: the values the Schatten criterion sums."""
+        with _blamed_on("functional.r"):
+            return g_functional(f, L.points, self.cfg["functional.r"], 2.0,
+                                self.cfg["functional.d"])
+
 
 # --- subcommand implementations: each returns {filename: (header, rows)} ---
 
@@ -273,11 +280,13 @@ def cmd_decompose(r: Runner, rng):
 def cmd_dbar_check(r: Runner, rng):
     solver = r.solver
     probes = r.probes(rng) * 0.5
+    forms = gaussian_test_forms(r.weight.alpha)
+    dbar_u = dbar_fd(lambda z: solver.apply(forms, z), probes)
     rows = []
-    for i, omega in enumerate(gaussian_test_forms(r.weight.alpha)):
-        resid = np.abs(dbar_fd(lambda z: solver.apply(omega, z), probes)
-                       - omega(probes))
-        wmax = float(np.max(np.abs(omega(probes))))
+    for i, (omega, du) in enumerate(zip(forms, dbar_u)):
+        w = omega(probes)
+        resid = np.abs(du - w)
+        wmax = float(np.max(np.abs(w)))
         for p, res in zip(probes, resid):
             rows.append([i, p.real, p.imag, res, wmax])
     return {"residuals.csv": (["form", "re", "im", "abs_residual",
@@ -370,10 +379,10 @@ def cmd_schatten(r: Runner, rng):
     L, S = r.lattice(), r.spectrum(f)
     with _blamed_on("gauge.p"):
         gauge = power_gauge(cfg["gauge.p"])
+    G = r.g_on_lattice(f, L)
     with _blamed_on("gauge.c_grid"):
-        verdicts, = schatten_h_criterion(
-            f, [gauge], cfg["functional.r"], cfg["functional.d"], L, S,
-            c_grid=cfg["gauge.c_grid"])
+        verdicts, = schatten_h_criterion(G, [gauge], L, S,
+                                         c_grid=cfg["gauge.c_grid"])
     rows = [[v.c, v.integral_value, int(v.integral_convergent),
              v.sum_value, int(v.sum_convergent), int(v.agree)]
             for v in verdicts]
@@ -448,10 +457,10 @@ def cmd_thm13_report(r: Runner, rng):
     for family in ("bump", "conj-linear"):
         f = r.symbol(family)
         S = r.spectrum(f)
+        G = r.g_on_lattice(f, L)
         with _blamed_on("gauge.c_grid"):
             per_gauge = schatten_h_criterion(
-                f, [power_gauge(p) for p in THM13_POWERS],
-                cfg["functional.r"], cfg["functional.d"], L, S,
+                G, [power_gauge(p) for p in THM13_POWERS], L, S,
                 c_grid=cfg["gauge.c_grid"])
         for p, verdicts in zip(THM13_POWERS, per_gauge):
             for v in verdicts:

@@ -10,7 +10,11 @@ against the finite-difference residual of the solution property
 dbar u = w over a family of test forms.  The |xi - z|^{-1} singularity is
 absorbed by integrating in polar coordinates centered at z, where the
 Jacobian cancels it exactly; `_polar_sum` is that one sum, for A_phi
-and for the singular patch of the Cauchy transform.
+and for the singular patch of the Cauchy transform.  The nodes and the
+kernel depend only on the point and the grid, so A_phi takes a form
+family (forms sharing one support radius) in one kernel pass per chunk
+of points: the calibration and the dbar check each solve their three
+test forms in one call.
 
 Compact forms (those with a support radius) have a cheaper solution, the
 Cauchy transform C(w)(z) = c0 * integral w(xi) / (xi - z) dA(xi), with
@@ -78,6 +82,11 @@ class ZeroOneForm:
         return self.coefficient(np.asarray(xi, dtype=complex))
 
 
+def _family(omega) -> list:
+    """A form family as a list; one form is the one-element family."""
+    return [omega] if isinstance(omega, ZeroOneForm) else list(omega)
+
+
 @dataclass
 class DbarSolver:
     weight: WeightModel
@@ -86,18 +95,38 @@ class DbarSolver:
     c0: Optional[complex] = None
     calibration_residual: Optional[float] = None
 
-    def raw_apply(self, omega: ZeroOneForm, z) -> np.ndarray:
-        """The integral with c0 = 1, batched over evaluation points."""
-        zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        if omega.support_radius is not None:
-            reach = omega.support_radius + 0.25
+    def raw_apply(self, omega, z) -> np.ndarray:
+        """The integral with c0 = 1, batched over evaluation points.
+
+        omega is one form or a family (a sequence of forms sharing one
+        support_radius); a family's result has a leading form axis.  The
+        nodes and the kernel are formed once per chunk of points and
+        applied to every form of the family, and each form's row equals
+        its one-form call bit for bit."""
+        forms = _family(omega)
+        radii = {form.support_radius for form in forms}
+        if len(radii) != 1:
+            raise ValueError(f"a form family needs one support radius, "
+                             f"got {sorted(radii, key=str)}")
+        radius, = radii
+        if radius is not None:
+            reach = radius + 0.25
         else:
             reach = GAUSSIAN_REACH / np.sqrt(self.weight.alpha)
         grad = self.weight.grad
-        out = _polar_sum(
-            lambda zc, xi: np.exp(2.0 * grad(xi) * (zc - xi)) * omega(xi),
-            zs, np.abs(zs) + reach, (self.n_radial, self.n_angular))
-        return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
+
+        def field(zc, xi):
+            kernel = np.exp(2.0 * grad(xi) * (zc - xi))
+            out = np.empty((len(forms),) + kernel.shape, dtype=complex)
+            for row, form in zip(out, forms):
+                np.multiply(kernel, form(xi), out=row)
+            return out
+
+        zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        out = _polar_sum(field, zs, np.abs(zs) + reach,
+                         (self.n_radial, self.n_angular))
+        out = out.reshape((len(forms),) + np.shape(z))
+        return out[0] if isinstance(omega, ZeroOneForm) else out
 
     def _calibrated_c0(self) -> complex:
         if self.c0 is None:
@@ -105,10 +134,12 @@ class DbarSolver:
                 "orientation constant not set: run calibrate_orientation")
         return self.c0
 
-    def apply(self, omega: ZeroOneForm, z) -> np.ndarray:
-        """A_phi(omega) at z; requires a completed calibration."""
+    def apply(self, omega, z) -> np.ndarray:
+        """A_phi(omega) at z for one form or a family (see raw_apply);
+        requires a completed calibration."""
         c0 = self._calibrated_c0()
-        self._certify_decay(omega)
+        for form in _family(omega):
+            self._certify_decay(form)
         return c0 * self.raw_apply(omega, z)
 
     def cauchy_apply(self, omega: ZeroOneForm, z) -> np.ndarray:
@@ -161,19 +192,21 @@ def _polar_sum(field, zs: np.ndarray, radius, grid,
     on the unit polar_rule(0, 1, *grid), dA / (xi - z) = R w / p: the
     Jacobian in w cancels the singularity.  With cutoff, w / p carries
     (1 - |p|^2)^CUTOFF_POWER.  field gets (points, 1) and (points, nodes)
-    arrays: about OMEGA_CHUNK nodes, and at least one point, a call."""
+    arrays, about OMEGA_CHUNK nodes and at least one point a call, and
+    returns (..., points, nodes) values; the sum has field's leading axes
+    then zs's (with no points, one empty chunk still gives those axes)."""
     unit = polar_rule(0.0, 1.0, *grid)
     p = unit.nodes
     coef = unit.weights / p
     if cutoff:
         coef *= (1.0 - np.abs(p) ** 2) ** CUTOFF_POWER
     R = np.broadcast_to(radius, zs.shape)
-    out = np.empty(zs.shape, dtype=complex)
     step = max(1, OMEGA_CHUNK // len(p))
-    for a in range(0, len(zs), step):
+    sums = []
+    for a in range(0, max(len(zs), 1), step):
         zc = zs[a:a + step, None]
-        out[a:a + step] = field(zc, zc + R[a:a + step, None] * p) @ coef
-    return R * out
+        sums.append(field(zc, zc + R[a:a + step, None] * p) @ coef)
+    return R * np.concatenate(sums, axis=-1)
 
 
 def _smooth_kernel(d: np.ndarray) -> np.ndarray:
@@ -204,10 +237,12 @@ def _sample(omega: ZeroOneForm, xi: np.ndarray) -> np.ndarray:
 def dbar_fd(u: Callable[[np.ndarray], np.ndarray], z,
             h: float = FD_STEP) -> np.ndarray:
     """Central finite-difference dbar = (d/dx + i d/dy)/2 of a field, from
-    one call of u on the stacked stencil z + (h, -h, ih, -ih)."""
+    one call of u on the stacked stencil z + (h, -h, ih, -ih).  u's
+    result may carry leading axes (a form family's), which the result
+    keeps."""
     z = np.asarray(z, dtype=complex)
     steps = np.array([h, -h, 1j * h, -1j * h]).reshape((4,) + (1,) * z.ndim)
-    right, left, up, down = u(z + steps)
+    right, left, up, down = np.moveaxis(u(z + steps), -1 - z.ndim, 0)
     ux = (right - left) / (2 * h)
     uy = (up - down) / (2 * h)
     return 0.5 * (ux + 1j * uy)
@@ -235,9 +270,11 @@ def calibrate_orientation(solver: DbarSolver, forms=None,
         forms = gaussian_test_forms(solver.weight.alpha)
     g = np.linspace(-1.2, 1.2, 5)
     probes = (g[:, None] + 1j * g[None, :]).ravel()
-    # u is linear in c0: one raw solve per form, scaled per candidate
-    solved = [(dbar_fd(lambda z: solver.raw_apply(omega, z), probes),
-               omega(probes)) for omega in forms]
+    # u is linear in c0: one raw solve of the family, scaled per candidate
+    forms = list(forms)
+    raw = dbar_fd(lambda z: solver.raw_apply(forms, z), probes)
+    solved = [(raw_dbar, omega(probes))
+              for raw_dbar, omega in zip(raw, forms)]
     residuals = {c0: max(float(np.max(np.abs(c0 * raw_dbar - w)))
                          / (float(np.max(np.abs(w))) + 1e-30)
                          for raw_dbar, w in solved) for c0 in C0_CANDIDATES}

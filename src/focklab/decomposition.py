@@ -34,10 +34,11 @@ class PartitionOfUnity:
     lattice: Lattice
     support_radius: float      # 2r
 
-    def _bump_data(self, z: np.ndarray):
-        """Bumps b_j(z), dbar b_j(z) and their column sums on the block of
-        neighbouring cells; the block, bumps and derivatives have shape
-        (cells, nz) and are updated in place to keep temporaries few."""
+    def _bump_data(self, z: np.ndarray, dbar: bool):
+        """Offsets u = z - a_j, bumps b_j(z), their column sums and (with
+        dbar) dbar b_j(z) on the block of neighbouring cells; the block,
+        offsets, bumps and derivatives have shape (cells, nz) and are
+        updated in place to keep temporaries few."""
         z = np.asarray(z, dtype=complex).ravel()
         if len(self.lattice.points) == 0:
             raise InvalidProfileError("partition of an empty lattice")
@@ -50,51 +51,56 @@ class PartitionOfUnity:
         s -= 1.0                                # s - 1 = -(1 - s) exactly
         b = np.square(s)                        # (1 - s)^2
         b[outside] = 0.0
-        db = 2.0 * s * u                        # -2 (1 - s) u
-        db /= self.support_radius ** 2
-        db[outside] = 0.0
+        db = None
+        if dbar:
+            db = 2.0 * s * u                    # -2 (1 - s) u
+            db /= self.support_radius ** 2
+            db[outside] = 0.0
         total = b.sum(axis=0)
         if np.any(total <= 0):
             raise InvalidProfileError(
                 "partition denominator vanishes; "
                 "lattice does not cover the query points")
-        return idx, b, db, total
+        return idx, u, b, db, total
 
     def members(self, z):
-        """(idx, psi): psi[i, k] = psi_{idx[i, k]}(z_k) on the block of
-        neighbouring cells; every other psi_j(z_k) is zero."""
-        idx, b, _, total = self._bump_data(z)
+        """(idx, u, psi): psi[i, k] = psi_{idx[i, k]}(z_k) on the block of
+        neighbouring cells, u[i, k] = z_k - a_{idx[i, k]}; every other
+        psi_j(z_k) is zero."""
+        idx, u, b, _, total = self._bump_data(z, dbar=False)
         b /= total
-        return idx, b
+        return idx, u, b
 
     def members_dbar(self, z):
-        """(idx, dbar psi) on the same block, from the closed-form bump
+        """(idx, u, dbar psi) on the same block, from the closed-form bump
         derivative."""
-        idx, b, db, total = self._bump_data(z)
+        idx, u, b, db, total = self._bump_data(z, dbar=True)
         dtotal = db.sum(axis=0)
         db *= total
         db -= b * dtotal
         db /= total ** 2
-        return idx, db
+        return idx, u, db
 
 
 @dataclass(frozen=True)
 class Decomposition:
     symbol: Symbol
     partition: PartitionOfUnity
-    centres: np.ndarray        # (N,) expansion points of the h_j
     coeffs: np.ndarray         # (N, d+1) coefficients of (z - centre_j)^i
     q: float
     degree: int
 
-    def _glue(self, zf: np.ndarray, members) -> np.ndarray:
-        """sum_j h_j(z) w_j(z) over the block (idx, w) = members(z).
+    @property
+    def centres(self) -> np.ndarray:
+        """(N,) expansion points of the h_j: the partition's lattice."""
+        return self.partition.lattice.points
 
-        Horner's rule on the gathered rows, one coefficient column at a
-        time."""
-        z = zf.ravel()
-        idx, w = members(z)
-        u = z[None, :] - self.centres.take(idx)
+    def _glue(self, zf: np.ndarray, members) -> np.ndarray:
+        """sum_j h_j(z) w_j(z) over the block (idx, u, w) = members(z).
+
+        Horner's rule in the block's offsets u = z - a_j, one coefficient
+        column at a time."""
+        idx, u, w = members(zf.ravel())
         h = self.coeffs[:, -1].take(idx)
         for j in range(self.coeffs.shape[1] - 2, -1, -1):
             h *= u
@@ -128,10 +134,9 @@ def build_partition(L: Lattice, support_factor: float = 2.0) -> PartitionOfUnity
 def decompose(f: Symbol, P: PartitionOfUnity, q: float = 2.0,
               d: int = 6) -> Decomposition:
     """Fit h_j on B(a_j, 2r) and assemble f1 = sum h_j psi_j."""
-    centres = P.lattice.points
-    fit = ida_distance(f, centres, P.support_radius, q, d)
-    return Decomposition(symbol=f, partition=P, centres=centres,
-                         coeffs=fit.coeffs, q=q, degree=d)
+    fit = ida_distance(f, P.lattice.points, P.support_radius, q, d)
+    return Decomposition(symbol=f, partition=P, coeffs=fit.coeffs, q=q,
+                         degree=d)
 
 
 @dataclass(frozen=True)

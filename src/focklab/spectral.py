@@ -21,7 +21,7 @@ from .fock import FockBasis, build_basis, default_rule_for_degree, \
     lp_norm, normalized_kernel
 from .fock import project  # noqa: F401 (perfbench/layers.py hooks it)
 from .lattice import Lattice
-from .oscillation import g_functional
+from .oscillation import g_functional  # noqa: F401 (hooked by perfbench)
 from .quadrature import Rule, ball_rule
 from .symbols import Symbol
 from .weights import WeightModel
@@ -272,19 +272,19 @@ class SchattenVerdict:
         return self.integral_convergent == self.sum_convergent
 
 
-def schatten_h_criterion(f: Symbol, gauges: Sequence[SchattenGauge],
-                         r: float, d: int, L: Lattice, S: SingularSpectrum,
+def schatten_h_criterion(G: np.ndarray, gauges: Sequence[SchattenGauge],
+                         L: Lattice, S: SingularSpectrum,
                          c_grid=(0.5, 1.0, 2.0)
                          ) -> list[list[SchattenVerdict]]:
     """Compare finiteness proxies of the G-integral and the s_k-sum.
 
-    The integral side is a lattice Riemann sum of h(c G_{2,r}(f)); its
-    convergence flag looks at the contribution of the outer radial
-    quartile of lattice cells, mirroring the tail flag of the sum side.
-    G_{2,r}(f) is computed once and shared by every gauge; the result
-    holds one verdict list (over `c_grid`) per gauge, in order.
+    G holds G_{2,r}(f) at the lattice points L.points, computed once by
+    the caller and shared by every gauge.  The integral side is a lattice
+    Riemann sum of h(c G); its convergence flag looks at the contribution
+    of the outer radial quartile of lattice cells, mirroring the tail flag
+    of the sum side.  The result holds one verdict list (over `c_grid`)
+    per gauge, in order.
     """
-    G = g_functional(f, L.points, r, 2.0, d)
     order = np.argsort(np.abs(L.points))
     out = []
     for gauge in gauges:

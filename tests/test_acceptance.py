@@ -257,8 +257,8 @@ def test_criterion_10_schatten_verdicts(weight):
         S = singular_spectrum(build_hankel_gram(f, weight, 25, 10))
         powers = (1.0, 2.0, 4.0)
         per_gauge = schatten_h_criterion(
-            f, [power_gauge(p) for p in powers], 0.5, 6, L, S,
-            c_grid=(0.5, 1.0, 2.0))
+            g_functional(f, L.points, 0.5, 2.0, 6),
+            [power_gauge(p) for p in powers], L, S, c_grid=(0.5, 1.0, 2.0))
         for p, verdicts in zip(powers, per_gauge):
             for v in verdicts:
                 assert v.agree, (fam, p, v.c)

@@ -159,6 +159,9 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     # gauges whose values overflow
     ("schatten gauge.p=1e300", "gauge.p"),
     ("thm13-report gauge.c_grid=1e300", "gauge.c_grid"),
+    # a ball radius whose G_{2,r} overflows
+    ("thm13-report functional.r=1e100", "functional.r"),
+    ("schatten functional.r=1e100", "functional.r"),
     # a polar grid too coarse for the dbar solver's calibration
     ("dbar-check dbar.n_radial=1 dbar.n_angular=1", "dbar.n_radial"),
     ("thm12-report dbar.n_radial=1", "dbar.n_radial"),

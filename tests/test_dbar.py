@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,19 +35,84 @@ def test_calibration_idempotent(solver):
     assert solver.c0 == c0
 
 
-def test_calibration_solves_each_form_once(monkeypatch):
-    s = DbarSolver(gaussian_weight(1.0), n_radial=20, n_angular=32)
+def test_calibration_matches_reference_bit_for_bit(solver):
+    # the family solve must not move c0 or the 60 x 96 residual at all
+    assert solver.c0 == -1.0 / np.pi
+    assert solver.calibration_residual == 8.245927790425177e-07
+
+
+def test_calibration_is_one_family_solve(monkeypatch):
+    # one raw_apply for the three forms, and one kernel (one gradient
+    # evaluation) per chunk of points for the whole family
+    weight = gaussian_weight(1.0)
+    grads = []
+
+    def grad(xi):
+        grads.append(np.shape(xi))
+        return weight.grad(xi)
+
+    s = DbarSolver(dataclasses.replace(weight, grad=grad), n_radial=20,
+                   n_angular=32)
     forms = gaussian_test_forms(1.0)
     calls = []
     raw_apply = DbarSolver.raw_apply
 
     def counted(self, omega, z):
-        calls.append(omega)
+        calls.append((len(omega), np.shape(z)))
         return raw_apply(self, omega, z)
 
     monkeypatch.setattr(DbarSolver, "raw_apply", counted)
     calibrate_orientation(s, forms, rel_tol=np.inf)
-    assert len(calls) == len(forms)
+    assert calls == [(len(forms), (4, 25))]
+    # 20 x 32 = 640 nodes: one point a chunk, the 4 x 25 stencil points
+    assert grads == [(1, 640)] * 100
+
+
+def _stencil(z, h=dbar.FD_STEP):
+    return z + np.array([h, -h, 1j * h, -1j * h])[:, None]
+
+
+def _compact_family():
+    bump = _radial_form()
+    return [bump,
+            ZeroOneForm(lambda xi: np.conj(xi) * bump(xi), RADIAL_R),
+            ZeroOneForm(lambda xi: (1.0 + 0.5j * xi) * bump(xi), RADIAL_R)]
+
+
+@pytest.mark.parametrize("grid", [(60, 96), (10, 16)])
+def test_family_equals_per_form_calls(solver, grid):
+    # on 10 x 16 nodes a chunk holds six points, on 60 x 96 one
+    s = DbarSolver(solver.weight, *grid, c0=solver.c0)
+    g = np.linspace(-1.2, 1.2, 5)
+    probes = (g[:, None] + 1j * g[None, :]).ravel()
+    cases = [(gaussian_test_forms(1.0), _stencil(probes)),
+             (_compact_family(), np.linspace(-2.5, 2.5, 13) + 0.3j)]
+    for forms, z in cases:
+        raw = s.raw_apply(forms, z)
+        solved = s.apply(forms, z)
+        assert raw.shape == solved.shape == (len(forms),) + z.shape
+        for omega, raw_row, row in zip(forms, raw, solved):
+            assert np.array_equal(raw_row, s.raw_apply(omega, z))
+            assert np.array_equal(row, s.apply(omega, z))
+        fd = dbar_fd(lambda w: s.raw_apply(forms, w), z)
+        for omega, row in zip(forms, fd):
+            assert np.array_equal(
+                row, dbar_fd(lambda w: s.raw_apply(omega, w), z))
+    forms = _compact_family()
+    assert np.array_equal(s.raw_apply(forms, 0.3j),
+                          s.raw_apply(forms, np.array([0.3j]))[:, 0])
+    assert s.raw_apply(forms[:1], np.array([0.3j])).shape == (1, 1)
+
+
+def test_mixed_support_radii_refused(solver):
+    gaussian = gaussian_test_forms(1.0)[0]
+    z = np.array([0.2 + 0.1j])
+    for forms in ([gaussian, _radial_form()],
+                  [_radial_form(), ZeroOneForm(_radial_form(), 3.0)]):
+        with pytest.raises(ValueError, match="support radius"):
+            solver.raw_apply(forms, z)
+        with pytest.raises(ValueError, match="support radius"):
+            solver.apply(forms, z)
 
 
 def test_dbar_fd_evaluates_field_once():

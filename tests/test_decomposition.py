@@ -22,14 +22,14 @@ def partition(lattice):
 def test_partition_sums_to_one(partition):
     rng = np.random.default_rng(5)
     z = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
-    total = np.sum(partition.members(z)[1], axis=0)
+    total = np.sum(partition.members(z)[-1], axis=0)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_partition_dbar_sums_to_zero(partition):
     rng = np.random.default_rng(6)
     z = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
-    total = np.sum(partition.members_dbar(z)[1], axis=0)
+    total = np.sum(partition.members_dbar(z)[-1], axis=0)
     assert np.max(np.abs(total)) < 1e-10
 
 
@@ -109,7 +109,7 @@ def _dense_glue(D, z, weights):
 
 
 def _scatter(block, n):
-    idx, vals = block
+    idx, _, vals = block
     out = np.zeros((n, idx.shape[1]), dtype=vals.dtype)
     np.add.at(out, (idx, np.arange(idx.shape[1])[None, :]), vals)
     return out
@@ -142,13 +142,15 @@ def test_local_partition_equals_dense_definition(data, base_re, base_im, r,
     rng = np.random.default_rng(seed)
     n = len(L.points)
     D = Decomposition(symbol=symbols.make("conj-linear"), partition=P,
-                      centres=L.points,
                       coeffs=rng.normal(size=(n, degree + 1))
                       + 1j * rng.normal(size=(n, degree + 1)),
                       q=2.0, degree=degree)
     psi, dpsi = _dense_members(P, z)
     assert np.array_equal(_scatter(P.members(z), n), psi)
     assert np.array_equal(_scatter(P.members_dbar(z), n), dpsi)
+    # both blocks carry the offsets z - a_j that the glue's Horner sum uses
+    for idx, u, _ in (P.members(z), P.members_dbar(z)):
+        assert np.array_equal(u, z[None, :] - L.points[idx])
     assert np.array_equal(D.f1(z), _dense_glue(D, z, psi))
     assert np.array_equal(D.dbar_f1(z), _dense_glue(D, z, dpsi))
 

@@ -7,6 +7,7 @@ from focklab import spectral, symbols
 from focklab.fock import (FockBasis, build_basis,
                           default_rule_for_degree, lp_norm, normalized_kernel)
 from focklab.lattice import Window, build_lattice
+from focklab.oscillation import g_functional
 from focklab.quadrature import ball_rule
 from focklab.spectral import (berezin_transform, build_hankel_gram,
                               essential_norm_tail, hankel_on_kernel,
@@ -94,14 +95,14 @@ def test_schatten_verdicts(weight):
     L = build_lattice(0.0, 0.5, Window.square(5.0))
     fb = symbols.make("bump", radius=2.0)
     Sb = singular_spectrum(build_hankel_gram(fb, weight, 25, margin=10))
-    verdicts, = schatten_h_criterion(fb, [power_gauge(2.0)], 0.5, 6, L,
-                                     Sb)
+    verdicts, = schatten_h_criterion(g_functional(fb, L.points, 0.5, 2.0, 6),
+                                     [power_gauge(2.0)], L, Sb)
     for v in verdicts:
         assert v.integral_convergent and v.sum_convergent and v.agree
     fc = symbols.make("conj-linear")
     Sc = singular_spectrum(build_hankel_gram(fc, weight, 25, margin=10))
-    verdicts, = schatten_h_criterion(fc, [power_gauge(2.0)], 0.5, 6, L,
-                                     Sc)
+    verdicts, = schatten_h_criterion(g_functional(fc, L.points, 0.5, 2.0, 6),
+                                     [power_gauge(2.0)], L, Sc)
     for v in verdicts:
         assert (not v.integral_convergent) and (not v.sum_convergent)
         assert v.agree
