@@ -6,7 +6,7 @@ import numpy as np
 
 from .dbar import DbarSolver, ZeroOneForm
 from .fock import FockBasis
-from .spectral import sampled_hankel_gram, singular_spectrum
+from .spectral import sampled_hankel_gram
 from .symbols import Symbol
 
 # a gap is certified only if a margin 5 larger moves the top of its
@@ -74,8 +74,8 @@ def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
                         support_radius=t + 1.0)
     psi_vals = solver.cauchy_apply(omega, nodes)
     h_vals = psi_vals + masked(nodes, decomp.f2)
-    S = singular_spectrum(sampled_hankel_gram(
-        f(nodes) - h_vals, basis.weight, basis.degree, margin, basis.rule))
+    S = sampled_hankel_gram(f(nodes) - h_vals, basis.weight, basis.degree,
+                            margin, basis.rule)
     shift = S.stability_shift
     # e_j peaks at |z| = sqrt(j / alpha): a degree-D basis sees a cutoff
     # at t + 1 only if t + 1 <= sqrt(D / alpha)

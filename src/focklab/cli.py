@@ -35,7 +35,7 @@ from .oscillation import DegreeCapError, g_functional, m_profile, \
     ida_norm, vda_profile
 from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
-    schatten_h_criterion, singular_spectrum
+    schatten_h_criterion
 from .weights import WeightEvaluationError, certify_weight, \
     gaussian_weight, perturbed_gaussian_weight
 
@@ -72,6 +72,9 @@ def _blamed_on(key, *errors):
         raise
     except (FloatingPointError, OverflowError, *errors) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+KZ_ANGLES = np.exp(2j * np.pi * np.arange(8) / 8)
 
 
 def _lattice(base, r, half, key):
@@ -122,9 +125,20 @@ class Runner:
         return s
 
     def symbol(self, family=None):
+        """The symbol of `family` (symbol.id unless given) at its configured
+        parameters; one whose |f|^2 is not finite at 0 or on KZ_ANGLES is
+        blamed on those parameters' keys."""
         family = self.cfg["symbol.id"] if family is None else family
-        build, params = symbols.FAMILIES[family]
-        return build(**{name: self.cfg[f"symbol.{name}"] for name in params})
+        params = symbols.FAMILIES[family][1]
+        f = symbols.make(family, **{name: self.cfg[f"symbol.{name}"]
+                                    for name in params})
+        keys = "/".join(f"symbol.{name}" for name in params) or "symbol.id"
+        with _blamed_on(keys, ValueError):
+            sq = np.abs(f(np.append(KZ_ANGLES, 0))) ** 2
+            if not np.all(np.isfinite(sq)):
+                raise ValueError("|f|^2 is not finite on the unit circle "
+                                 "and at 0")
+        return f
 
     def lattice(self, half=None, key="lattice.window"):
         """Lattice of the configured base and spacing on the square window
@@ -142,14 +156,13 @@ class Runner:
         return pts[:, 0] + 1j * pts[:, 1]
 
     def spectrum(self, f, degree=None, margin=None):
-        """Singular spectrum of H_f, at the configured basis degree and
-        margin unless given."""
+        """Hankel Gram of H_f with its singular values, at the configured
+        basis degree and margin unless given."""
         degree = self.cfg["basis.degree"] if degree is None else degree
         margin = self.cfg["basis.margin"] if margin is None else margin
         with _blamed_on("basis.degree/basis.margin", ValueError,
                         CapabilityError):
-            return singular_spectrum(build_hankel_gram(
-                f, self.radial_weight, degree, margin))
+            return build_hankel_gram(f, self.radial_weight, degree, margin)
 
     def essential_norm(self, f):
         """Plateau estimate of ||H_f||_e from the configured spectrum."""
@@ -305,7 +318,6 @@ def cmd_hankel_svd(r: Runner, rng):
 
 
 KZ_MASS_LOSS = 1e-4
-KZ_ANGLES = np.exp(2j * np.pi * np.arange(8) / 8)
 
 
 def _in_reach(basis, z, key):
@@ -329,8 +341,9 @@ def cmd_kz_profile(r: Runner, rng):
     shells = cfg["functional.shells"]
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES).ravel(),
                   "functional.shells")
-    norms = hankel_on_kernel(r.symbol(), z, cfg["functional.q"],
-                             basis)
+    f = r.symbol()
+    with _blamed_on("functional.q", ValueError):
+        norms = hankel_on_kernel(f, z, cfg["functional.q"], basis)
     rows = np.column_stack([z.real, z.imag, np.repeat(shells, len(KZ_ANGLES)),
                             norms]).tolist()
     return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"], rows)}
@@ -423,7 +436,8 @@ def cmd_thm11_report(r: Runner, rng):
         ess = essential_norm_tail(r.spectrum(f, 30, 10)).estimate
         D = r.decomposition(f, L)
         for rad, pts in zip(shells, z):
-            kz = float(np.max(hankel_on_kernel(f, pts, q, basis)))
+            with _blamed_on("functional.q", ValueError):
+                kz = float(np.max(hankel_on_kernel(f, pts, q, basis)))
             rep = verify_controls(D, pts, rr, q)
             all_rows.append([family, rad, ess, kz, float(np.max(rep.g_values)),
                              rep.sup_dbar_f1 + max(rep.sup_m_f2, 0.0)])

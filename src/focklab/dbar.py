@@ -90,8 +90,8 @@ def _family(omega) -> list:
 @dataclass
 class DbarSolver:
     weight: WeightModel
-    n_radial: int = 90
-    n_angular: int = 128
+    n_radial: int
+    n_angular: int
     c0: Optional[complex] = None
     calibration_residual: Optional[float] = None
 

@@ -103,13 +103,17 @@ def normalized_kernel(basis: FockBasis, z: complex):
 
 def lp_norm(vals, p: float, rule: Rule, w: WeightModel) -> float:
     """Weighted norm ( integral |f e^{-phi}|^p dA )^{1/p} from the
-    samples vals of f on the rule's nodes."""
+    samples vals of f on the rule's nodes.  A largest |f e^{-phi}|^p that
+    overflows, or underflows to 0 while f is not 0, raises ValueError."""
     if p < 1:
         raise ValueError("p must be >= 1")
     vals = np.asarray(vals)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand samples")
     integrand = np.abs(vals * np.exp(-w.phi(rule.nodes))) ** p
+    top = np.max(integrand)
+    if not np.isfinite(top) or (top == 0 and np.any(vals)):
+        raise ValueError(f"the largest sample's {p:g}-th power is {top:g}")
     return float(np.real(rule.integrate(integrand)) ** (1.0 / p))
 
 

@@ -14,11 +14,11 @@ Symbol samples are taken FIT_BLOCK centres at a time, which bounds the
 working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)).
 For q != 2 that fit is the start.  A centre whose q = 2 residual is
 exactly 0 at every node keeps it: its L^q objective is 0, the least for
-every q.  The other centres are pooled across blocks into batches whose
+every q.  The other centres are sampled again, in order, in batches whose
 sample array stays below IRLS_BATCH_BYTES, and the IRLS refits all
-still-active centres of a batch together (see _irls), each centre
-stopping at its own iteration.  Mean oscillation samples the symbol in
-the same blocks.
+still-active centres of a batch together from their q = 2 fits (see
+_irls), each centre stopping at its own iteration.  Mean oscillation
+samples the symbol in blocks of FIT_BLOCK centres as well.
 """
 
 import warnings
@@ -79,11 +79,11 @@ class RadialProfile:
         return float(np.max(self.values[mask]))
 
 
-def _blocks(f: Symbol, base: Rule, centres: np.ndarray):
-    """(slice, F) per block of FIT_BLOCK centres, with F[k, i] =
+def _blocks(f: Symbol, base: Rule, centres: np.ndarray, size: int):
+    """(slice, F) per block of `size` centres, with F[k, i] =
     f(base.nodes[k] + centre i) the symbol samples on B(centre, r)."""
-    for lo in range(0, len(centres), FIT_BLOCK):
-        block = centres[lo:lo + FIT_BLOCK]
+    for lo in range(0, len(centres), size):
+        block = centres[lo:lo + size]
         F = f(base.nodes[:, None] + block[None, :])
         if not np.all(np.isfinite(F)):
             raise ValueError("non-finite integrand samples")
@@ -99,7 +99,7 @@ def mean_oscillation(f: Symbol, z, r: float, q: float):
     centres = zs.ravel()
     base = ball_rule(0.0, r)
     out = np.empty(len(centres))
-    for blk, F in _blocks(f, base, centres):
+    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
         out[blk] = _lq_mean(np.abs(F), base, r, q)
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
@@ -125,27 +125,26 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
     residual = np.empty(len(centres))
 
-    def q2_fits():
-        """Fit every block at q = 2; for q != 2 yield the (centre indices,
-        samples, fits) columns whose residual is not exactly 0."""
-        for blk, F in _blocks(f, base, centres):
-            C = pinv @ F
-            res = np.abs(F - V @ C)
-            coeffs[blk] = C.T
-            residual[blk] = _lq_mean(res, base, r, q)
-            if q != 2.0:
-                # a zero residual is already the least L^q objective
-                move = np.flatnonzero(np.any(res, axis=0))
-                yield blk.start + move, F[:, move], C[:, move]
-
+    moves = np.zeros(len(centres), dtype=bool)
+    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
+        C = pinv @ F
+        res = np.abs(F - V @ C)
+        coeffs[blk] = C.T
+        residual[blk] = _lq_mean(res, base, r, q)
+        if q != 2.0:
+            # a zero residual is already the least L^q objective
+            moves[blk] = np.any(res, axis=0)
+    # the IRLS samples the moving centres again, in batches of `batch`
+    moving = np.flatnonzero(moves)
+    # P[n, (i, j)] = conj(V[n, i]) V[n, j], so w^T P = V^H diag(w) V
+    P = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), -1) \
+        if moving.size else None
     batch = max(1, IRLS_BATCH_BYTES // (len(V) * V.itemsize))
-    P = None
     unsettled = []       # last relative change of each unsettled IRLS fit
-    for idx, F, C in _batches(q2_fits(), batch):
-        if P is None:
-            # P[n, (i, j)] = conj(V[n, i]) V[n, j], so w^T P = V^H diag(w) V
-            P = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), -1)
-        C, change = _irls(F, V, P, C, base, r, q)
+    for blk, F in _blocks(f, base, centres[moving], batch):
+        idx = moving[blk]
+        C, change = _irls(F, V, P, np.ascontiguousarray(coeffs[idx].T),
+                          base, r, q)
         unsettled.append(change)
         coeffs[idx] = C.T
         residual[idx] = _lq_mean(np.abs(F - V @ C), base, r, q)
@@ -162,23 +161,6 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     return LocalApproximation(center=zs, radius=float(r), degree=d,
                               coeffs=coeffs.reshape(zs.shape + (d + 1,)),
                               residual=residual.reshape(zs.shape))
-
-
-def _batches(groups, size):
-    """Regroup a stream of (indices, F, C) column groups into batches of
-    `size` columns, the last one shorter."""
-    held, count = [], 0
-    for group in groups:
-        while len(group[0]):
-            take = min(size - count, len(group[0]))
-            held.append([a[..., :take] for a in group])
-            group = [a[..., take:] for a in group]
-            count += take
-            if count == size:
-                yield [np.concatenate(a, axis=-1) for a in zip(*held)]
-                held, count = [], 0
-    if count:
-        yield [np.concatenate(a, axis=-1) for a in zip(*held)]
 
 
 def _irls(F, V, P, C, base, r, q):

@@ -4,7 +4,10 @@ The Gram of the Hankel images is
     G_{jk} = <f e_j, f e_k>_{2phi} - sum_{m<=D'} <f e_j, e_m> conj(<f e_k, e_m>),
 with the projection truncated at D' = D + margin.  Singular values are
 square roots of its eigenvalues; compactness and essential-norm questions
-are read off the tail of the spectrum.  One basis matrix E on the rule
+are read off the tail of the spectrum.  A HankelGram is the one result
+type: the matrix with its singular values and its margin certificate,
+which the essential-norm tail, the Schatten criterion and the approximant
+gap all read.  One basis matrix E on the rule
 and one projection M = E^H (w f E) serve both projection degrees of the
 margin-stability check: the Gram at D' is formed from one residual on
 the first D'+1 columns of E and rows of M, the one at D'+5 from it by an
@@ -41,19 +44,16 @@ class NumericalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class HankelGram:
+    """The Gram of H_f at one degree and its singular spectrum."""
     degree: int                # of the Hankel images f e_j, j <= degree
-    matrix: np.ndarray
     margin: int
+    matrix: np.ndarray
     stability_shift: float     # top-10 singular move when margin grows by 5
-    singular_values: np.ndarray    # of the matrix, found for the shift
+    values: np.ndarray         # singular values: non-increasing, >= 0
 
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    values: np.ndarray         # non-increasing, nonnegative
-    degree: int
-    projection_degree: int
-    stability_shift: float = np.nan
+    @property
+    def projection_degree(self) -> int:
+        return self.degree + self.margin
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
     G, G2 = _margin_grams(FE, wE, E, M, Dp)
     s1, s2 = _singular_from_gram(G), _singular_from_gram(G2)
     shift = float(np.max(np.abs(s1[:10] - s2[:10])))
-    return HankelGram(degree=degree, matrix=G, margin=margin,
-                      stability_shift=shift, singular_values=s1)
+    return HankelGram(degree=degree, margin=margin, matrix=G,
+                      stability_shift=shift, values=s1)
 
 
 def build_hankel_gram(f: Symbol, weight: WeightModel, degree: int,
@@ -153,13 +153,6 @@ def _singular_from_gram(G: np.ndarray) -> np.ndarray:
         raise NumericalConsistencyError(
             f"Gram not PSD: min eigenvalue {eigs[0]:.3e} vs trace {trace:.3e}")
     return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
-
-
-def singular_spectrum(G: HankelGram) -> SingularSpectrum:
-    return SingularSpectrum(values=G.singular_values,
-                            degree=G.degree,
-                            projection_degree=G.degree + G.margin,
-                            stability_shift=G.stability_shift)
 
 
 _ZERO_TOTAL = 1e-8
@@ -214,7 +207,7 @@ class EssentialNormEstimate:
     reliable: bool
 
 
-def essential_norm_tail(S: SingularSpectrum) -> EssentialNormEstimate:
+def essential_norm_tail(S: HankelGram) -> EssentialNormEstimate:
     """Plateau (median) of s_k over the window [D/2, 3D/4]."""
     lo, hi = S.degree // 2, 3 * S.degree // 4 + 1
     if hi - lo < 2 or hi > len(S.values):
@@ -273,7 +266,7 @@ class SchattenVerdict:
 
 
 def schatten_h_criterion(G: np.ndarray, gauges: Sequence[SchattenGauge],
-                         L: Lattice, S: SingularSpectrum,
+                         L: Lattice, S: HankelGram,
                          c_grid=(0.5, 1.0, 2.0)
                          ) -> list[list[SchattenVerdict]]:
     """Compare finiteness proxies of the G-integral and the s_k-sum.

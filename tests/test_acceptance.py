@@ -23,7 +23,7 @@ from focklab.oscillation import g_functional, mean_oscillation
 from focklab.spectral import (berezin_transform, build_hankel_gram,
                               essential_norm_tail, hankel_on_kernel,
                               measure_average, power_gauge,
-                              schatten_h_criterion, singular_spectrum)
+                              schatten_h_criterion)
 from focklab.weights import gaussian_weight
 
 FOUR_SYMBOLS = [("conj-linear", {}), ("conj-gaussian", {"beta": 1.0}),
@@ -194,12 +194,11 @@ def test_criterion_06_dbar_solver(solver, basis25, weight):
 
 def test_criterion_07_hankel_spectra(w):
     poly = symbols.make("holo-poly", coeffs=[0.5, 1.0, -0.5j])
-    Sp = singular_spectrum(build_hankel_gram(poly, w, 20, margin=10))
+    Sp = build_hankel_gram(poly, w, 20, margin=10)
     assert Sp.values[0] <= 1e-8
     f = symbols.make("conj-linear")
     G = build_hankel_gram(f, w, 20, margin=10)
-    S = singular_spectrum(G)
-    dev = float(np.max(np.abs(S.values[:16] - 1.0)))
+    dev = float(np.max(np.abs(G.values[:16] - 1.0)))
     assert dev <= 1e-3
     assert G.stability_shift < 1e-6
     _report(7, f"holo s1 {Sp.values[0]:.1e}; conj s_k dev {dev:.1e}; "
@@ -213,8 +212,7 @@ def test_criterion_08_bracket(w):
     rows = {}
     for fam, kw in FOUR_SYMBOLS:
         f = symbols.make(fam, **kw)
-        ess = essential_norm_tail(
-            singular_spectrum(build_hankel_gram(f, w, 30, 10))).estimate
+        ess = essential_norm_tail(build_hankel_gram(f, w, 30, 10)).estimate
         kz = max(hankel_on_kernel(f, z, 2.0, basis) for z in angles)
         G = float(np.max(g_functional(f, angles, 0.5, 2.0, 6)))
         rows[fam] = (ess, kz, G)
@@ -230,8 +228,8 @@ def test_criterion_08_bracket(w):
 
 
 def test_criterion_09_approximants(w, basis20, solver):
-    ess = essential_norm_tail(singular_spectrum(build_hankel_gram(
-        symbols.make("mixed"), w, 20, 10))).estimate
+    ess = essential_norm_tail(build_hankel_gram(
+        symbols.make("mixed"), w, 20, 10)).estimate
     # compactly supported symbol: cutoff at t = 2 removes nearly everything
     fb = symbols.make("bump")
     Lb = build_lattice(0.0, 0.5, Window.square(4.0))
@@ -254,7 +252,7 @@ def test_criterion_10_schatten_verdicts(weight):
                                ("holo-poly", {"coeffs": [0.0, 1.0]})]
     for fam, kw in families:
         f = symbols.make(fam, **kw)
-        S = singular_spectrum(build_hankel_gram(f, weight, 25, 10))
+        S = build_hankel_gram(f, weight, 25, 10)
         powers = (1.0, 2.0, 4.0)
         per_gauge = schatten_h_criterion(
             g_functional(f, L.points, 0.5, 2.0, 6),

@@ -156,6 +156,15 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("ida-norm functional.q=1e6", "functional.q"),
     ("decompose functional.q=1e6", "functional.q"),
     ("m-profile functional.q=400", "functional.q"),
+    # a kz norm whose |.|^q underflows to 0 (conj-linear reads 0.342 at
+    # q = 200), in both subcommands that take it
+    ("kz-profile functional.q=1000", "functional.q"),
+    ("thm11-report functional.q=1000", "functional.q"),
+    # symbols whose |f|^2 overflows near 0
+    ("kz-profile symbol.id=holo-poly symbol.coeffs=1e200", "symbol.coeffs"),
+    ("m-profile symbol.id=holo-poly symbol.coeffs=1e300", "symbol.coeffs"),
+    ("hankel-svd symbol.id=holo-poly symbol.coeffs=1e300,1e300",
+     "symbol.coeffs"),
     # gauges whose values overflow
     ("schatten gauge.p=1e300", "gauge.p"),
     ("thm13-report gauge.c_grid=1e300", "gauge.c_grid"),

@@ -72,6 +72,16 @@ def test_kernel_norm_identity(basis25, weight):
     assert abs(n2 - K11) / K11 < 1e-6
 
 
+def test_lp_norm_refuses_a_power_out_of_range(basis25, weight):
+    # |0.3 e^{-phi}|^1000 underflows to 0 at every node: not a norm of 0
+    rule = basis25.rule
+    vals = np.full(rule.nodes.shape, 0.3, dtype=complex)
+    with pytest.raises(ValueError, match="1000-th power"):
+        lp_norm(vals, 1000.0, rule, weight)
+    assert lp_norm(np.zeros_like(vals), 1000.0, rule, weight) == 0.0
+    assert lp_norm(vals, 2.0, rule, weight) > 0.0
+
+
 def test_kernel_estimates_bound(basis25):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2, 2, (40, 2))

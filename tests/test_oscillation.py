@@ -211,13 +211,17 @@ def test_engine_equals_per_centre_definition(family, q, count, d, half_width):
         assert len({it for _, _, it, _ in ref}) > 1
 
 
-@pytest.mark.parametrize("family, q", [("step", 1.0), ("step", 3.0),
-                                       ("bump", 1.0), ("bump", 3.0)])
-def test_exact_q2_fits_skip_the_irls(family, q, monkeypatch):
+@pytest.mark.parametrize("family, q, spacing", [
+    pytest.param(family, q, 0.5, id=f"{family}-{q}")
+    for family in ("step", "bump") for q in (1.0, 3.0)]
+    # more moving centres than one IRLS batch holds
+    + [pytest.param("step", 3.0, 0.15, id="step-3.0-wide"),
+       pytest.param("bump", 1.0, 0.15, id="bump-1.0-wide")])
+def test_exact_q2_fits_skip_the_irls(family, q, spacing, monkeypatch):
     # balls outside the support sample f as identically 0: the q = 2 fit
     # is exact there, the least L^q objective for every q
     f = symbols.make(family)
-    z = build_lattice(0.0, 0.5, Window.square(3.0)).points
+    z = build_lattice(0.0, spacing, Window.square(3.0)).points
     r, d = 0.5, 5
     seen = []
     irls = osc._irls
@@ -233,9 +237,15 @@ def test_exact_q2_fits_skip_the_irls(family, q, monkeypatch):
     l2 = ida_distance(f, z, r, 2.0, d)
     exact = l2.residual == 0.0
     assert 0 < np.count_nonzero(exact) < len(z)
-    # the IRLS sees each other centre once, in order, and no exact one
-    moved = f(ball_rule(0.0, r).nodes[:, None] + z[~exact][None, :])
+    # the IRLS sees each other centre once, in order, and no exact one,
+    # in batches of `batch` columns but the last
+    nodes = ball_rule(0.0, r).nodes
+    moved = f(nodes[:, None] + z[~exact][None, :])
     assert np.array_equal(np.concatenate(seen, axis=1), moved)
+    batch = osc.IRLS_BATCH_BYTES // (16 * len(nodes))
+    sizes = [F.shape[1] for F in seen]
+    assert sizes[:-1] == [batch] * (len(seen) - 1) and sizes[-1] <= batch
+    assert (len(seen) > 1) == (spacing < 0.5)
     assert np.all(fit.residual[exact] == 0.0)
     assert np.array_equal(fit.coeffs[exact], l2.coeffs[exact])
 

@@ -13,14 +13,14 @@ from focklab.spectral import (berezin_transform, build_hankel_gram,
                               essential_norm_tail, hankel_on_kernel,
                               measure_average, power_gauge,
                               sampled_hankel_gram, schatten_h_criterion,
-                              schatten_sum, singular_spectrum)
+                              schatten_sum)
 from focklab.weights import gaussian_weight
 
 
 @pytest.fixture(scope="module")
 def conj_spectrum(weight):
     f = symbols.make("conj-linear")
-    return singular_spectrum(build_hankel_gram(f, weight, 25, margin=10))
+    return build_hankel_gram(f, weight, 25, margin=10)
 
 
 def test_conj_linear_flat_spectrum(conj_spectrum):
@@ -32,16 +32,15 @@ def test_conj_linear_flat_spectrum(conj_spectrum):
 def test_conj_linear_flat_spectrum_past_degree_100(alpha, degree):
     # s_k = 1/sqrt(alpha) for every k; at these degrees |z|^{2k} overflows
     # on the Gram's plane rule, so the basis must never form it
-    S = singular_spectrum(build_hankel_gram(
-        symbols.make("conj-linear"), gaussian_weight(alpha), degree,
-        margin=10))
+    S = build_hankel_gram(symbols.make("conj-linear"), gaussian_weight(alpha),
+                          degree, margin=10)
     assert np.max(np.abs(S.values * np.sqrt(alpha) - 1.0)) <= 1e-12
     assert S.stability_shift <= 1e-12
 
 
 def test_holomorphic_spectrum_vanishes(weight):
     f = symbols.make("holo-poly", coeffs=[0.5, 1.0, 0.0, -0.5j])
-    S = singular_spectrum(build_hankel_gram(f, weight, 25, margin=10))
+    S = build_hankel_gram(f, weight, 25, margin=10)
     assert S.values[0] < 1e-8
 
 
@@ -65,8 +64,8 @@ def test_spectrum_scale_equivariance(weight):
     f = symbols.make("conj-gaussian", beta=1.0)
     g = Symbol(evaluator=lambda z: 3.0 * f(z),
                dbar=lambda z: 3.0 * f.dbar(z))
-    a = singular_spectrum(build_hankel_gram(f, weight, 25, margin=10)).values
-    b = singular_spectrum(build_hankel_gram(g, weight, 25, margin=10)).values
+    a = build_hankel_gram(f, weight, 25, margin=10).values
+    b = build_hankel_gram(g, weight, 25, margin=10).values
     assert np.max(np.abs(b - 3.0 * a)) < 1e-8
 
 
@@ -78,7 +77,7 @@ def test_essential_norm_conj_linear(conj_spectrum):
 
 def test_essential_norm_compact_symbol(weight):
     f = symbols.make("bump", radius=1.5)
-    S = singular_spectrum(build_hankel_gram(f, weight, 25, margin=10))
+    S = build_hankel_gram(f, weight, 25, margin=10)
     est = essential_norm_tail(S)
     assert est.estimate < 1e-2
 
@@ -94,13 +93,13 @@ def test_schatten_sum_monotone_in_p(conj_spectrum):
 def test_schatten_verdicts(weight):
     L = build_lattice(0.0, 0.5, Window.square(5.0))
     fb = symbols.make("bump", radius=2.0)
-    Sb = singular_spectrum(build_hankel_gram(fb, weight, 25, margin=10))
+    Sb = build_hankel_gram(fb, weight, 25, margin=10)
     verdicts, = schatten_h_criterion(g_functional(fb, L.points, 0.5, 2.0, 6),
                                      [power_gauge(2.0)], L, Sb)
     for v in verdicts:
         assert v.integral_convergent and v.sum_convergent and v.agree
     fc = symbols.make("conj-linear")
-    Sc = singular_spectrum(build_hankel_gram(fc, weight, 25, margin=10))
+    Sc = build_hankel_gram(fc, weight, 25, margin=10)
     verdicts, = schatten_h_criterion(g_functional(fc, L.points, 0.5, 2.0, 6),
                                      [power_gauge(2.0)], L, Sc)
     for v in verdicts:
