@@ -14,25 +14,10 @@ from .symbols import Symbol
 SHIFT_TOL = 1e-3
 
 
-def smooth_cutoff(t: float) -> Symbol:
-    """Radial cutoff: 1 on |z| <= t, cubic ramp to 0 at |z| = t + 1."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-
-    def sigma(z):
-        rho = np.abs(z)
-        u = np.clip(rho - t, 0.0, 1.0)
-        return (1.0 - 3.0 * u ** 2 + 2.0 * u ** 3).astype(complex)
-
-    def dbar(z):
-        rho = np.abs(z)
-        u = np.clip(rho - t, 0.0, 1.0)
-        ds = -6.0 * u + 6.0 * u ** 2           # d sigma / d rho
-        safe = np.where(rho > 0, rho, 1.0)
-        return (0.5 * ds * z / safe).astype(complex)
-
-    return Symbol(evaluator=sigma, dbar=dbar, support_radius=t + 1.0,
-                  name=f"cutoff-{t}", params={"t": t})
+def smooth_cutoff(t: float, z: np.ndarray) -> np.ndarray:
+    """sigma_t(z): 1 on |z| <= t, a cubic ramp to 0 at |z| = t + 1."""
+    u = np.clip(np.abs(z) - t, 0.0, 1.0)
+    return (1.0 - 3.0 * u ** 2 + 2.0 * u ** 3).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -57,13 +42,13 @@ def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
     the Hankel Gram of f - h_t; it is reliable when the margin shift is
     at most SHIFT_TOL and the basis reaches the cutoff.
     """
-    sigma = smooth_cutoff(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
     nodes = basis.rule.nodes
 
     def masked(xi, field):
         """sigma_t * field, evaluating field only inside supp(sigma_t)."""
-        xi = np.asarray(xi, dtype=complex)
-        s = sigma(xi)
+        s = smooth_cutoff(t, xi)
         out = np.zeros(xi.shape, dtype=complex)
         mask = s != 0
         if np.any(mask):

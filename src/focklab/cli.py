@@ -239,7 +239,7 @@ def _shell_rows(profile):
 
 def cmd_g_profile(r: Runner, rng):
     cfg = r.cfg
-    with _blamed_on("functional.q", DegreeCapError):
+    with _blamed_on("functional.q/functional.r", DegreeCapError):
         prof = vda_profile(r.symbol(), cfg["functional.q"],
                            cfg["functional.r"], cfg["functional.d"],
                            cfg["functional.shells"])
@@ -249,7 +249,7 @@ def cmd_g_profile(r: Runner, rng):
 
 def cmd_m_profile(r: Runner, rng):
     cfg = r.cfg
-    with _blamed_on("functional.q"):
+    with _blamed_on("functional.q/functional.r"):
         prof = m_profile(r.symbol(), cfg["functional.q"],
                          cfg["functional.r"], cfg["functional.shells"])
     return {"m_profile.csv": (["re", "im", "shell_radius", "value"],
@@ -259,7 +259,7 @@ def cmd_m_profile(r: Runner, rng):
 def cmd_ida_norm(r: Runner, rng):
     cfg = r.cfg
     L = r.lattice()
-    with _blamed_on("functional.q", DegreeCapError):
+    with _blamed_on("functional.q/functional.r", DegreeCapError):
         val = ida_norm(r.symbol(), cfg["functional.s"], cfg["functional.q"],
                        cfg["functional.r"], L, cfg["functional.d"])
     # s echoed as given, "inf" included
@@ -273,7 +273,7 @@ def cmd_decompose(r: Runner, rng):
     f = r.symbol()
     D = r.decomposition(f, r.lattice())
     probes = r.probes(rng)
-    with _blamed_on("probes.half_width", InvalidProfileError):
+    with _blamed_on("probes.half_width/functional.r", InvalidProfileError):
         rep = verify_controls(D, probes, cfg["functional.r"],
                               cfg["functional.q"])
     fv, f1 = f(probes), D.f1(probes)
@@ -426,7 +426,8 @@ def cmd_thm11_report(r: Runner, rng):
     rr = cfg["functional.r"]
     shells = cfg["functional.shells"]
     basis = r.basis(50)
-    L = _lattice(0, 0.5, shells[-1] + 1 + 2 * rr, "functional.shells")
+    L = _lattice(0, 0.5, shells[-1] + 1 + 2 * rr,
+                 "functional.shells/functional.r")
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES),
                   "functional.shells")
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .lattice import POINT_CAP
+from .oscillation import MAX_DEGREE
 from .symbols import FAMILIES
 
 
@@ -88,7 +89,9 @@ KEYS = {
     "functional.r": ("1.0", Domain(
         _real, lambda r: r > 0 and 0 < math.pi * r * r < math.inf,
         "a number > 0 with pi r^2 a positive finite float")),
-    "functional.d": ("6", _NATURAL),
+    # the degrees whose fit the ball rule integrates exactly
+    "functional.d": ("6", Domain(int, lambda d: 0 <= d <= MAX_DEGREE,
+                                 f"an integer in 0..{MAX_DEGREE}")),
     "functional.s": ("inf", Domain(
         lambda raw: math.inf if raw == "inf" else _real(raw),
         lambda s: s >= 1, "inf or a number >= 1")),

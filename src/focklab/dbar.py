@@ -11,10 +11,11 @@ dbar u = w over a family of test forms.  The |xi - z|^{-1} singularity is
 absorbed by integrating in polar coordinates centered at z, where the
 Jacobian cancels it exactly; `_polar_sum` is that one sum, for A_phi
 and for the singular patch of the Cauchy transform.  The nodes and the
-kernel depend only on the point and the grid, so A_phi takes a form
-family (forms sharing one support radius) in one kernel pass per chunk
-of points: the calibration and the dbar check each solve their three
-test forms in one call.
+kernel depend only on the point and the grid, so A_phi always takes a
+form family (a sequence of forms sharing one support radius; one form is
+passed as [omega]) in one kernel pass per chunk of points: the
+calibration and the dbar check each solve their three test forms in one
+call.
 
 Compact forms (those with a support radius) have a cheaper solution, the
 Cauchy transform C(w)(z) = c0 * integral w(xi) / (xi - z) dA(xi), with
@@ -82,11 +83,6 @@ class ZeroOneForm:
         return self.coefficient(np.asarray(xi, dtype=complex))
 
 
-def _family(omega) -> list:
-    """A form family as a list; one form is the one-element family."""
-    return [omega] if isinstance(omega, ZeroOneForm) else list(omega)
-
-
 @dataclass
 class DbarSolver:
     weight: WeightModel
@@ -95,15 +91,13 @@ class DbarSolver:
     c0: Optional[complex] = None
     calibration_residual: Optional[float] = None
 
-    def raw_apply(self, omega, z) -> np.ndarray:
-        """The integral with c0 = 1, batched over evaluation points.
-
-        omega is one form or a family (a sequence of forms sharing one
-        support_radius); a family's result has a leading form axis.  The
-        nodes and the kernel are formed once per chunk of points and
-        applied to every form of the family, and each form's row equals
-        its one-form call bit for bit."""
-        forms = _family(omega)
+    def raw_apply(self, forms, z) -> np.ndarray:
+        """The integral with c0 = 1 for each form of the family `forms`
+        (a sequence sharing one support_radius) at each point of z, of
+        any shape; the result has a leading form axis.  The nodes and the
+        kernel are formed once per chunk of points and applied to every
+        form, and each form's row equals its one-form family's bit for
+        bit."""
         radii = {form.support_radius for form in forms}
         if len(radii) != 1:
             raise ValueError(f"a form family needs one support radius, "
@@ -122,11 +116,10 @@ class DbarSolver:
                 np.multiply(kernel, form(xi), out=row)
             return out
 
-        zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        zs = np.asarray(z, dtype=complex).ravel()
         out = _polar_sum(field, zs, np.abs(zs) + reach,
                          (self.n_radial, self.n_angular))
-        out = out.reshape((len(forms),) + np.shape(z))
-        return out[0] if isinstance(omega, ZeroOneForm) else out
+        return out.reshape((len(forms),) + np.shape(z))
 
     def _calibrated_c0(self) -> complex:
         if self.c0 is None:
@@ -134,13 +127,13 @@ class DbarSolver:
                 "orientation constant not set: run calibrate_orientation")
         return self.c0
 
-    def apply(self, omega, z) -> np.ndarray:
-        """A_phi(omega) at z for one form or a family (see raw_apply);
-        requires a completed calibration."""
+    def apply(self, forms, z) -> np.ndarray:
+        """A_phi(omega) at z for each form omega of the family `forms` (see
+        raw_apply); requires a completed calibration."""
         c0 = self._calibrated_c0()
-        for form in _family(omega):
+        for form in forms:
             self._certify_decay(form)
-        return c0 * self.raw_apply(omega, z)
+        return c0 * self.raw_apply(forms, z)
 
     def cauchy_apply(self, omega: ZeroOneForm, z) -> np.ndarray:
         """c0 * integral omega(xi) / (xi - z) dA(xi) for a compact form.
@@ -154,7 +147,7 @@ class DbarSolver:
         if omega.support_radius is None:
             raise DecayError("the Cauchy transform needs a compactly "
                              "supported form")
-        zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        zs = np.asarray(z, dtype=complex).ravel()
         R = omega.support_radius
         rule = polar_rule(0.0, R, self.n_radial, self.n_angular)
         xi = rule.nodes
@@ -169,7 +162,7 @@ class DbarSolver:
             out[near] += _polar_sum(lambda zc, pts: omega(pts), zs[near],
                                     PATCH_RADIUS, PATCH_GRID, cutoff=True)
         out *= c0
-        return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
+        return out.reshape(np.shape(z))
 
     def _certify_decay(self, omega: ZeroOneForm):
         """Check the kernel-weighted integrand has died out at the reach."""
@@ -302,7 +295,7 @@ def hankel_via_dbar(solver: DbarSolver, f: Symbol, g,
     rule = basis.rule
     omega = ZeroOneForm(lambda xi: g(xi) * f.dbar(xi),
                         support_radius=f.support_radius)
-    u = solver.apply(omega, rule.nodes)
+    u, = solver.apply([omega], rule.nodes)
     lhs = u - evaluate_projection(basis, project(basis, u, rule),
                                   rule.nodes)
     fg = f(rule.nodes) * g(rule.nodes)

@@ -87,7 +87,6 @@ class Decomposition:
     symbol: Symbol
     partition: PartitionOfUnity
     coeffs: np.ndarray         # (N, d+1) coefficients of (z - centre_j)^i
-    q: float
     degree: int
 
     @property
@@ -120,7 +119,7 @@ class Decomposition:
                           self.partition.members_dbar)
 
     def f2_symbol(self) -> Symbol:
-        return Symbol(evaluator=self.f2, name=f"{self.symbol.name}-f2")
+        return Symbol(self.f2)
 
 
 def build_partition(L: Lattice, support_factor: float = 2.0) -> PartitionOfUnity:
@@ -135,8 +134,7 @@ def decompose(f: Symbol, P: PartitionOfUnity, q: float = 2.0,
               d: int = 6) -> Decomposition:
     """Fit h_j on B(a_j, 2r) and assemble f1 = sum h_j psi_j."""
     fit = ida_distance(f, P.lattice.points, P.support_radius, q, d)
-    return Decomposition(symbol=f, partition=P, coeffs=fit.coeffs, q=q,
-                         degree=d)
+    return Decomposition(symbol=f, partition=P, coeffs=fit.coeffs, degree=d)
 
 
 @dataclass(frozen=True)
@@ -151,8 +149,8 @@ class ControlReport:
 
 def verify_controls(D: Decomposition, probes, r: float,
                     q: float = 2.0) -> ControlReport:
-    """Empirical constants for |dbar f1| <~ G and M_{q,r}(f2) <~ G."""
-    probes = np.atleast_1d(np.asarray(probes, dtype=complex))
+    """Empirical constants for |dbar f1| <~ G and M_{q,r}(f2) <~ G at
+    each point of the 1-D array probes."""
     G = g_functional(D.symbol, probes, r, q, D.degree)
     dbar_vals = np.abs(D.dbar_f1(probes))
     m_vals = mean_oscillation(D.f2_symbol(), probes, r, q)

@@ -4,12 +4,17 @@ The distance functional at a point is the normalized L^q(B(z, r))
 distance from f to holomorphic functions on the ball, approximated from
 above by least squares over polynomials of degree <= d in (w - z).
 q = 2 is an exact projection; q != 2 uses iteratively reweighted least
-squares, which converges since the problem is convex for q >= 1.
+squares, which converges since the problem is convex for q >= 1.  The
+ball rule integrates the fit's Gram, of total degree 2d, exactly only
+while 2d <= BALL_ORDER, so d is capped at MAX_DEGREE.
 
-One engine fits every centre.  The ball rule B(z, r) is the rule on
-B(0, r) translated by z with unchanged weights, so in the local variable
-u = w - z the weighted disk Vandermonde A = sqrt(w) (u/r)^j is the same
-at every centre: it is QR-factored and condition-checked once per call.
+One engine fits every centre: ida_distance, g_functional and
+mean_oscillation take a 1-D array of centres and return arrays, one entry
+(a fit's one row) per centre.  The ball rule
+B(z, r) is the rule on B(0, r) translated by z with unchanged weights, so
+in the local variable u = w - z the weighted disk Vandermonde
+A = sqrt(w) (u/r)^j is the same at every centre: it is QR-factored and
+condition-checked once per call.
 Symbol samples are taken FIT_BLOCK centres at a time, which bounds the
 working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)).
 For q != 2 that fit is the start.  A centre whose q = 2 residual is
@@ -27,11 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice
-from .quadrature import Rule, ball_rule
+from .quadrature import BALL_ORDER, Rule, ball_rule
 from .symbols import Symbol
 
 IRLS_ITERS = 25
 IRLS_TOL = 1e-8
+# the largest fit degree d whose Gram (total degree 2d) the ball rule
+# integrates exactly; past it conj(u) aliases with high powers of u
+MAX_DEGREE = BALL_ORDER // 2
 COND_CAP = 1e12
 # a refined normal-equation solve errs by about (cond(W V)^2 eps)^2, within
 # the cond(W V) eps of a QR solve while cond(W V)^3 eps <= 1
@@ -54,29 +62,15 @@ class IRLSWarning(UserWarning):
 
 @dataclass(frozen=True)
 class LocalApproximation:
-    """One fit per centre: scalar fields for a scalar centre, else arrays
-    with the centres' shape (coeffs gains a trailing degree axis)."""
-    center: complex | np.ndarray
-    radius: float
-    degree: int
-    coeffs: np.ndarray         # coefficients of (w - center)^j
-    residual: float | np.ndarray   # approximates G_{q,r}(f)(center) from above
-
-    def evaluate(self, z) -> np.ndarray:
-        """The fitted polynomial at z, which broadcasts against center."""
-        u = np.asarray(z, dtype=complex) - self.center
-        return np.polynomial.polynomial.polyval(
-            u, np.moveaxis(self.coeffs, -1, 0), tensor=False)
+    """One fit per centre z_i."""
+    coeffs: np.ndarray         # (n, d+1): coefficients of (w - z_i)^j
+    residual: np.ndarray       # (n,): G_{q,r}(f)(z_i), approximated from above
 
 
 @dataclass(frozen=True)
 class RadialProfile:
     sample_points: np.ndarray
     values: np.ndarray
-
-    def shell_max(self, radius: float) -> float:
-        mask = np.isclose(np.abs(self.sample_points), radius)
-        return float(np.max(self.values[mask]))
 
 
 def _blocks(f: Symbol, base: Rule, centres: np.ndarray, size: int):
@@ -90,30 +84,32 @@ def _blocks(f: Symbol, base: Rule, centres: np.ndarray, size: int):
         yield slice(lo, lo + len(block)), F
 
 
-def mean_oscillation(f: Symbol, z, r: float, q: float):
-    """( |B(z,r)|^{-1} integral_B |f|^q dA )^{1/q} at each point of z
-    (a float for scalar z)."""
+def mean_oscillation(f: Symbol, z, r: float, q: float) -> np.ndarray:
+    """( |B(z,r)|^{-1} integral_B |f|^q dA )^{1/q} at each point of the
+    1-D array z."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    zs = np.asarray(z, dtype=complex)
-    centres = zs.ravel()
+    centres = np.asarray(z, dtype=complex)
     base = ball_rule(0.0, r)
     out = np.empty(len(centres))
     for blk, F in _blocks(f, base, centres, FIT_BLOCK):
         out[blk] = _lq_mean(np.abs(F), base, r, q)
-    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+    return out
 
 
 def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
                  d: int = 6) -> LocalApproximation:
     """Best degree-d holomorphic polynomial fit to f on B(z, r) at each
-    point of z; scalar z gives scalar center and residual."""
+    point of the 1-D array z."""
     if d < 0:
         raise ValueError("degree must be >= 0")
+    if d > MAX_DEGREE:
+        raise DegreeCapError(f"degree {d} exceeds {MAX_DEGREE}: the "
+                             f"order-{BALL_ORDER} ball rule would alias "
+                             f"the fit")
     if q < 1:
         raise ValueError("q must be >= 1")
-    zs = np.asarray(z, dtype=complex)
-    centres = zs.ravel()
+    centres = np.asarray(z, dtype=complex)
     base = ball_rule(0.0, r)
     # columns (u/r)^j in u = w - z keep the Vandermonde well conditioned
     V = (base.nodes[:, None] / r) ** np.arange(d + 1)[None, :]
@@ -154,13 +150,7 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
             f"centres in {IRLS_ITERS} iterations (largest last relative "
             f"change {np.max(late):.3g})", IRLSWarning, stacklevel=2)
     coeffs /= r ** np.arange(d + 1)
-    if zs.ndim == 0:
-        return LocalApproximation(center=complex(zs), radius=float(r),
-                                  degree=d, coeffs=coeffs[0],
-                                  residual=float(residual[0]))
-    return LocalApproximation(center=zs, radius=float(r), degree=d,
-                              coeffs=coeffs.reshape(zs.shape + (d + 1,)),
-                              residual=residual.reshape(zs.shape))
+    return LocalApproximation(coeffs=coeffs, residual=residual)
 
 
 def _irls(F, V, P, C, base, r, q):
@@ -211,9 +201,8 @@ def _lq_mean(absvals, base: Rule, r, q) -> np.ndarray:
 
 
 def g_functional(f: Symbol, z, r: float, q: float = 2.0, d: int = 6) -> np.ndarray:
-    """G_{q,r}(f) sampled at points z, as an array of at least one entry."""
-    return ida_distance(f, np.atleast_1d(np.asarray(z, dtype=complex)),
-                        r, q, d).residual
+    """G_{q,r}(f) at each point of the 1-D array z."""
+    return ida_distance(f, z, r, q, d).residual
 
 
 def ida_norm(f: Symbol, s: float, q: float, r: float, L: Lattice,

@@ -19,6 +19,9 @@ import numpy as np
 # max |u| <= 18.5; max |u| grows like sqrt(2*order) and first passes 18.5
 # at order 184.  Checked before hermgauss, whose cost grows like order^3.
 MAX_PLANE_ORDER = 183
+# The order of every ball rule: exact for polynomials of total degree
+# <= BALL_ORDER in (Re w, Im w).
+BALL_ORDER = 40
 
 
 class CapabilityError(RuntimeError):
@@ -91,7 +94,7 @@ def polar_rule(center: complex, r: float, n_radial: int,
     return Rule(nodes=nodes.ravel(), weights=weights.ravel())
 
 
-def ball_rule(center: complex, r: float, order: int = 40) -> Rule:
+def ball_rule(center: complex, r: float) -> Rule:
     """Polar rule on B(center, r), exact for polynomials in (Re w, Im w)
-    of total degree <= order."""
-    return polar_rule(center, r, max(order // 2 + 2, 4), 2 * order + 3)
+    of total degree <= BALL_ORDER."""
+    return polar_rule(center, r, BALL_ORDER // 2 + 2, 2 * BALL_ORDER + 3)

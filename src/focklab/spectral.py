@@ -13,6 +13,10 @@ margin-stability check: the Gram at D' is formed from one residual on
 the first D'+1 columns of E and rows of M, the one at D'+5 from it by an
 exact rank-5 update in the five extra columns (least-squares updating,
 Golub & Van Loan, Matrix Computations, 6.5).
+
+The kernel layer (the kernel norms ||H_f k_z||, the Berezin transform and
+the ball averages) takes a 1-D array of points and returns one value per
+point, each point computed alone against work shared per call.
 """
 
 from dataclasses import dataclass, field
@@ -174,19 +178,18 @@ def schatten_sum(values: np.ndarray, gauge: SchattenGauge) -> tuple:
     return total, _tail_convergent(total, terms)
 
 
-def _at_points(value, z):
-    """value(p) at each point p of z: a float for a scalar z, else an array
-    of z's shape.  Work shared by the points is done once by the caller;
-    each point keeps O(nodes) memory however many points there are."""
-    vals = [value(p) for p in np.ravel(z)]
-    return float(vals[0]) if np.ndim(z) == 0 else np.reshape(vals,
-                                                            np.shape(z))
+def _at_points(value, z) -> np.ndarray:
+    """value(p) at each point p of the 1-D array z.  Work shared by the
+    points is done once by the caller; each point keeps O(nodes) memory
+    however many points there are."""
+    return np.array([value(p) for p in z])
 
 
-def hankel_on_kernel(f: Symbol, z, q: float, basis: FockBasis):
-    """||H_f(k_z)||_{q,phi} at each point of z, via projection of f * k_z;
-    E and f are sampled on the rule once per call.  Each point is projected
-    alone: one product over all points would sum in another order."""
+def hankel_on_kernel(f: Symbol, z, q: float, basis: FockBasis) -> np.ndarray:
+    """||H_f(k_z)||_{q,phi} at each point of the 1-D array z, via
+    projection of f * k_z; E and f are sampled on the rule once per call.
+    Each point is projected alone: one product over all points would sum
+    in another order."""
     rule = basis.rule
     E = basis.evaluate(rule.nodes)
     EH = np.conj(E).T
@@ -231,9 +234,9 @@ def _density_on(density, nodes: np.ndarray) -> np.ndarray:
     return dens
 
 
-def berezin_transform(density, basis: FockBasis, z):
-    """mu~(z) = integral |k_z|^2 e^{-2phi} dmu at each point of z,
-    dmu = density dA (dA for density None)."""
+def berezin_transform(density, basis: FockBasis, z) -> np.ndarray:
+    """mu~(z) = integral |k_z|^2 e^{-2phi} dmu at each point of the 1-D
+    array z, dmu = density dA (dA for density None)."""
     rule = basis.rule
     decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
     dens = _density_on(density, rule.nodes)
@@ -242,8 +245,8 @@ def berezin_transform(density, basis: FockBasis, z):
         * dens)), z)
 
 
-def measure_average(density, z, r: float):
-    """mu^_r(z) = mu(B(z, r)) / |B(z, r)| at each point of z,
+def measure_average(density, z, r: float) -> np.ndarray:
+    """mu^_r(z) = mu(B(z, r)) / |B(z, r)| at each point of the 1-D array z,
     dmu = density dA (dA for density None)."""
     if r <= 0:
         raise ValueError("r must be positive")

@@ -5,7 +5,7 @@ classical dbar derivative (the disk indicator) carry dbar=None and only
 exercise the mean-oscillation machinery.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,38 +16,22 @@ class Symbol:
     evaluator: Callable[[np.ndarray], np.ndarray]
     dbar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: Optional[float] = None   # None => entire plane
-    name: str = "symbol"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, z):
         return self.evaluator(np.asarray(z, dtype=complex))
-
-    def shifted(self, a: complex) -> "Symbol":
-        ev = self.evaluator
-        db = self.dbar
-        return Symbol(
-            evaluator=lambda z: ev(z - a),
-            dbar=None if db is None else (lambda z: db(z - a)),
-            support_radius=None if self.support_radius is None
-            else self.support_radius + abs(a),
-            name=f"{self.name}-shift",
-            params=dict(self.params, shift=a))
 
 
 def _holo_poly(coeffs=(0.0, 1.0)) -> Symbol:
     coeffs = np.asarray(coeffs, dtype=complex)
     return Symbol(
         evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs),
-        dbar=lambda z: np.zeros(np.shape(z), dtype=complex),
-        name="holo-poly",
-        params={"coeffs": tuple(coeffs.tolist())})
+        dbar=lambda z: np.zeros(np.shape(z), dtype=complex))
 
 
 def _conj_linear() -> Symbol:
     return Symbol(
         evaluator=lambda z: np.conj(z),
-        dbar=lambda z: np.ones(np.shape(z), dtype=complex),
-        name="conj-linear")
+        dbar=lambda z: np.ones(np.shape(z), dtype=complex))
 
 
 def _conj_gaussian(beta=1.0) -> Symbol:
@@ -55,8 +39,7 @@ def _conj_gaussian(beta=1.0) -> Symbol:
     return Symbol(
         evaluator=lambda z: np.conj(z) * np.exp(-beta * np.abs(z) ** 2),
         dbar=lambda z: (1.0 - beta * np.abs(z) ** 2)
-        * np.exp(-beta * np.abs(z) ** 2),
-        name="conj-gaussian", params={"beta": beta})
+        * np.exp(-beta * np.abs(z) ** 2))
 
 
 def _bump(radius=1.0) -> Symbol:
@@ -72,23 +55,21 @@ def _bump(radius=1.0) -> Symbol:
         body = (-2.0 / R ** 2) * (1.0 - rho2 / R ** 2) * z
         return np.where(rho2 < R ** 2, body, 0.0).astype(complex)
 
-    return Symbol(evaluator=f, dbar=db, support_radius=R, name="bump",
-                  params={"radius": R})
+    return Symbol(evaluator=f, dbar=db, support_radius=R)
 
 
 def _step(radius=1.0) -> Symbol:
     R = float(radius)
     return Symbol(
         evaluator=lambda z: (np.abs(z) < R).astype(complex),
-        dbar=None, support_radius=R, name="step", params={"radius": R})
+        dbar=None, support_radius=R)
 
 
 def _mixed(radius=1.0) -> Symbol:
     bump = _bump(radius)
     return Symbol(
         evaluator=lambda z: np.conj(z) + bump.evaluator(z),
-        dbar=lambda z: 1.0 + bump.dbar(z),
-        name="mixed", params=dict(bump.params))
+        dbar=lambda z: 1.0 + bump.dbar(z))
 
 
 # Built-in families: id -> (constructor, parameter names).  The config

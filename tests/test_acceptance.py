@@ -123,8 +123,7 @@ def test_criterion_04_oscillation_oracles(rng_probes):
     for fam, kw in FOUR_SYMBOLS:
         fsym = symbols.make(fam, **kw)
         G = g_functional(fsym, rng_probes, 0.5, 2.0, 6)
-        M = np.array([mean_oscillation(fsym, p, 0.5, 2.0)
-                      for p in rng_probes])
+        M = mean_oscillation(fsym, rng_probes, 0.5, 2.0)
         assert np.all(G <= M + 1e-10)
     _report(4, f"G(conj) dev {worst:.1e}; holo G {holo:.1e}; G<=M at all "
                "probes")
@@ -173,7 +172,7 @@ def test_criterion_06_dbar_solver(solver, basis25, weight):
     for omega in gaussian_test_forms(1.0):
         scale = float(np.max(np.abs(omega(z))))
         resid = float(np.max(np.abs(
-            dbar_fd(lambda q: solver.apply(omega, q), z) - omega(z))))
+            dbar_fd(lambda q: solver.apply([omega], q)[0], z) - omega(z))))
         worst = max(worst, resid / scale)
     assert worst <= 1e-3
     rule = basis25.rule
@@ -213,7 +212,7 @@ def test_criterion_08_bracket(w):
     for fam, kw in FOUR_SYMBOLS:
         f = symbols.make(fam, **kw)
         ess = essential_norm_tail(build_hankel_gram(f, w, 30, 10)).estimate
-        kz = max(hankel_on_kernel(f, z, 2.0, basis) for z in angles)
+        kz = float(np.max(hankel_on_kernel(f, angles, 2.0, basis)))
         G = float(np.max(g_functional(f, angles, 0.5, 2.0, 6)))
         rows[fam] = (ess, kz, G)
     for fam in ("conj-linear", "mixed"):
@@ -270,17 +269,15 @@ def test_criterion_10_schatten_verdicts(weight):
 
 
 def test_criterion_11_berezin(basis25, rng_probes):
-    dev = max(abs(berezin_transform(None, basis25, z) - 1.0)
-              for z in rng_probes[:10])
+    dev = float(np.max(np.abs(
+        berezin_transform(None, basis25, rng_probes[:10]) - 1.0)))
     assert dev < 1e-8
 
     def density(z):
         return np.exp(-np.abs(z) ** 2)
 
-    chat = 0.0
-    for z in rng_probes:
-        bt = berezin_transform(density, basis25, z)
-        chat = max(chat, measure_average(density, z, 0.5) / bt)
+    bt = berezin_transform(density, basis25, rng_probes)
+    chat = float(np.max(measure_average(density, rng_probes, 0.5) / bt))
     assert chat <= 5.0
     _report(11, f"Lebesgue Berezin dev {dev:.1e}; hat-C {chat:.2f} <= 5")
 

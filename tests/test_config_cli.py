@@ -80,6 +80,8 @@ def test_readme_lists_every_key():
     ("dbar.n_radial=0", "dbar.n_radial"),
     ("dbar.n_angular=0", "dbar.n_angular"),
     ("functional.d=-1", "functional.d"),
+    # past the degree whose Gram the ball rule integrates exactly
+    ("functional.d=21", "functional.d"),
     ("approx.t=0", "approx.t"),
     ("lattice.window=0", "lattice.window"),
     ("basis.margin=-3", "basis.margin"),
@@ -171,6 +173,13 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     # a ball radius whose G_{2,r} overflows
     ("thm13-report functional.r=1e100", "functional.r"),
     ("schatten functional.r=1e100", "functional.r"),
+    # a ball radius whose fit or mean overflows, or whose balls widen the
+    # thm11 lattice past the point cap
+    ("g-profile functional.r=1e150", "functional.r"),
+    ("m-profile functional.r=1e150", "functional.r"),
+    ("ida-norm functional.r=1e150", "functional.r"),
+    ("decompose functional.r=1e150", "functional.r"),
+    ("thm11-report functional.r=1e150", "functional.r"),
     # a polar grid too coarse for the dbar solver's calibration
     ("dbar-check dbar.n_radial=1 dbar.n_angular=1", "dbar.n_radial"),
     ("thm12-report dbar.n_radial=1", "dbar.n_radial"),

@@ -57,9 +57,9 @@ def test_calibration_is_one_family_solve(monkeypatch):
     calls = []
     raw_apply = DbarSolver.raw_apply
 
-    def counted(self, omega, z):
-        calls.append((len(omega), np.shape(z)))
-        return raw_apply(self, omega, z)
+    def counted(self, forms, z):
+        calls.append((len(forms), np.shape(z)))
+        return raw_apply(self, forms, z)
 
     monkeypatch.setattr(DbarSolver, "raw_apply", counted)
     calibrate_orientation(s, forms, rel_tol=np.inf)
@@ -92,12 +92,12 @@ def test_family_equals_per_form_calls(solver, grid):
         solved = s.apply(forms, z)
         assert raw.shape == solved.shape == (len(forms),) + z.shape
         for omega, raw_row, row in zip(forms, raw, solved):
-            assert np.array_equal(raw_row, s.raw_apply(omega, z))
-            assert np.array_equal(row, s.apply(omega, z))
+            assert np.array_equal(raw_row, s.raw_apply([omega], z)[0])
+            assert np.array_equal(row, s.apply([omega], z)[0])
         fd = dbar_fd(lambda w: s.raw_apply(forms, w), z)
         for omega, row in zip(forms, fd):
             assert np.array_equal(
-                row, dbar_fd(lambda w: s.raw_apply(omega, w), z))
+                row, dbar_fd(lambda w: s.raw_apply([omega], w), z)[0])
     forms = _compact_family()
     assert np.array_equal(s.raw_apply(forms, 0.3j),
                           s.raw_apply(forms, np.array([0.3j]))[:, 0])
@@ -168,7 +168,7 @@ def test_raw_apply_equals_per_point_reference(solver, where):
     # much larger than the integral, and at 0 the integrals vanish
     for omega in gaussian_test_forms(1.0) + [_radial_form()]:
         ref, size = _reference_raw_apply(solver, omega, z)
-        got = solver.raw_apply(omega, z)
+        got, = solver.raw_apply([omega], z)
         assert np.all(np.abs(got - ref) <= 1e-13 * size)
 
 
@@ -178,18 +178,18 @@ def test_raw_apply_chunking_invariant(monkeypatch):
     s = DbarSolver(gaussian_weight(1.0), n_radial=10, n_angular=16)
     z = np.linspace(-1.5, 2.5, 13) + 0.3j
     omega = gaussian_test_forms(1.0)[1]
-    whole = s.raw_apply(omega, z)
+    whole, = s.raw_apply([omega], z)
     monkeypatch.setattr(dbar, "OMEGA_CHUNK", 7)
-    chunked = s.raw_apply(omega, z)
+    chunked, = s.raw_apply([omega], z)
     assert np.all(np.abs(chunked - whole) <= 1e-14 * np.abs(whole))
-    assert s.raw_apply(omega, z[4]) == chunked[4]
+    assert s.raw_apply([omega], z[4])[0] == chunked[4]
 
 
 def test_uncalibrated_apply_rejected():
     s = DbarSolver(gaussian_weight(1.0), n_radial=30, n_angular=48)
     omega = gaussian_test_forms(1.0)[0]
     with pytest.raises(CalibrationError):
-        s.apply(omega, np.array([0.0 + 0.0j]))
+        s.apply([omega], np.array([0.0 + 0.0j]))
 
 
 def test_residual_on_gaussian_family(solver):
@@ -197,7 +197,7 @@ def test_residual_on_gaussian_family(solver):
     z = rng.uniform(-0.8, 0.8, 12) + 1j * rng.uniform(-0.8, 0.8, 12)
     for omega in gaussian_test_forms(1.0):
         scale = float(np.max(np.abs(omega(z))))
-        resid = np.abs(dbar_fd(lambda w: solver.apply(omega, w), z)
+        resid = np.abs(dbar_fd(lambda w: solver.apply([omega], w)[0], z)
                        - omega(z))
         assert np.max(resid) <= 1e-3 * max(scale, 1.0)
 
@@ -207,8 +207,9 @@ def test_linearity(solver):
     combo = ZeroOneForm(lambda xi: 2.0 * a.coefficient(xi)
                         - 0.5j * b.coefficient(xi))
     z = np.array([0.3 - 0.2j, -0.6 + 0.4j])
-    lhs = solver.apply(combo, z)
-    rhs = 2.0 * solver.apply(a, z) - 0.5j * solver.apply(b, z)
+    lhs, = solver.apply([combo], z)
+    ua, ub = solver.apply([a, b], z)
+    rhs = 2.0 * ua - 0.5j * ub
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -311,3 +312,9 @@ def test_approximant_gap_converged_in_rule_and_patch(solver, monkeypatch):
     doubled = compact_approximant(f, D, fine, 2.0, basis, 10)
     assert abs(doubled.gap - base.gap) < 1e-6
     assert base.reliable and abs(base.gap - 1.0) <= 0.05
+
+
+def test_approximant_needs_a_positive_cutoff_radius(solver):
+    with pytest.raises(ValueError, match="t must be positive"):
+        compact_approximant(symbols.make("conj-linear"), None, solver, 0.0,
+                            None)

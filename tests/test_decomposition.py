@@ -144,7 +144,7 @@ def test_local_partition_equals_dense_definition(data, base_re, base_im, r,
     D = Decomposition(symbol=symbols.make("conj-linear"), partition=P,
                       coeffs=rng.normal(size=(n, degree + 1))
                       + 1j * rng.normal(size=(n, degree + 1)),
-                      q=2.0, degree=degree)
+                      degree=degree)
     psi, dpsi = _dense_members(P, z)
     assert np.array_equal(_scatter(P.members(z), n), psi)
     assert np.array_equal(_scatter(P.members_dbar(z), n), dpsi)
