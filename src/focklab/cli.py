@@ -171,8 +171,9 @@ class Runner:
 
     def decomposition(self, f, L):
         """f = f1 + f2 on the partition of unity of L, fitted at the
-        configured functional.q and functional.d."""
-        with _blamed_on("functional.q", DegreeCapError):
+        configured functional.q and functional.d on the bump supports, of
+        radius 2 lattice.r."""
+        with _blamed_on("functional.q/lattice.r", DegreeCapError):
             return decompose(f, build_partition(L), self.cfg["functional.q"],
                              self.cfg["functional.d"])
 
@@ -239,7 +240,8 @@ def _shell_rows(profile):
 
 def cmd_g_profile(r: Runner, rng):
     cfg = r.cfg
-    with _blamed_on("functional.q/functional.r", DegreeCapError):
+    with _blamed_on("functional.q/functional.r/functional.shells",
+                    DegreeCapError):
         prof = vda_profile(r.symbol(), cfg["functional.q"],
                            cfg["functional.r"], cfg["functional.d"],
                            cfg["functional.shells"])
@@ -249,7 +251,7 @@ def cmd_g_profile(r: Runner, rng):
 
 def cmd_m_profile(r: Runner, rng):
     cfg = r.cfg
-    with _blamed_on("functional.q/functional.r"):
+    with _blamed_on("functional.q/functional.r/functional.shells"):
         prof = m_profile(r.symbol(), cfg["functional.q"],
                          cfg["functional.r"], cfg["functional.shells"])
     return {"m_profile.csv": (["re", "im", "shell_radius", "value"],

@@ -7,26 +7,44 @@ B(a_j, 2r)) through the partition, and f2 = f - f1.  Since each h_j is
 holomorphic, dbar f1 = sum_j h_j dbar psi_j in closed form.
 
 The covering has bounded overlap: a point z sees only the bumps of the
-lattice cells next to it, a block of ceil(2 rho)^2 cells with
+lattice cells next to it, a block of W^2 = ceil(2 rho)^2 cells with
 rho = support radius / step (16 at the default support 2r) however large
-the window (see lattice.neighbour_cells).  Bumps, psi_j, dbar psi_j and
-the h_j (stored as one (N, d+1) coefficient array and summed by Horner's
-rule) are evaluated on that block only, in lattice order; the other
-terms of each sum are exact zeros.
+the window; only a point within rounding of a support circle gets the
+(W+1)^2 block centred on it (see lattice.neighbour_cells).  f1 and
+dbar f1 are evaluated POINT_BLOCK points at a time, each block split into
+the points of either block shape.  Bumps, psi_j, dbar psi_j and the h_j
+(stored as one (N, d+1) coefficient array and summed by Horner's rule)
+are evaluated on a point's cells only, and summed over them in lattice
+order; the other terms of each sum are exact zeros, so the values are
+those of the sum over every centre, to the bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, neighbour_cells
+from .lattice import Lattice, near_support_circle, neighbour_cells
 from .oscillation import g_functional, ida_distance, mean_oscillation
 from .quadrature import ball_rule  # noqa: F401 (perfbench/layers.py hooks it)
 from .symbols import Symbol
 
+# points per block of a partition evaluation: each (cells, points) array
+# of a block holds 16 x 2,048 values at the default support
+POINT_BLOCK = 2048
+
 
 class InvalidProfileError(ValueError):
     """Bump profile not strictly positive on B(0, r)."""
+
+
+def _cell_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the cells of a (cells, nz) block, one row after another in
+    lattice order: numpy's sum takes that order for nz > 1 but not for
+    nz = 1, and a point's value must not depend on its group."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
 
 
 @dataclass(frozen=True)
@@ -56,7 +74,7 @@ class PartitionOfUnity:
             db = 2.0 * s * u                    # -2 (1 - s) u
             db /= self.support_radius ** 2
             db[outside] = 0.0
-        total = b.sum(axis=0)
+        total = _cell_sum(b)
         if np.any(total <= 0):
             raise InvalidProfileError(
                 "partition denominator vanishes; "
@@ -75,11 +93,23 @@ class PartitionOfUnity:
         """(idx, u, dbar psi) on the same block, from the closed-form bump
         derivative."""
         idx, u, b, db, total = self._bump_data(z, dbar=True)
-        dtotal = db.sum(axis=0)
+        dtotal = _cell_sum(db)
         db *= total
         db -= b * dtotal
         db /= total ** 2
         return idx, u, db
+
+    def point_groups(self, z: np.ndarray):
+        """Index arrays into the 1-D array z, POINT_BLOCK points at a time:
+        each block's points off the support circles, then those near one,
+        so that members gives every point of a group its own block."""
+        for a in range(0, z.size, POINT_BLOCK):
+            cols = np.arange(a, min(a + POINT_BLOCK, z.size))
+            near = near_support_circle(self.lattice, z[cols],
+                                       self.support_radius)
+            for group in (cols[~near], cols[near]):
+                if group.size:
+                    yield group
 
 
 @dataclass(frozen=True)
@@ -95,17 +125,22 @@ class Decomposition:
         return self.partition.lattice.points
 
     def _glue(self, zf: np.ndarray, members) -> np.ndarray:
-        """sum_j h_j(z) w_j(z) over the block (idx, u, w) = members(z).
+        """sum_j h_j(z) w_j(z) over the block (idx, u, w) = members(z) of
+        each group of partition.point_groups.
 
         Horner's rule in the block's offsets u = z - a_j, one coefficient
         column at a time."""
-        idx, u, w = members(zf.ravel())
-        h = self.coeffs[:, -1].take(idx)
-        for j in range(self.coeffs.shape[1] - 2, -1, -1):
-            h *= u
-            h += self.coeffs[:, j].take(idx)
-        h *= w
-        return h.sum(axis=0).reshape(zf.shape)
+        z = zf.ravel()
+        out = np.empty(z.shape, dtype=complex)
+        for cols in self.partition.point_groups(z):
+            idx, u, w = members(z[cols])
+            h = self.coeffs[:, -1].take(idx)
+            for j in range(self.coeffs.shape[1] - 2, -1, -1):
+                h *= u
+                h += self.coeffs[:, j].take(idx)
+            h *= w
+            out[cols] = _cell_sum(h)
+        return out.reshape(zf.shape)
 
     def f1(self, z) -> np.ndarray:
         return self._glue(np.asarray(z, dtype=complex), self.partition.members)

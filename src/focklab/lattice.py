@@ -139,28 +139,50 @@ def cell_index(L: Lattice, m, s):
     return row * (m_hi - m_lo + 1) + col, on
 
 
-def neighbour_cells(L: Lattice, z, radius: float):
-    """Indices of the lattice cells that can lie within `radius` of z.
-
-    With rho = radius / step, the open disk around a query point meets at
-    most W = ceil(2 rho) grid lines per axis, the first one just past
-    x - rho; each point gets that W x W block.  When some point of the
-    batch is so close to a support circle that rounding could put a
-    lattice point on either side of it, every point gets a block one cell
-    wider and centred on it instead, which leaves out only cells at least
-    half a cell past the radius.  Returns (index, on-lattice mask), both
-    of shape (cells, nz), each column in lattice order.
-    """
-    z = np.asarray(z, dtype=complex).ravel()
+def _cell_origin(L: Lattice, z: np.ndarray, radius: float):
+    """The W x W block of cells of each point: W = ceil(2 rho) with
+    rho = radius / step, the lower disk corner lo = (x, y) - rho and the
+    first cell `start` = floor(lo) + 1 per axis, in grid units.  Also
+    whether the point lies within rounding of a support circle: whether
+    the cells start - 1 or start + W, just outside its block, lie under
+    1e-9 cells past rho, so that rounding could put them inside."""
     rho = radius / L.step
     width = int(np.ceil(2.0 * rho))
     x, y = _grid_coords(L, z)
     lo = np.stack([x - rho, y - rho])
     start = np.floor(lo) + 1.0
-    # the cells start - 1 and start + width lie this many cells past rho
     below = lo - (start - 1.0)
     above = start + width - lo - 2.0 * rho
-    if lo.size and min(below.min(), above.min()) < 1e-9:
+    near = np.minimum(below, above).min(axis=0) < 1e-9
+    return lo, start, width, near
+
+
+def near_support_circle(L: Lattice, z, radius: float) -> np.ndarray:
+    """Whether each point of z lies within rounding of a support circle,
+    and so needs the wider block of neighbour_cells."""
+    z = np.asarray(z, dtype=complex).ravel()
+    return _cell_origin(L, z, radius)[-1]
+
+
+def neighbour_cells(L: Lattice, z, radius: float):
+    """Indices of the lattice cells that can lie within `radius` of z.
+
+    With rho = radius / step, the open disk around a query point meets at
+    most W = ceil(2 rho) grid lines per axis, the first one just past
+    x - rho; a point gets that W x W block (4 x 4 at the default support
+    2r).  A point so close to a support circle that rounding could put a
+    lattice point on either side of it (near_support_circle) gets a block
+    one cell wider and centred on it instead, which leaves out only cells
+    at least half a cell past the radius.  The points of z share one
+    block shape, the wider one if any point needs it: a caller that
+    splits its points by near_support_circle gives each point its own.
+    Returns (index, on-lattice mask), both of shape (cells, nz), each
+    column in lattice order; the W x W block is a sub-block of the wider
+    one, in the same order.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    lo, start, width, near = _cell_origin(L, z, radius)
+    if near.any():
         width += 1
         start = np.floor(lo + 0.5)
     offsets = np.arange(width, dtype=float)

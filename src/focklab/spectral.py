@@ -7,12 +7,15 @@ square roots of its eigenvalues; compactness and essential-norm questions
 are read off the tail of the spectrum.  A HankelGram is the one result
 type: the matrix with its singular values and its margin certificate,
 which the essential-norm tail, the Schatten criterion and the approximant
-gap all read.  One basis matrix E on the rule
-and one projection M = E^H (w f E) serve both projection degrees of the
+gap all read.  One evaluation of the basis matrix E on the rule and one
+projection M = E^H (w f E) serve both projection degrees of the
 margin-stability check: the Gram at D' is formed from one residual on
 the first D'+1 columns of E and rows of M, the one at D'+5 from it by an
 exact rank-5 update in the five extra columns (least-squares updating,
-Golub & Van Loan, Matrix Computations, 6.5).
+Golub & Van Loan, Matrix Computations, 6.5).  E is the one array that
+scales with the rule: M, the residual Gram and the two small products of
+the update are sums over node blocks of about GRAM_BLOCK_BYTES of E, so
+every other temporary holds one block.
 
 The kernel layer (the kernel norms ||H_f k_z||, the Berezin transform and
 the ball averages) takes a 1-D array of points and returns one value per
@@ -40,6 +43,10 @@ TAIL_THRESHOLD = 1e-3
 # the essential-norm plateau must move by at most this share of itself
 # across its window
 SLOPE_THRESHOLD = 0.05
+# a node block of the Gram products takes the rows of the basis matrix E
+# that hold about this many bytes (1,024 nodes at D = 80, where E has 96
+# columns); each temporary built from a block holds at most as many
+GRAM_BLOCK_BYTES = 3 << 19
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -90,34 +97,53 @@ def power_gauge(p: float) -> SchattenGauge:
     return SchattenGauge(h=lambda t: np.asarray(t, dtype=float) ** p)
 
 
-def _coefficients(E: np.ndarray, wFE: np.ndarray) -> np.ndarray:
-    """M = E^H (w f e_j): the projections of every f e_j, j <= D, onto the
-    columns of E, from wFE = w f E, overwritten: conj(E^T conj(wFE)) has
-    the products of E^H wFE to the bit, and copies no E."""
-    return np.conj(E.T @ np.conj(wFE, out=wFE))
+def _node_blocks(E: np.ndarray) -> list:
+    """Row slices of E that hold about GRAM_BLOCK_BYTES each."""
+    step = max(1, GRAM_BLOCK_BYTES // (E.itemsize * E.shape[1]))
+    return [slice(a, a + step) for a in range(0, len(E), step)]
 
 
-def _margin_grams(FE: np.ndarray, wE: np.ndarray, E: np.ndarray,
+def _coefficients(samples: np.ndarray, wE: np.ndarray, E: np.ndarray,
+                  degree: int) -> np.ndarray:
+    """M = E^H (w f e_j), j <= degree: the projections of every f e_j onto
+    the columns of E, with f = samples and w = wE on the rule's nodes,
+    summed over node blocks.  conj(E^T conj(wFE)) has the products of
+    E^H wFE to the bit, and copies no E."""
+    M = np.zeros((E.shape[1], degree + 1), dtype=complex)
+    for b in _node_blocks(E):
+        wFE = samples[b, None] * E[b, :degree + 1]
+        wFE *= wE[b, None]
+        M += np.conj(E[b].T @ np.conj(wFE, out=wFE))
+    return M
+
+
+def _margin_grams(samples: np.ndarray, wE: np.ndarray, E: np.ndarray,
                   M: np.ndarray, Dp: int) -> tuple:
     """Grams of (I - P) f e_j, j <= D, with P onto the first Dp+1 columns
-    of E and with P onto all of them.
+    of E and with P onto all of them, summed over node blocks.
 
-    FE holds f e_j on the nodes and is overwritten by the residual, wE the
-    rule weights times the decay and M = _coefficients(E, wE FE).
+    samples, wE and M are as for _coefficients(samples, wE, E, D).
     """
     # residual form of (I - P): Gram of pointwise residuals is PSD by
-    # construction and avoids the cancellation of <fe_j, fe_k> - M M^H;
-    # R and conj(R) reuse fE's buffer, dead once R exists
-    R = np.subtract(FE, E[:, :Dp + 1] @ M[:Dp + 1], out=FE)
-    wR = wE[:, None] * R
-    G = np.conj(R, out=R).T @ wR
-    # R2 = R - Ex Mx on any rule, so G2 = G - C - C^H + Mx^H (Ex^H W Ex) Mx
-    # with C = (R^H W Ex) Mx, and R^H is R.T as R holds conj(R) by now: no
-    # second residual and no second big product
+    # construction and avoids the cancellation of <fe_j, fe_k> - M M^H.
+    # R2 = R - Ex Mx on any rule, so G2 = G - C - C^H + Mx^H X Mx with
+    # C = S Mx, S = R^H W Ex and X = Ex^H W Ex: no second residual
+    D = M.shape[1] - 1
     Ex, Mx = E[:, Dp + 1:], M[Dp + 1:]
-    wEx = wE[:, None] * Ex
-    C = (R.T @ wEx) @ Mx
-    G2 = G - C - np.conj(C).T + np.conj(Mx).T @ (np.conj(Ex).T @ wEx @ Mx)
+    G = np.zeros((D + 1, D + 1), dtype=complex)
+    S = np.zeros((D + 1, Ex.shape[1]), dtype=complex)
+    X = np.zeros((Ex.shape[1], Ex.shape[1]), dtype=complex)
+    for b in _node_blocks(E):
+        R = samples[b, None] * E[b, :D + 1]
+        R -= E[b, :Dp + 1] @ M[:Dp + 1]
+        wR = wE[b, None] * R
+        wEx = wE[b, None] * Ex[b]
+        # R^H is R.T once R holds conj(R)
+        G += np.conj(R, out=R).T @ wR
+        S += R.T @ wEx
+        X += np.conj(Ex[b]).T @ wEx
+    C = S @ Mx
+    G2 = G - C - np.conj(C).T + np.conj(Mx).T @ (X @ Mx)
     return 0.5 * (G + np.conj(G).T), 0.5 * (G2 + np.conj(G2).T)
 
 
@@ -130,10 +156,9 @@ def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
     big = build_basis(weight, Dp + 5, rule)
     E = big.evaluate(rule.nodes)
     wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
-    FE = samples[:, None] * E[:, :degree + 1]
     # the projection at D' is the leading D'+1 rows of the one at D'+5
-    M = _coefficients(E, wE[:, None] * FE)
-    G, G2 = _margin_grams(FE, wE, E, M, Dp)
+    M = _coefficients(samples, wE, E, degree)
+    G, G2 = _margin_grams(samples, wE, E, M, Dp)
     s1, s2 = _singular_from_gram(G), _singular_from_gram(G2)
     shift = float(np.max(np.abs(s1[:10] - s2[:10])))
     return HankelGram(degree=degree, margin=margin, matrix=G,

@@ -180,6 +180,11 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("ida-norm functional.r=1e150", "functional.r"),
     ("decompose functional.r=1e150", "functional.r"),
     ("thm11-report functional.r=1e150", "functional.r"),
+    # a partition whose balls of radius 2 lattice.r overflow its fits, and
+    # profile shells so far out that the symbol's power overflows
+    ("decompose lattice.r=1e150", "lattice.r"),
+    ("g-profile functional.shells=1e200", "functional.shells"),
+    ("m-profile functional.shells=1e200", "functional.shells"),
     # a polar grid too coarse for the dbar solver's calibration
     ("dbar-check dbar.n_radial=1 dbar.n_angular=1", "dbar.n_radial"),
     ("thm12-report dbar.n_radial=1", "dbar.n_radial"),

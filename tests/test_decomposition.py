@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focklab import symbols
+from focklab import decomposition, symbols
 from focklab.decomposition import (Decomposition, InvalidProfileError,
-                                   build_partition, decompose,
-                                   verify_controls)
-from focklab.lattice import Window, build_lattice
+                                   PartitionOfUnity, build_partition,
+                                   decompose, verify_controls)
+from focklab.lattice import Window, build_lattice, near_support_circle
 
 
 @pytest.fixture(scope="module")
@@ -122,21 +124,25 @@ _FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
        base_im=st.floats(-0.5, 0.5),
        r=st.one_of(st.sampled_from([0.3, 0.7, 1.1]), st.floats(0.3, 1.5)),
        support_factor=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
-       degree=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+       degree=st.integers(0, 4), seed=st.integers(0, 2 ** 16),
+       block=st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_local_partition_equals_dense_definition(data, base_re, base_im, r,
                                                  support_factor, degree,
-                                                 seed):
+                                                 seed, block):
     # spacings such as 0.3 make lattice arithmetic inexact, so that some
     # node-to-node distance rounds to just inside the support radius
     L = build_lattice(complex(base_re, base_im), r, Window.square(2.0))
     P = build_partition(L, support_factor)
     (m_lo, s_lo), (m_hi, s_hi) = L.ms[0], L.ms[-1]
     # cells inside the lattice, the ring of boundary cells just outside
-    # it, and (fraction 0) the grid lines and nodes between cells
+    # it, and (fraction 0) the grid lines and nodes between cells, which
+    # lie near a support circle, in point blocks of `block` points: at
+    # least three blocks, some with points of both block shapes
     cells = data.draw(st.lists(
         st.tuples(st.integers(m_lo - 1, m_hi), st.integers(s_lo - 1, s_hi),
-                  _FRACTION, _FRACTION), min_size=2, max_size=12))
+                  _FRACTION, _FRACTION), min_size=2 * block + 1,
+        max_size=4 * block + 4))
     z = np.array([L.base + L.step * ((m + fx) + 1j * (s + fy))
                   for m, s, fx, fy in cells])
     rng = np.random.default_rng(seed)
@@ -151,8 +157,60 @@ def test_local_partition_equals_dense_definition(data, base_re, base_im, r,
     # both blocks carry the offsets z - a_j that the glue's Horner sum uses
     for idx, u, _ in (P.members(z), P.members_dbar(z)):
         assert np.array_equal(u, z[None, :] - L.points[idx])
-    assert np.array_equal(D.f1(z), _dense_glue(D, z, psi))
-    assert np.array_equal(D.dbar_f1(z), _dense_glue(D, z, dpsi))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "POINT_BLOCK", block)
+        assert np.array_equal(D.f1(z), _dense_glue(D, z, psi))
+        assert np.array_equal(D.dbar_f1(z), _dense_glue(D, z, dpsi))
+
+
+def _mixed_points(L, count, seed):
+    """Generic points, lattice nodes and grid-line points, shuffled."""
+    rng = np.random.default_rng(seed)
+    generic = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
+    nodes = L.points[rng.integers(0, len(L.points), count // 8)]
+    lines = nodes + L.step * rng.uniform(0, 1, nodes.size)
+    return rng.permutation(np.concatenate([generic, nodes, lines]))
+
+
+def test_off_circle_points_get_the_narrow_block(monkeypatch, partition):
+    # W = ceil(2 rho) = 4 at the default support 2r: 16 cells a point,
+    # also when other points of the same call need the 25-cell block
+    L = partition.lattice
+    z = _mixed_points(L, 200, 3)
+    near = near_support_circle(L, z, partition.support_radius)
+    assert 0 < near.sum() < z.size
+    served = []
+    members = PartitionOfUnity.members
+
+    def counted(self, zs):
+        block = members(self, zs)
+        served.append((len(block[0]), zs))
+        return block
+
+    monkeypatch.setattr(PartitionOfUnity, "members", counted)
+    D = decompose(symbols.make("conj-gaussian", beta=1.0), partition)
+    f1 = D.f1(z)
+    cells = {p: rows for rows, zs in served for p in zs}
+    assert len(cells) == len(set(z))
+    assert [cells[p] for p in z] == [25 if wide else 16 for wide in near]
+    # a point's value does not depend on the points evaluated with it
+    for k in range(0, z.size, 7):
+        assert D.f1(z[k:k + 1])[0] == f1[k]
+
+
+def test_partition_peak_memory_is_a_few_point_blocks(partition):
+    D = decompose(symbols.make("conj-gaussian", beta=1.0), partition)
+    z = _mixed_points(partition.lattice, 27_000, 4)
+    assert z.size > 10 * decomposition.POINT_BLOCK
+    block_bytes = 16 * 25 * decomposition.POINT_BLOCK
+    tracemalloc.start()
+    try:
+        D.f1(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result and a few blocks' (cells, points) arrays
+    assert peak <= z.nbytes + 4 * block_bytes
 
 
 @pytest.mark.parametrize("window,z", [

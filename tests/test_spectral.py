@@ -140,14 +140,33 @@ def test_power_gauge_validation():
 
 # --- reference formulas: each basis matrix built afresh on every use ---
 
+def _node_slices(n, columns):
+    """The node blocks of the Gram products, from GRAM_BLOCK_BYTES."""
+    step = max(1, spectral.GRAM_BLOCK_BYTES // (16 * columns))
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 def _reference_gram_once(fv, big, hankel_degree, proj_degree, rule):
+    # M and G summed over the node blocks of the Gram products, each
+    # block's products as the whole-rule formula takes them
     nodes = rule.nodes
     decay = np.exp(-2.0 * big.weight.phi(nodes))
     wE = rule.weights * decay
     E = big.evaluate(nodes, kmax=proj_degree)
+    blocks = _node_slices(len(nodes), big.degree + 1)
     FE = fv[:, None] * E[:, :hankel_degree + 1]
-    M = np.conj(E).T @ (wE[:, None] * FE)
+    M = sum(np.conj(E[b]).T @ (wE[b, None] * FE[b]) for b in blocks)
     R = FE - E @ M
+    G = sum(np.conj(R[b]).T @ (wE[b, None] * R[b]) for b in blocks)
+    return 0.5 * (G + np.conj(G).T)
+
+
+def _unblocked_gram_once(fv, big, hankel_degree, proj_degree, rule):
+    """The Gram of the residuals as one product over the whole rule."""
+    wE = rule.weights * np.exp(-2.0 * big.weight.phi(rule.nodes))
+    E = big.evaluate(rule.nodes, kmax=proj_degree)
+    FE = fv[:, None] * E[:, :hankel_degree + 1]
+    R = FE - E @ (np.conj(E).T @ (wE[:, None] * FE))
     G = np.conj(R).T @ (wE[:, None] * R)
     return 0.5 * (G + np.conj(G).T)
 
@@ -211,26 +230,52 @@ def test_margin_update_needs_no_orthonormality(weight, family, params,
     # holo-poly's Gram is ~0: scale by the unprojected norms ||f e_j||^2
     scale = np.max(wE @ np.abs(FE) ** 2)
     M = np.conj(E).T @ (wE[:, None] * FE)
-    _, G2 = spectral._margin_grams(FE, wE, E, M, Dp)
+    _, G2 = spectral._margin_grams(fv, wE, E, M, Dp)
     ref = _reference_gram_once(fv, big, degree, Dp + 5, rule)
     assert np.max(np.abs(G2 - ref)) <= 1e-13 * scale
 
 
-def test_gram_peak_memory_reuses_the_image_buffer(weight):
-    # the residual overwrites f e_j: no third N x (D+1) array is live
+@pytest.mark.parametrize("blocks", ["one", "several", "7-node"])
+@pytest.mark.parametrize("family,params", GRAM_SYMBOLS)
+def test_blocked_gram_equals_unblocked_formula(monkeypatch, weight, family,
+                                               params, blocks):
+    degree, margin = 20, 10
+    Dp = degree + margin
+    rule = default_rule_for_degree(degree + 15, 1.0, margin=8)
+    n, columns = rule.nodes.size, Dp + 6
+    rows = {"one": n, "several": n // 5 + 1, "7-node": 7}[blocks]
+    monkeypatch.setattr(spectral, "GRAM_BLOCK_BYTES", 16 * columns * rows)
+    fv = symbols.make(family, **params)(rule.nodes)
+    big = build_basis(weight, Dp + 5, rule)
+    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
+    E = big.evaluate(rule.nodes)
+    assert len(spectral._node_blocks(E)) == {"one": 1, "several": 5,
+                                             "7-node": -(-n // 7)}[blocks]
+    scale = np.max(wE @ np.abs(fv[:, None] * E[:, :degree + 1]) ** 2)
+    G = sampled_hankel_gram(fv, weight, degree, margin, rule).matrix
+    M = spectral._coefficients(fv, wE, E, degree)
+    _, G2 = spectral._margin_grams(fv, wE, E, M, Dp)
+    for got, proj in ((G, Dp), (G2, Dp + 5)):
+        ref = _unblocked_gram_once(fv, big, degree, proj, rule)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_gram_peak_memory_is_the_basis_and_a_few_blocks(weight):
+    # E is the one array that scales with the rule; every product built
+    # from it sums over node blocks
     degree, margin = 40, 10
     f = symbols.make("mixed", radius=1.0)
     rule = default_rule_for_degree(degree + margin + 5, 1.0, margin=8)
     n = rule.nodes.size
+    E_bytes = 16 * n * (degree + margin + 6)
+    assert E_bytes > 2 * spectral.GRAM_BLOCK_BYTES
     tracemalloc.start()
     try:
         build_hankel_gram(f, weight, degree, margin)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    E_bytes = 16 * n * (degree + margin + 6)
-    fE_bytes = 16 * n * (degree + 1)
-    assert peak <= E_bytes + 2.5 * fE_bytes
+    assert peak <= E_bytes + 3 * spectral.GRAM_BLOCK_BYTES
 
 
 def test_hankel_on_kernel_equals_fresh_projection(weight):
@@ -311,15 +356,16 @@ def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
 
 
 def test_checked_gram_projects_once(monkeypatch, weight):
-    # the D' Gram and the D'+5 certificate share one E^H (w f E)
+    # the D' Gram and the D'+5 certificate share one projection pass,
+    # M = E^H (w f E) over every node block of the one E
     calls = []
     coefficients = spectral._coefficients
 
-    def counted(E, wFE):
-        calls.append(E.shape)
-        return coefficients(E, wFE)
+    def counted(samples, wE, E, degree):
+        calls.append((E.shape, degree))
+        return coefficients(samples, wE, E, degree)
 
     monkeypatch.setattr(spectral, "_coefficients", counted)
     build_hankel_gram(symbols.make("conj-linear"), weight, 25,
                       margin=10)
-    assert calls == [(calls[0][0], 25 + 10 + 6)]
+    assert calls == [((calls[0][0][0], 25 + 10 + 6), 25)]

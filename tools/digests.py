@@ -1,0 +1,53 @@
+"""Print the sha256 of every CSV the CLI writes on a fixed set of runs.
+
+    python3 tools/digests.py > digests.txt
+
+The runs are the 18 subcommands at their defaults (seed 0), plus
+`hankel-svd basis.degree=80 symbol.id=bump` and the four q != 2 ops of the
+`fits-spectra` benchmark workload, each into a fresh output directory.
+Each CSV gives one line `label file sha256`; each manifest calibration or
+warning line gives one line `label manifest.txt <line>`.  A label is the
+subcommand with its overrides joined by '/'.  Two checkouts are compared
+with one `diff` of their outputs; running the script twice in separate
+processes shows nondeterminism that one process cannot see.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from focklab.cli import SUBCOMMANDS, run  # noqa: E402
+from focklab.config import load_config  # noqa: E402
+
+EXTRA = (
+    ("hankel-svd", "basis.degree=80", "symbol.id=bump"),
+    ("ida-norm", "functional.q=1", "symbol.id=conj-gaussian"),
+    ("ida-norm", "functional.q=3", "symbol.id=step", "lattice.r=0.5"),
+    ("g-profile", "functional.q=1"),
+    ("decompose", "functional.q=1", "symbol.id=bump"),
+)
+
+
+def digest_lines(sub: str, overrides: tuple) -> list[str]:
+    label = "/".join((sub,) + overrides)
+    with tempfile.TemporaryDirectory() as out:
+        run_dir = run(sub, load_config(None, list(overrides), seed=0), out)
+        lines = [f"{label} {p.name} "
+                 f"{hashlib.sha256(p.read_bytes()).hexdigest()}"
+                 for p in sorted(run_dir.glob("*.csv"))]
+        manifest = (run_dir / "manifest.txt").read_text().splitlines()
+    return lines + [f"{label} manifest.txt {line}" for line in manifest
+                    if line.startswith(("calibration.", "warning="))]
+
+
+def main() -> int:
+    for sub, *overrides in [(s,) for s in sorted(SUBCOMMANDS)] + list(EXTRA):
+        print("\n".join(digest_lines(sub, tuple(overrides))), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
