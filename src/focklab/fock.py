@@ -8,13 +8,13 @@ property P e_k = e_k with dv = dA.
 
 c_k is the running product c_0 = sqrt(pi/alpha), c_k = c_{k-1}
 sqrt(k/alpha), and e_k the recursion e_0 = sqrt(alpha/pi),
-e_k = e_{k-1} z sqrt(alpha/k): one fill and one cumulative product along
-the degree axis of a column-major array, so each e_k, and each block of
-consecutive degrees, is contiguous on the points.  Neither overflows on
-any plane rule up to MAX_PLANE_ORDER, so the degree is capped by the
-rules alone: a Hankel Gram at degree D integrates on order
-D + margin + 13, hence D <= 160 at margin 10.  Any other weight is
-refused.
+e_k = e_{k-1} z sqrt(alpha/k): one fill of a column-major array, then
+each column multiplied in place by the one before it, so each e_k, and
+each block of consecutive degrees, is contiguous on the points.
+Neither overflows on any plane rule up to MAX_PLANE_ORDER, so the
+degree is capped by the rules alone: a Hankel Gram at degree D
+integrates on order D + margin + 13, hence D <= 160 at margin 10.  Any
+other weight is refused.
 """
 
 from dataclasses import dataclass
@@ -47,7 +47,11 @@ class FockBasis:
         E[:, 0] = np.sqrt(alpha / np.pi)
         np.multiply(z[:, None], np.sqrt(alpha / np.arange(1, kmax + 1)),
                     out=E[:, 1:])
-        return np.cumprod(E, axis=1, out=E)
+        # the running product, one contiguous column at a time: cumprod
+        # along the column-major degree axis strides across the points
+        for k in range(1, kmax + 1):
+            E[:, k] *= E[:, k - 1]
+        return E
 
 
 @dataclass(frozen=True)

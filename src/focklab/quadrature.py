@@ -2,11 +2,14 @@
 
 All integrals are taken against planar Lebesgue measure dA on C ~ R^2.
 A `Rule` is a set of nodes with weights, both read-only, so one rule can
-be shared by every caller.  Plane rules target integrands with Gaussian
-decay e^{-alpha|z|^2} and are memoised per (order, scale); polar rules
-are Gauss-Legendre x trapezoid product rules on B(center, r), whose
-weights do not depend on the center, and ball rules are polar rules
-sized by a polynomial degree.
+be shared by every caller; rules compare and hash by identity.  Plane
+rules target integrands with Gaussian decay e^{-alpha|z|^2}, are
+memoised per (order, scale) and are exactly invariant under z -> iz,
+node for node and weight for weight (hermgauss symmetrises its nodes
+and weights), which the Hankel Grams exploit.  Polar rules are
+Gauss-Legendre x trapezoid product rules on B(center, r), whose weights
+do not depend on the center, and ball rules are polar rules sized by a
+polynomial degree.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ class CapabilityError(RuntimeError):
     """Requested computation exceeds what the rule can do stably."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rule:
     """Nodes/weights approximating the integral of g dA."""
 

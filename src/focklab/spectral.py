@@ -7,15 +7,30 @@ square roots of its eigenvalues; compactness and essential-norm questions
 are read off the tail of the spectrum.  A HankelGram is the one result
 type: the matrix with its singular values and its margin certificate,
 which the essential-norm tail, the Schatten criterion and the approximant
-gap all read.  One evaluation of the basis matrix E on the rule and one
-projection M = E^H (w f E) serve both projection degrees of the
-margin-stability check: the Gram at D' is formed from one residual on
-the first D'+1 columns of E and rows of M, the one at D'+5 from it by an
-exact rank-5 update in the five extra columns (least-squares updating,
-Golub & Van Loan, Matrix Computations, 6.5).  E is the one array that
-scales with the rule: M, the residual Gram and the two small products of
-the update are sums over node blocks of about GRAM_BLOCK_BYTES of E, so
-every other temporary holds one block.
+gap all read.  One evaluation of the basis matrix E and one projection
+M = E^H (w f E) serve both projection degrees of the margin-stability
+check: the Gram at D' is formed from one residual on the first D'+1
+columns of E and rows of M, the one at D'+5 from it by an exact rank-5
+update in the five extra columns (least-squares updating, Golub & Van
+Loan, Matrix Computations, 6.5).
+
+Every product runs on the plane rule's quarter (_quarter): its nodes in
+Q = {Re z > 0, Im z >= 0} and, for odd orders, the origin with a
+quarter of its weight.  The rule is invariant under z -> iz, the weight
+is radial and e_j(i^r z) = i^{rj} e_j(z).  The samples, the symbol's
+values on the rule's nodes, are gathered as F_r = f(i^r z), z in Q, and
+split into four rotation characters Psi_s = (1/4) sum_r i^{rs} F_r; the
+residual at i^r z is sum_c i^{rc} R^(c)(z) with
+    R^(c)_j = Psi_{(j-c) mod 4} e_j - sum_{m = c mod 4} e_m M_{mj},
+so G = sum_c R^(c)H W4 R^(c) on Q, W4 being four times its weights times
+e^{-2phi}, and M splits into the blocks M^(c) of rows m = c mod 4.  A
+character that is exactly zero at every node of Q, as three of them are
+for f = conj(z)^k g(|z|^2), contributes exact zeros, so its columns are
+never formed: R^(c) then has the columns of class c + s alone and G is
+block-diagonal by j mod 4.  E on Q is the one array that scales with the
+rule: M, the residual Grams and the two small products of the update are
+sums over node blocks of about GRAM_BLOCK_BYTES of E, so every other
+temporary holds one block.
 
 The kernel layer (the kernel norms ||H_f k_z||, the Berezin transform and
 the ball averages) takes a 1-D array of points and returns one value per
@@ -23,6 +38,7 @@ point, each point computed alone against work shared per call.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,45 +119,147 @@ def _node_blocks(E: np.ndarray) -> list:
     return [slice(a, a + step) for a in range(0, len(E), step)]
 
 
-def _coefficients(samples: np.ndarray, wE: np.ndarray, E: np.ndarray,
-                  degree: int) -> np.ndarray:
-    """M = E^H (w f e_j), j <= degree: the projections of every f e_j onto
-    the columns of E, with f = samples and w = wE on the rule's nodes,
-    summed over node blocks.  conj(E^T conj(wFE)) has the products of
-    E^H wFE to the bit, and copies no E."""
-    M = np.zeros((E.shape[1], degree + 1), dtype=complex)
+@lru_cache(maxsize=32)
+def _quarter(rule: Rule) -> tuple:
+    """(quarter, rotations) of a rule invariant under z -> iz: quarter is
+    the Rule of its nodes in Q with their weights, and the origin, if a
+    node, with a quarter of its weight; rotations (4, n_Q) holds the index
+    in rule.nodes of i^r z for each quarter node z, r = 0..3, the
+    origin's own index in every row.  Memoised per rule (rules hash by
+    identity); a rule that is not invariant is refused."""
+    nodes, weights = rule.nodes, rule.weights
+    inside = np.flatnonzero((nodes.real > 0) & (nodes.imag >= 0))
+    origin = np.flatnonzero(nodes == 0)
+    at = {z: k for k, z in enumerate(nodes.tolist())}
+    x, y = nodes.real[inside], nodes.imag[inside]
+    # i^r z exactly: a rotation by i only swaps and negates parts
+    turns = [(x, y), (-y, x), (-x, -y), (y, -x)]
+    rotations = np.array([[at.get(complex(a, b), -1)
+                           for a, b in zip(u.tolist(), v.tolist())]
+                          + origin.tolist() for u, v in turns], dtype=int)
+    if (len(nodes) != 4 * len(inside) + len(origin) or np.any(rotations < 0)
+            or np.any(weights[rotations] != weights[rotations[0]])):
+        raise ValueError("a Hankel Gram needs a rule invariant under z -> iz")
+    quarter = Rule(nodes=nodes[rotations[0]],
+                   weights=np.concatenate([weights[inside],
+                                           0.25 * weights[origin]]))
+    rotations.flags.writeable = False
+    return quarter, rotations
+
+
+def _characters(samples: np.ndarray) -> tuple:
+    """(Psi, live): Psi_s = (1/4) sum_r i^{rs} F_r, s = 0..3, from the
+    samples F_r = f(i^r z) on the quarter nodes z, shape (4, n), and the
+    s whose Psi_s is not exactly zero at every node.  The butterflies pair
+    r with r + 2 first, so a symbol with f(iz) = i^{-s} f(z) at every
+    node leaves exact zeros in the other three characters."""
+    F0, F1, F2, F3 = samples
+    Ap, Am = F0 + F2, F0 - F2
+    Bp, Bm = F1 + F3, 1j * (F1 - F3)
+    Psi = 0.25 * np.stack([Ap + Bp, Am + Bm, Ap - Bp, Am - Bm])
+    return Psi, [s for s in range(4) if np.any(Psi[s])]
+
+
+def _live_classes(live: list, c: int) -> list:
+    """(s, k) for each live character s: the residual and the projection
+    of class c see the columns j = k, k + 4, ... of class k = c + s."""
+    return [(s, (c + s) % 4) for s in live]
+
+
+def _columns(live: list, c: int, degree: int) -> np.ndarray:
+    """The degrees j <= degree of the columns of class c, in the order
+    _images lays them out."""
+    return np.array([j for _, k in _live_classes(live, c)
+                     for j in range(k, degree + 1, 4)], dtype=int)
+
+
+def _images(Psi: np.ndarray, E: np.ndarray, b: slice, classes: list,
+            degree: int) -> np.ndarray:
+    """Psi_s e_j on the nodes b, for the columns j <= degree of each
+    (s, k) in classes, class after class."""
+    cols = [E[b, k:degree + 1:4] for _, k in classes]
+    out = np.empty((len(E[b]), sum(c.shape[1] for c in cols)),
+                   dtype=complex, order="F")
+    a = 0
+    for (s, _), col in zip(classes, cols):
+        np.multiply(Psi[s, b, None], col, out=out[:, a:a + col.shape[1]])
+        a += col.shape[1]
+    return out
+
+
+def _coefficients(Psi: np.ndarray, live: list, w4: np.ndarray,
+                  E: np.ndarray, degree: int) -> list:
+    """M^(c) = E_c^H (w4 Psi_{j-c} e_j), c = 0..3: the projections of the
+    f e_j, j <= degree, onto the columns E_c = E[:, c::4] of class c, for
+    the j whose character j - c (mod 4) is live, the others being exact
+    zeros; w4 is four times the quarter rule's weights times e^{-2phi}.
+    Summed over node blocks."""
+    M = [np.zeros((len(range(c, E.shape[1], 4)),
+                   len(_columns(live, c, degree))), dtype=complex)
+         for c in range(4)]
+    wPsi = w4 * Psi
     for b in _node_blocks(E):
-        wFE = samples[b, None] * E[b, :degree + 1]
-        wFE *= wE[b, None]
-        M += np.conj(E[b].T @ np.conj(wFE, out=wFE))
+        for c in range(4):
+            M[c] += np.conj(E[b, c::4]).T @ _images(
+                wPsi, E, b, _live_classes(live, c), degree)
     return M
 
 
-def _margin_grams(samples: np.ndarray, wE: np.ndarray, E: np.ndarray,
-                  M: np.ndarray, Dp: int) -> tuple:
-    """Grams of (I - P) f e_j, j <= D, with P onto the first Dp+1 columns
-    of E and with P onto all of them, summed over node blocks.
+def _residual_products(Psi: np.ndarray, live: list, w4: np.ndarray,
+                       E: np.ndarray, b: slice, c: int, p: int,
+                       Mc: np.ndarray, degree: int) -> tuple:
+    """(R^H W4 R, R^H W4 Ex, Ex^H W4 Ex) on the nodes b for the residual
+    R_j = Psi_{j-c} e_j - E_c M^(c)_j of class c projected on the first
+    p columns of E_c = E[:, c::4], Ex being its other columns."""
+    Ec = E[b, c::4]
+    R = _images(Psi, E, b, _live_classes(live, c), degree)
+    R -= Ec[:, :p] @ Mc[:p]
+    wR = w4[b, None] * R
+    wEx = w4[b, None] * Ec[:, p:]
+    # R^H is R.T once R holds conj(R)
+    np.conj(R, out=R)
+    return R.T @ wR, R.T @ wEx, np.conj(Ec[:, p:]).T @ wEx
 
-    samples, wE and M are as for _coefficients(samples, wE, E, D).
+
+def _margin_grams(Psi: np.ndarray, live: list, w4: np.ndarray,
+                  E: np.ndarray, M: list, degree: int, Dp: int) -> tuple:
+    """Grams of (I - P) f e_j, j <= degree, with P onto the first Dp+1
+    columns of E and with P onto all of them, summed over node blocks.
+
+    Psi, live, w4 and M are as for _coefficients(Psi, live, w4, E,
+    degree).  The residual at i^r z is sum_c i^{rc} R^(c)(z), so the
+    whole rule's Gram is sum_c R^(c)H W4 R^(c), one class at a time.
     """
     # residual form of (I - P): Gram of pointwise residuals is PSD by
     # construction and avoids the cancellation of <fe_j, fe_k> - M M^H.
     # R2 = R - Ex Mx on any rule, so G2 = G - C - C^H + Mx^H X Mx with
-    # C = S Mx, S = R^H W Ex and X = Ex^H W Ex: no second residual
-    D = M.shape[1] - 1
-    Ex, Mx = E[:, Dp + 1:], M[Dp + 1:]
-    G = np.zeros((D + 1, D + 1), dtype=complex)
-    S = np.zeros((D + 1, Ex.shape[1]), dtype=complex)
-    X = np.zeros((Ex.shape[1], Ex.shape[1]), dtype=complex)
+    # C = S Mx, S = R^H W Ex and X = Ex^H W Ex: no second residual.
+    # Each sum splits by class: Ex's columns of class c meet only R^(c)
+    D, nx = degree, E.shape[1] - Dp - 1
+    cols = [_columns(live, c, D) for c in range(4)]
+    proj = [len(range(c, Dp + 1, 4)) for c in range(4)]
+    extra = [np.arange(c, E.shape[1], 4)[proj[c]:] - (Dp + 1)
+             for c in range(4)]
+    # per class: R^H W R, R^H W Ex and Ex^H W Ex
+    sums = [[np.zeros((len(j), len(j)), dtype=complex),
+             np.zeros((len(j), len(x)), dtype=complex),
+             np.zeros((len(x), len(x)), dtype=complex)]
+            for j, x in zip(cols, extra)]
     for b in _node_blocks(E):
-        R = samples[b, None] * E[b, :D + 1]
-        R -= E[b, :Dp + 1] @ M[:Dp + 1]
-        wR = wE[b, None] * R
-        wEx = wE[b, None] * Ex[b]
-        # R^H is R.T once R holds conj(R)
-        G += np.conj(R, out=R).T @ wR
-        S += R.T @ wEx
-        X += np.conj(Ex[b]).T @ wEx
+        for c in range(4):
+            parts = _residual_products(Psi, live, w4, E, b, c, proj[c],
+                                       M[c], D)
+            for total, part in zip(sums[c], parts):
+                total += part
+    G = np.zeros((D + 1, D + 1), dtype=complex)
+    S = np.zeros((D + 1, nx), dtype=complex)
+    X = np.zeros((nx, nx), dtype=complex)
+    Mx = np.zeros((nx, D + 1), dtype=complex)
+    for c, (j, x) in enumerate(zip(cols, extra)):
+        G[np.ix_(j, j)] += sums[c][0]
+        S[np.ix_(j, x)] = sums[c][1]
+        X[np.ix_(x, x)] = sums[c][2]
+        Mx[np.ix_(x, j)] = M[c][proj[c]:]
     C = S @ Mx
     G2 = G - C - np.conj(C).T + np.conj(Mx).T @ (X @ Mx)
     return 0.5 * (G + np.conj(G).T), 0.5 * (G2 + np.conj(G2).T)
@@ -150,15 +268,22 @@ def _margin_grams(samples: np.ndarray, wE: np.ndarray, E: np.ndarray,
 def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
                         degree: int, margin: int, rule: Rule) -> HankelGram:
     """Hankel Gram of the symbol whose values on `rule.nodes` are `samples`."""
+    samples = np.asarray(samples)
+    if samples.shape != rule.nodes.shape:
+        raise ValueError("samples must be the symbol on the rule's nodes")
     if not np.all(np.isfinite(samples)):
         raise ValueError("symbol evaluation failed on the plane rule")
     Dp = degree + margin
+    quarter, rotations = _quarter(rule)
     big = build_basis(weight, Dp + 5, rule)
-    E = big.evaluate(rule.nodes)
-    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
-    # the projection at D' is the leading D'+1 rows of the one at D'+5
-    M = _coefficients(samples, wE, E, degree)
-    G, G2 = _margin_grams(samples, wE, E, M, Dp)
+    E = big.evaluate(quarter.nodes)
+    # each quarter node stands for its four rotations
+    w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
+    Psi, live = _characters(samples[rotations])
+    # the projection at D' is the leading rows of each class of the one
+    # at D'+5
+    M = _coefficients(Psi, live, w4, E, degree)
+    G, G2 = _margin_grams(Psi, live, w4, E, M, degree, Dp)
     s1, s2 = _singular_from_gram(G), _singular_from_gram(G2)
     shift = float(np.max(np.abs(s1[:10] - s2[:10])))
     return HankelGram(degree=degree, margin=margin, matrix=G,

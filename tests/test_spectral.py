@@ -8,7 +8,7 @@ from focklab.fock import (FockBasis, build_basis,
                           default_rule_for_degree, lp_norm, normalized_kernel)
 from focklab.lattice import Window, build_lattice
 from focklab.oscillation import g_functional
-from focklab.quadrature import ball_rule
+from focklab.quadrature import Rule, ball_rule, gaussian_plane_rule
 from focklab.spectral import (berezin_transform, build_hankel_gram,
                               essential_norm_tail, hankel_on_kernel,
                               measure_average, power_gauge,
@@ -140,42 +140,110 @@ def test_power_gauge_validation():
 
 # --- reference formulas: each basis matrix built afresh on every use ---
 
-def _node_slices(n, columns):
-    """The node blocks of the Gram products, from GRAM_BLOCK_BYTES."""
-    step = max(1, spectral.GRAM_BLOCK_BYTES // (16 * columns))
-    return [slice(a, a + step) for a in range(0, n, step)]
+def _whole_rule_grams(fv, weight, degree, margin, rule):
+    """G and G2 by the whole-rule formula, one product over every node of
+    the plane rule: M = E^H (w f E), the residual Gram at D' = degree +
+    margin and its rank-5 update at D' + 5."""
+    Dp = degree + margin
+    E = build_basis(weight, Dp + 5, rule).evaluate(rule.nodes)
+    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
+    FE = fv[:, None] * E[:, :degree + 1]
+    M = np.conj(E).T @ (wE[:, None] * FE)
+    Ex, Mx = E[:, Dp + 1:], M[Dp + 1:]
+    R = FE - E[:, :Dp + 1] @ M[:Dp + 1]
+    G = np.conj(R).T @ (wE[:, None] * R)
+    S = np.conj(R).T @ (wE[:, None] * Ex)
+    X = np.conj(Ex).T @ (wE[:, None] * Ex)
+    C = S @ Mx
+    G2 = G - C - np.conj(C).T + np.conj(Mx).T @ (X @ Mx)
+    return 0.5 * (G + np.conj(G).T), 0.5 * (G2 + np.conj(G2).T)
 
 
-def _reference_gram_once(fv, big, hankel_degree, proj_degree, rule):
-    # M and G summed over the node blocks of the Gram products, each
-    # block's products as the whole-rule formula takes them
-    nodes = rule.nodes
-    decay = np.exp(-2.0 * big.weight.phi(nodes))
-    wE = rule.weights * decay
-    E = big.evaluate(nodes, kmax=proj_degree)
-    blocks = _node_slices(len(nodes), big.degree + 1)
-    FE = fv[:, None] * E[:, :hankel_degree + 1]
-    M = sum(np.conj(E[b]).T @ (wE[b, None] * FE[b]) for b in blocks)
-    R = FE - E @ M
-    G = sum(np.conj(R[b]).T @ (wE[b, None] * R[b]) for b in blocks)
+def _unprojected_scale(fv, weight, degree, rule):
+    """max_j ||f e_j||^2 on the rule: the scale of a Gram that may be ~0."""
+    E = build_basis(weight, degree, rule).evaluate(rule.nodes)
+    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
+    return np.max(wE @ np.abs(fv[:, None] * E) ** 2)
+
+
+def _character_grams(fv, weight, degree, margin, rule):
+    """G and G2 from the Gram's own helpers on the rule's quarter."""
+    Dp = degree + margin
+    quarter, rotations = spectral._quarter(rule)
+    E = build_basis(weight, Dp + 5, rule).evaluate(quarter.nodes)
+    w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
+    Psi, live = spectral._characters(fv[rotations])
+    M = spectral._coefficients(Psi, live, w4, E, degree)
+    return spectral._margin_grams(Psi, live, w4, E, M, degree, Dp)
+
+
+# i^k for k = 0..3, exactly
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _dense_reference_once(fv, weight, degree, proj_degree, rule):
+    """The Gram of the residuals at proj_degree on the quarter, with E
+    evaluated afresh to proj_degree, every character kept, the characters
+    by a 4 x 4 product and each product over the whole quarter."""
+    quarter, rotations = spectral._quarter(rule)
+    E = build_basis(weight, proj_degree, rule).evaluate(quarter.nodes)
+    w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
+    r = np.arange(4)
+    Psi = 0.25 * _I_POWERS[np.outer(r, r) % 4] @ fv[rotations]
+    j, m = np.arange(degree + 1), np.arange(proj_degree + 1)
+    char = (j[None, :] - m[:, None]) % 4
+    M = np.zeros((proj_degree + 1, degree + 1), dtype=complex)
+    for s in range(4):
+        Ms = np.conj(E).T @ ((w4 * Psi[s])[:, None] * E[:, :degree + 1])
+        M[char == s] = Ms[char == s]
+    G = np.zeros((degree + 1, degree + 1), dtype=complex)
+    for c in range(4):
+        R = Psi[(j - c) % 4].T * E[:, :degree + 1] - E[:, c::4] @ M[c::4]
+        G += np.conj(R).T @ (w4[:, None] * R)
     return 0.5 * (G + np.conj(G).T)
 
 
-def _unblocked_gram_once(fv, big, hankel_degree, proj_degree, rule):
-    """The Gram of the residuals as one product over the whole rule."""
-    wE = rule.weights * np.exp(-2.0 * big.weight.phi(rule.nodes))
-    E = big.evaluate(rule.nodes, kmax=proj_degree)
-    FE = fv[:, None] * E[:, :hankel_degree + 1]
-    R = FE - E @ (np.conj(E).T @ (wE[:, None] * FE))
-    G = np.conj(R).T @ (wE[:, None] * R)
+def _blocked_reference_once(fv, weight, degree, proj_degree, columns,
+                            rule):
+    """The Gram of the residuals at proj_degree as the code sums it, with
+    E evaluated afresh to proj_degree: the same butterflies, each class's
+    live columns in the same order, and the products summed over the node
+    blocks of an E with `columns` columns."""
+    quarter, rotations = spectral._quarter(rule)
+    E = build_basis(weight, proj_degree, rule).evaluate(quarter.nodes)
+    w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
+    F0, F1, F2, F3 = fv[rotations]
+    Ap, Am, Bp, Bm = F0 + F2, F0 - F2, F1 + F3, 1j * (F1 - F3)
+    Psi = 0.25 * np.stack([Ap + Bp, Am + Bm, Ap - Bp, Am - Bm])
+    live = [s for s in range(4) if np.any(Psi[s])]
+    step = max(1, spectral.GRAM_BLOCK_BYTES // (16 * columns))
+    blocks = [slice(a, a + step) for a in range(0, len(E), step)]
+
+    def images(values, c, b):
+        # values_s e_j on the nodes b, class k = c + s after class, in
+        # the code's column-major layout
+        return np.asfortranarray(np.concatenate(
+            [values[s, b, None] * E[b, (c + s) % 4:degree + 1:4]
+             for s in live], axis=1))
+
+    G = np.zeros((degree + 1, degree + 1), dtype=complex)
+    for c in range(4):
+        cols = np.concatenate([np.arange((c + s) % 4, degree + 1, 4)
+                               for s in live])
+        Mc = sum(np.conj(E[b, c::4]).T @ images(w4 * Psi, c, b)
+                 for b in blocks)
+        Gc = 0
+        for b in blocks:
+            R = images(Psi, c, b) - E[b, c::4] @ Mc
+            Gc = Gc + np.conj(R).T @ (w4[b, None] * R)
+        G[np.ix_(cols, cols)] += Gc
     return 0.5 * (G + np.conj(G).T)
 
 
 def _reference_gram(fv, weight, degree, margin, rule):
     Dp = degree + margin
-    big = build_basis(weight, Dp + 5, rule)
-    G = _reference_gram_once(fv, big, degree, Dp, rule)
-    G2 = _reference_gram_once(fv, big, degree, Dp + 5, rule)
+    G, G2 = (_blocked_reference_once(fv, weight, degree, proj, Dp + 6, rule)
+             for proj in (Dp, Dp + 5))
     s1, s2 = (np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))[::-1]
               for g in (G, G2))
     return G, float(np.max(np.abs(s1[:10] - s2[:10])))
@@ -195,21 +263,54 @@ def _reference_hankel_on_kernel(f, z, q, basis):
 GRAM_SYMBOLS = [("conj-linear", {}), ("mixed", {"radius": 1.0}),
                 ("bump", {"radius": 1.0}),
                 ("holo-poly", {"coeffs": [0.5, 1.0, 0.0, -0.5j]})]
+# symbols with no rotation character that is exactly zero
+NON_COVARIANT = [("translated", {"a": 3.0}), ("random", {"seed": 7})]
+
+
+def _gram_symbol(family, params):
+    """A built-in symbol, conj-gaussian translated to a, or a random
+    smooth symbol with no rotation symmetry."""
+    if family == "translated":
+        f = symbols.make("conj-gaussian", beta=1.0)
+        return lambda z: f(np.asarray(z) - params["a"])
+    if family == "random":
+        c = np.random.default_rng(params["seed"]).standard_normal((5, 2)) \
+            @ [1.0, 1.0j]
+
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            zb = np.conj(z)
+            return ((c[0] + c[1] * z + c[2] * zb + c[3] * z * zb
+                     + c[4] * zb ** 2)
+                    * np.exp(-0.3 * np.abs(z - (0.4 - 0.2j)) ** 2))
+        return f
+    return symbols.make(family, **params)
 
 
 @pytest.mark.parametrize("degree", [20, 40])
-@pytest.mark.parametrize("family,params", GRAM_SYMBOLS)
-def test_gram_equals_two_evaluation_reference(weight, family, params,
-                                              degree):
-    f = symbols.make(family, **params)
+@pytest.mark.parametrize("family,params", GRAM_SYMBOLS + NON_COVARIANT)
+def test_gram_equals_two_evaluation_reference(monkeypatch, weight, family,
+                                              params, degree):
+    f = _gram_symbol(family, params)
     rule = default_rule_for_degree(degree + 15, 1.0, margin=8)
     fv = f(rule.nodes)
-    G = sampled_hankel_gram(fv, weight, degree, 10, rule)
-    ref, shift = _reference_gram(fv, weight, degree, 10, rule)
-    assert np.array_equal(G.matrix, ref)
-    # the D'+5 Gram comes by a rank-5 update, not a second residual: the
-    # certificate is equal in exact arithmetic, not to the bit
-    assert abs(G.stability_shift - shift) <= 1e-13
+    n, columns = spectral._quarter(rule)[0].nodes.size, degree + 16
+    # the default blocks (one at these degrees), then three
+    for rows in (None, n // 3 + 1):
+        if rows:
+            monkeypatch.setattr(spectral, "GRAM_BLOCK_BYTES",
+                                16 * columns * rows)
+        G = sampled_hankel_gram(fv, weight, degree, 10, rule)
+        ref, shift = _reference_gram(fv, weight, degree, 10, rule)
+        assert np.array_equal(G.matrix, ref)
+        # the D'+5 Gram comes by a rank-5 update, not a second residual:
+        # the certificate is equal in exact arithmetic, not to the bit
+        assert abs(G.stability_shift - shift) <= 1e-13
+    # and within roundoff of the dense per-character formula; holo-poly's
+    # Gram is ~0: scale by the unprojected norms ||f e_j||^2
+    dense = _dense_reference_once(fv, weight, degree, degree + 10, rule)
+    scale = _unprojected_scale(fv, weight, degree, rule)
+    assert np.max(np.abs(G.matrix - dense)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("undersized", [False, True])
@@ -222,51 +323,118 @@ def test_margin_update_needs_no_orthonormality(weight, family, params,
     Dp = degree + 10
     rule = (default_rule_for_degree(degree, 1.0) if undersized else
             default_rule_for_degree(degree + 15, 1.0, margin=8))
-    fv = symbols.make(family, **params)(rule.nodes)
-    big = build_basis(weight, Dp + 5, rule)
-    E = big.evaluate(rule.nodes)
-    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
-    FE = fv[:, None] * E[:, :degree + 1]
-    # holo-poly's Gram is ~0: scale by the unprojected norms ||f e_j||^2
-    scale = np.max(wE @ np.abs(FE) ** 2)
-    M = np.conj(E).T @ (wE[:, None] * FE)
-    _, G2 = spectral._margin_grams(fv, wE, E, M, Dp)
-    ref = _reference_gram_once(fv, big, degree, Dp + 5, rule)
+    f = symbols.make(family, **params)
+    fv = f(rule.nodes)
+    _, G2 = _character_grams(fv, weight, degree, 10, rule)
+    ref = _dense_reference_once(fv, weight, degree, Dp + 5, rule)
+    scale = _unprojected_scale(fv, weight, degree, rule)
     assert np.max(np.abs(G2 - ref)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("blocks", ["one", "several", "7-node"])
-@pytest.mark.parametrize("family,params", GRAM_SYMBOLS)
+@pytest.mark.parametrize("family,params",
+                         GRAM_SYMBOLS + [("step", {})] + NON_COVARIANT)
 def test_blocked_gram_equals_unblocked_formula(monkeypatch, weight, family,
                                                params, blocks):
+    # the character Gram on the quarter's node blocks against the
+    # whole-rule formula
     degree, margin = 20, 10
-    Dp = degree + margin
     rule = default_rule_for_degree(degree + 15, 1.0, margin=8)
-    n, columns = rule.nodes.size, Dp + 6
+    quarter = spectral._quarter(rule)[0]
+    n, columns = quarter.nodes.size, degree + margin + 6
     rows = {"one": n, "several": n // 5 + 1, "7-node": 7}[blocks]
     monkeypatch.setattr(spectral, "GRAM_BLOCK_BYTES", 16 * columns * rows)
-    fv = symbols.make(family, **params)(rule.nodes)
-    big = build_basis(weight, Dp + 5, rule)
-    wE = rule.weights * np.exp(-2.0 * weight.phi(rule.nodes))
-    E = big.evaluate(rule.nodes)
+    f = _gram_symbol(family, params)
+    E = build_basis(weight, columns - 1, rule).evaluate(quarter.nodes)
     assert len(spectral._node_blocks(E)) == {"one": 1, "several": 5,
                                              "7-node": -(-n // 7)}[blocks]
-    scale = np.max(wE @ np.abs(fv[:, None] * E[:, :degree + 1]) ** 2)
+    fv = f(rule.nodes)
     G = sampled_hankel_gram(fv, weight, degree, margin, rule).matrix
-    M = spectral._coefficients(fv, wE, E, degree)
-    _, G2 = spectral._margin_grams(fv, wE, E, M, Dp)
-    for got, proj in ((G, Dp), (G2, Dp + 5)):
-        ref = _unblocked_gram_once(fv, big, degree, proj, rule)
+    _, G2 = _character_grams(fv, weight, degree, margin, rule)
+    scale = _unprojected_scale(fv, weight, degree, rule)
+    refs = _whole_rule_grams(fv, weight, degree, margin, rule)
+    for got, ref in zip((G, G2), refs):
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("order,scale", [(1, 1.0), (2, 1.0), (26, 1.0),
+                                         (43, 1.0), (103, 1.0), (20, 0.5),
+                                         (31, 2.0)])
+def test_quarter_rotations_are_the_plane_rule(order, scale):
+    # node for node and weight for weight, to the bit; the origin of an
+    # odd order stands for its four rotations with a quarter of its weight
+    rule = gaussian_plane_rule(order, scale)
+    quarter, rotations = spectral._quarter(rule)
+    z = quarter.nodes
+    inside = z[:z.size - order % 2]
+    assert np.all(inside.real > 0) and np.all(inside.imag >= 0)
+    for r, turned in enumerate([z, -z.imag + 1j * z.real, -z,
+                                z.imag - 1j * z.real]):
+        assert np.array_equal(rule.nodes[rotations[r]], turned)
+        assert np.array_equal(rule.weights[rotations[r]],
+                              rule.weights[rotations[0]])
+    # the rotations take every node once, the origin four times
+    counts = np.bincount(rotations.ravel(), minlength=rule.nodes.size)
+    assert np.array_equal(counts, np.where(rule.nodes == 0, 4, 1))
+    assert np.array_equal(quarter.weights, rule.weights[rotations[0]]
+                          * np.where(z == 0, 0.25, 1.0))
+    # the quarter alone is a rule on Q: a quarter of the radial mass
+    mass = quarter.integrate(np.exp(-scale * np.abs(z) ** 2))
+    assert abs(mass - np.pi / (4 * scale)) < 1e-13
+    # memoised per rule, and read-only
+    assert spectral._quarter(rule)[1] is rotations
+    for arr in (rotations, quarter.nodes, quarter.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_gram_refuses_other_samples_and_rules(weight):
+    rule = default_rule_for_degree(30, 1.0, margin=8)
+    fv = symbols.make("conj-linear")(rule.nodes)
+    with pytest.raises(ValueError, match="rule's nodes"):
+        sampled_hankel_gram(fv[:-1], weight, 10, 10, rule)
+    with pytest.raises(ValueError, match="rule's nodes"):
+        sampled_hankel_gram(np.tile(fv, 4), weight, 10, 10, rule)
+    shifted = Rule(nodes=rule.nodes + 0.5, weights=rule.weights)
+    with pytest.raises(ValueError, match="invariant"):
+        sampled_hankel_gram(fv, weight, 10, 10, shifted)
+
+
+@pytest.mark.parametrize("family,params,live", [
+    ("conj-linear", {}, [1]), ("conj-gaussian", {"beta": 1.0}, [1]),
+    ("bump", {"radius": 1.0}, [0]), ("step", {}, [0]),
+    ("holo-poly", {"coeffs": [0.0, 1.0]}, [3])])
+def test_covariant_symbols_have_one_character(family, params, live):
+    # f(iz) = i^{-s} f(z) at every node leaves exact zeros in the others
+    rule = default_rule_for_degree(95, 1.0, margin=8)
+    rotations = spectral._quarter(rule)[1]
+    fv = symbols.make(family, **params)(rule.nodes)
+    assert spectral._characters(fv[rotations])[1] == live
+
+
+@pytest.mark.parametrize("family,params,covariant", [
+    ("conj-linear", {}, True), ("conj-gaussian", {"beta": 1.0}, True),
+    ("bump", {"radius": 1.0}, True), ("mixed", {"radius": 1.0}, False),
+    ("translated", {"a": 3.0}, False)])
+def test_covariant_gram_is_block_diagonal_mod_4(weight, family, params,
+                                                covariant):
+    # one live character s: R^(c) has the columns of class c + s alone
+    S = build_hankel_gram(_gram_symbol(family, params), weight, 40)
+    j = np.arange(41)
+    across = (j[:, None] - j[None, :]) % 4 != 0
+    if covariant:
+        assert np.all(S.matrix[across] == 0)
+    else:
+        assert np.count_nonzero(S.matrix[across]) > 0
+
+
 def test_gram_peak_memory_is_the_basis_and_a_few_blocks(weight):
-    # E is the one array that scales with the rule; every product built
-    # from it sums over node blocks
-    degree, margin = 40, 10
+    # E on the quarter rule is the one array that scales with the rule;
+    # every product built from it sums over node blocks
+    degree, margin = 80, 10
     f = symbols.make("mixed", radius=1.0)
     rule = default_rule_for_degree(degree + margin + 5, 1.0, margin=8)
-    n = rule.nodes.size
+    n = spectral._quarter(rule)[0].nodes.size
     E_bytes = 16 * n * (degree + margin + 6)
     assert E_bytes > 2 * spectral.GRAM_BLOCK_BYTES
     tracemalloc.start()
@@ -357,13 +525,13 @@ def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
 
 def test_checked_gram_projects_once(monkeypatch, weight):
     # the D' Gram and the D'+5 certificate share one projection pass,
-    # M = E^H (w f E) over every node block of the one E
+    # M = E^H (w f E) over every node block of the one E on the quarter
     calls = []
     coefficients = spectral._coefficients
 
-    def counted(samples, wE, E, degree):
+    def counted(Psi, live, w4, E, degree):
         calls.append((E.shape, degree))
-        return coefficients(samples, wE, E, degree)
+        return coefficients(Psi, live, w4, E, degree)
 
     monkeypatch.setattr(spectral, "_coefficients", counted)
     build_hankel_gram(symbols.make("conj-linear"), weight, 25,
