@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__, symbols
 from .approximant import compact_approximant
 from .config import ConfigError, ExperimentConfig, load_config
-from .dbar import CalibrationError, DbarSolver, calibrate_orientation, \
-    dbar_fd, gaussian_test_forms
+from .dbar import C0, CalibrationError, DbarSolver, \
+    calibrate_orientation, dbar_fd, gaussian_test_forms
 from .decomposition import InvalidProfileError, build_partition, \
     decompose, verify_controls
 from .fock import build_basis, fit_kernel_estimates, kernel
@@ -119,9 +119,9 @@ class Runner:
         with _blamed_on("dbar.n_radial/dbar.n_angular", CalibrationError):
             s = DbarSolver(self.weight, n_radial=self.cfg["dbar.n_radial"],
                            n_angular=self.cfg["dbar.n_angular"])
-            calibrate_orientation(s)
-        self.calibration["c0"] = s.c0
-        self.calibration["residual"] = s.calibration_residual
+            residual = calibrate_orientation(s)
+        self.calibration["c0"] = C0
+        self.calibration["residual"] = residual
         return s
 
     def symbol(self, family=None):
@@ -210,7 +210,7 @@ def cmd_kernel_fit(r: Runner, rng):
     b = r.basis()
     half = r.cfg["probes.half_width"]
     g = np.linspace(-half, half, 7)
-    with _blamed_on("probes.half_width"):
+    with _blamed_on("probes.half_width", ValueError):
         est = fit_kernel_estimates(b, (g[:, None] + 1j * g[None, :]).ravel())
     return {"kernel_fit.csv": (
         ["theta", "C1", "C2", "r0", "fit_residual", "bound_holds"],

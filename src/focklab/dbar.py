@@ -3,23 +3,25 @@
 With omega = w(xi) d(conj xi), the n = 1 reduction of the weighted
 integral solution operator is
 
-    u(z) = c0 * integral  e^{2 grad(phi)(xi) (z - xi)} w(xi) / (xi - z) dA(xi),
+    u(z) = C0 * integral  e^{2 grad(phi)(xi) (z - xi)} w(xi) / (xi - z) dA(xi),
 
-where the orientation constant c0 is never assumed: it is calibrated once
-against the finite-difference residual of the solution property
-dbar u = w over a family of test forms.  The |xi - z|^{-1} singularity is
-absorbed by integrating in polar coordinates centered at z, where the
-Jacobian cancels it exactly; `_polar_sum` is that one sum, for A_phi
-and for the singular patch of the Cauchy transform.  The nodes and the
-kernel depend only on the point and the grid, so A_phi always takes a
-form family (a sequence of forms sharing one support radius; one form is
-passed as [omega]) in one kernel pass per chunk of points: the
-calibration and the dbar check each solve their three test forms in one
-call.
+where the orientation constant C0 = -1/pi is a theorem: dbar(1/(pi z))
+= delta_0 (Cauchy-Pompeiu; Hormander, An Introduction to Complex Analysis
+in Several Variables, Thm 1.2.2), and the weight factor is 1 at xi = z
+for every phi.  `calibrate_orientation` only certifies a solver's grid by
+the finite-difference residual of dbar u = w over a family of test forms.
+The |xi - z|^{-1} singularity is absorbed by integrating in polar
+coordinates centered at z, where the Jacobian cancels it exactly;
+`_polar_sum` is that one sum, for A_phi and for the singular patch of
+the Cauchy transform.  The nodes and the kernel depend only on the point
+and the grid, so A_phi always takes a form family (a sequence of forms
+sharing one support radius; one form is passed as [omega]) in one kernel
+pass per chunk of points: the certificate and the dbar check each solve
+their three test forms in one call.
 
 Compact forms (those with a support radius) have a cheaper solution, the
-Cauchy transform C(w)(z) = c0 * integral w(xi) / (xi - z) dA(xi), with
-the same c0 since the weight factor is 1 at xi = z.  C(w) - A_phi(w) is
+Cauchy transform C(w)(z) = C0 * integral w(xi) / (xi - z) dA(xi), with
+the same C0 since the weight factor is 1 at xi = z.  C(w) - A_phi(w) is
 entire of exponential type, and the Hankel operator vanishes on such
 functions, so both give the same H_psi; but C(w) = O(1/z) off the
 support, so truncated projections represent it.  `cauchy_apply` samples
@@ -44,10 +46,11 @@ FD_STEP = 1e-3
 # a Gaussian-decay form is integrated out to this many 1/sqrt(alpha)
 GAUSSIAN_REACH = 8.0
 
-# candidate orientation constants: signs times the usual Cauchy-transform
-# normalizations (1, 1/pi, 1/(2pi)) and their imaginary rotations
-C0_CANDIDATES = tuple(s * m for s in (1.0, -1.0, 1j, -1j)
-                      for m in (1.0, 1.0 / np.pi, 1.0 / (2 * np.pi)))
+# the orientation constant: dbar(1/(pi z)) = delta_0
+C0 = -1.0 / np.pi
+# a solver whose relative dbar residual on the test family exceeds this
+# is refused
+CALIBRATION_TOL = 1e-2
 
 # The Cauchy engine splits its kernel with the floating cutoff
 # chi = (1 - |xi - z|^2 / PATCH_RADIUS^2)^CUTOFF_POWER: the singular part
@@ -70,7 +73,7 @@ class DecayError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """No candidate orientation constant solves the dbar equation."""
+    """The solver's grid does not solve the dbar equation to tolerance."""
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,14 @@ class ZeroOneForm:
         return self.coefficient(np.asarray(xi, dtype=complex))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DbarSolver:
     weight: WeightModel
     n_radial: int
     n_angular: int
-    c0: Optional[complex] = None
-    calibration_residual: Optional[float] = None
 
     def raw_apply(self, forms, z) -> np.ndarray:
-        """The integral with c0 = 1 for each form of the family `forms`
+        """The integral without C0 for each form of the family `forms`
         (a sequence sharing one support_radius) at each point of z, of
         any shape; the result has a leading form axis.  The nodes and the
         kernel are formed once per chunk of points and applied to every
@@ -121,29 +122,21 @@ class DbarSolver:
                          (self.n_radial, self.n_angular))
         return out.reshape((len(forms),) + np.shape(z))
 
-    def _calibrated_c0(self) -> complex:
-        if self.c0 is None:
-            raise CalibrationError(
-                "orientation constant not set: run calibrate_orientation")
-        return self.c0
-
     def apply(self, forms, z) -> np.ndarray:
         """A_phi(omega) at z for each form omega of the family `forms` (see
-        raw_apply); requires a completed calibration."""
-        c0 = self._calibrated_c0()
+        raw_apply)."""
         for form in forms:
             self._certify_decay(form)
-        return c0 * self.raw_apply(forms, z)
+        return C0 * self.raw_apply(forms, z)
 
     def cauchy_apply(self, omega: ZeroOneForm, z) -> np.ndarray:
-        """c0 * integral omega(xi) / (xi - z) dA(xi) for a compact form.
+        """C0 * integral omega(xi) / (xi - z) dA(xi) for a compact form.
 
         One solution of dbar u = omega; it differs from A_phi(omega) by an
         entire function.  omega is sampled once on an n_radial x n_angular
         polar rule over its support for the smooth part of the kernel;
         points within PATCH_RADIUS of the support add the singular part.
         """
-        c0 = self._calibrated_c0()
         if omega.support_radius is None:
             raise DecayError("the Cauchy transform needs a compactly "
                              "supported form")
@@ -161,7 +154,7 @@ class DbarSolver:
         if near.size:
             out[near] += _polar_sum(lambda zc, pts: omega(pts), zs[near],
                                     PATCH_RADIUS, PATCH_GRID, cutoff=True)
-        out *= c0
+        out *= C0
         return out.reshape(np.shape(z))
 
     def _certify_decay(self, omega: ZeroOneForm):
@@ -251,34 +244,25 @@ def gaussian_test_forms(alpha: float = 1.0) -> list[ZeroOneForm]:
     ]
 
 
-def calibrate_orientation(solver: DbarSolver, forms=None,
-                          rel_tol: float = 1e-2) -> complex:
-    """Pick c0 from the candidate set by the dbar-residual oracle.
+def calibrate_orientation(solver: DbarSolver) -> float:
+    """The relative residual of dbar u = w over the solver's test family.
 
-    The winner must reproduce dbar u = w within `rel_tol` relative to
-    max|w| over the family on a 5 x 5 probe grid, else calibration fails
-    loudly.
+    One raw solve of gaussian_test_forms on a 5 x 5 probe grid, scaled by
+    C0; the worst over the family of max|dbar u - w| relative to max|w|.
+    A residual above CALIBRATION_TOL raises CalibrationError.
     """
-    if forms is None:
-        forms = gaussian_test_forms(solver.weight.alpha)
+    forms = gaussian_test_forms(solver.weight.alpha)
     g = np.linspace(-1.2, 1.2, 5)
     probes = (g[:, None] + 1j * g[None, :]).ravel()
-    # u is linear in c0: one raw solve of the family, scaled per candidate
-    forms = list(forms)
     raw = dbar_fd(lambda z: solver.raw_apply(forms, z), probes)
-    solved = [(raw_dbar, omega(probes))
-              for raw_dbar, omega in zip(raw, forms)]
-    residuals = {c0: max(float(np.max(np.abs(c0 * raw_dbar - w)))
-                         / (float(np.max(np.abs(w))) + 1e-30)
-                         for raw_dbar, w in solved) for c0 in C0_CANDIDATES}
-    winner = min(residuals, key=residuals.get)
-    if residuals[winner] > rel_tol:
+    residual = max(float(np.max(np.abs(C0 * raw_dbar - w)))
+                   / (float(np.max(np.abs(w))) + 1e-30)
+                   for raw_dbar, w in zip(raw, [f(probes) for f in forms]))
+    if residual > CALIBRATION_TOL:
         raise CalibrationError(
-            f"no orientation candidate meets the residual tolerance; "
-            f"best {winner} at relative residual {residuals[winner]:.3e}")
-    solver.c0 = winner
-    solver.calibration_residual = residuals[winner]
-    return winner
+            f"C0 = -1/pi misses the dbar residual tolerance "
+            f"{CALIBRATION_TOL:g} at relative residual {residual:.3e}")
+    return residual
 
 
 def hankel_via_dbar(solver: DbarSolver, f: Symbol, g,

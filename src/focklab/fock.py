@@ -156,6 +156,9 @@ def fit_kernel_estimates(basis: FockBasis, probes) -> KernelEstimates:
     logterm = np.log(np.abs(kernel(basis, z, w))) - phi(z) - phi(w)
     dist = np.abs(z - w)
     mask = dist > 1e-9
+    if not mask.any():
+        raise ValueError("no two probes lie more than 1e-9 apart, so the "
+                         "decay rate cannot be fitted")
     A = np.stack([-dist[mask], np.ones(mask.sum())], axis=1)
     sol, *_ = np.linalg.lstsq(A, logterm[mask], rcond=None)
     theta, logC1 = float(sol[0]), float(sol[1])

@@ -189,6 +189,8 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("dbar-check dbar.n_radial=1 dbar.n_angular=1", "dbar.n_radial"),
     ("thm12-report dbar.n_radial=1", "dbar.n_radial"),
     ("compact-approx dbar.n_angular=2", "dbar.n_angular"),
+    # a probe grid whose points all lie within 1e-9 of each other
+    ("kernel-fit probes.half_width=1e-300", "probes.half_width"),
 ])
 def test_cli_capability_limit_exit_code(args, field, tmp_path, capsys):
     assert main(args.split() + ["--out", str(tmp_path)]) == 2

@@ -13,32 +13,65 @@ from focklab.fock import build_basis, default_rule_for_degree, \
     kernel
 from focklab.lattice import Window, build_lattice
 from focklab.quadrature import polar_rule
-from focklab.weights import gaussian_weight
+from focklab.weights import gaussian_weight, perturbed_gaussian_weight
 
 
 @pytest.fixture(scope="module")
 def solver():
-    s = DbarSolver(gaussian_weight(1.0), n_radial=60, n_angular=96)
-    calibrate_orientation(s)
-    return s
+    return DbarSolver(gaussian_weight(1.0), n_radial=60, n_angular=96)
 
 
-def test_calibration_unique_constant(solver):
-    assert solver.c0 is not None
-    assert abs(solver.c0 - (-1.0 / np.pi)) < 1e-12
-    assert solver.calibration_residual < 1e-3
+# the orientation constants a search would try: signs times the usual
+# Cauchy-transform normalizations (1, 1/pi, 1/(2 pi)) and their imaginary
+# rotations
+CANDIDATES = tuple(s * m for s in (1.0, -1.0, 1j, -1j)
+                   for m in (1.0, 1.0 / np.pi, 1.0 / (2 * np.pi)))
 
 
-def test_calibration_idempotent(solver):
-    c0 = solver.c0
-    calibrate_orientation(solver)
-    assert solver.c0 == c0
+def _candidate_residuals(s):
+    """calibrate_orientation's residual for each of CANDIDATES in place of
+    C0, from one raw solve of the test family."""
+    forms = gaussian_test_forms(s.weight.alpha)
+    g = np.linspace(-1.2, 1.2, 5)
+    probes = (g[:, None] + 1j * g[None, :]).ravel()
+    raw = dbar_fd(lambda z: s.raw_apply(forms, z), probes)
+    ws = [f(probes) for f in forms]
+    return {c: max(float(np.max(np.abs(c * raw_dbar - w)))
+                   / (float(np.max(np.abs(w))) + 1e-30)
+                   for raw_dbar, w in zip(raw, ws)) for c in CANDIDATES}
+
+
+def test_calibration_unique_constant():
+    # C0 = -1/pi is a theorem, not a search: on every weight and fine grid
+    # it meets the tolerance and every other candidate is far off
+    assert dbar.C0 in CANDIDATES
+    for weight in (gaussian_weight(1.0), gaussian_weight(0.5),
+                   perturbed_gaussian_weight()):
+        for grid in ((60, 96), (20, 32)):
+            s = DbarSolver(weight, *grid)
+            residuals = _candidate_residuals(s)
+            assert residuals[dbar.C0] <= dbar.CALIBRATION_TOL
+            assert all(r >= 0.4 for c, r in residuals.items()
+                       if c != dbar.C0)
+
+
+@pytest.mark.parametrize("grid", [(10, 16), (1, 1), (60, 2)])
+def test_calibration_refuses_coarse_grids(grid):
+    with pytest.raises(CalibrationError):
+        calibrate_orientation(DbarSolver(gaussian_weight(1.0), *grid))
 
 
 def test_calibration_matches_reference_bit_for_bit(solver):
-    # the family solve must not move c0 or the 60 x 96 residual at all
-    assert solver.c0 == -1.0 / np.pi
-    assert solver.calibration_residual == 8.245927790425177e-07
+    # the certificate must not move C0 or the 60 x 96 residual at all
+    assert isinstance(dbar.C0, float) and dbar.C0 == -1.0 / np.pi
+    assert calibrate_orientation(solver) == 8.245927790425177e-07
+
+
+def test_solver_is_frozen(solver):
+    assert [f.name for f in dataclasses.fields(DbarSolver)] == [
+        "weight", "n_radial", "n_angular"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        solver.n_radial = 1
 
 
 def test_calibration_is_one_family_solve(monkeypatch):
@@ -53,7 +86,6 @@ def test_calibration_is_one_family_solve(monkeypatch):
 
     s = DbarSolver(dataclasses.replace(weight, grad=grad), n_radial=20,
                    n_angular=32)
-    forms = gaussian_test_forms(1.0)
     calls = []
     raw_apply = DbarSolver.raw_apply
 
@@ -62,8 +94,8 @@ def test_calibration_is_one_family_solve(monkeypatch):
         return raw_apply(self, forms, z)
 
     monkeypatch.setattr(DbarSolver, "raw_apply", counted)
-    calibrate_orientation(s, forms, rel_tol=np.inf)
-    assert calls == [(len(forms), (4, 25))]
+    calibrate_orientation(s)
+    assert calls == [(3, (4, 25))]
     # 20 x 32 = 640 nodes: one point a chunk, the 4 x 25 stencil points
     assert grads == [(1, 640)] * 100
 
@@ -82,7 +114,7 @@ def _compact_family():
 @pytest.mark.parametrize("grid", [(60, 96), (10, 16)])
 def test_family_equals_per_form_calls(solver, grid):
     # on 10 x 16 nodes a chunk holds six points, on 60 x 96 one
-    s = DbarSolver(solver.weight, *grid, c0=solver.c0)
+    s = DbarSolver(solver.weight, *grid)
     g = np.linspace(-1.2, 1.2, 5)
     probes = (g[:, None] + 1j * g[None, :]).ravel()
     cases = [(gaussian_test_forms(1.0), _stencil(probes)),
@@ -185,13 +217,6 @@ def test_raw_apply_chunking_invariant(monkeypatch):
     assert s.raw_apply([omega], z[4])[0] == chunked[4]
 
 
-def test_uncalibrated_apply_rejected():
-    s = DbarSolver(gaussian_weight(1.0), n_radial=30, n_angular=48)
-    omega = gaussian_test_forms(1.0)[0]
-    with pytest.raises(CalibrationError):
-        s.apply([omega], np.array([0.0 + 0.0j]))
-
-
 def test_residual_on_gaussian_family(solver):
     rng = np.random.default_rng(11)
     z = rng.uniform(-0.8, 0.8, 12) + 1j * rng.uniform(-0.8, 0.8, 12)
@@ -291,9 +316,6 @@ def test_cauchy_apply_chunking_invariant(solver, monkeypatch):
 
 
 def test_cauchy_apply_rejections(solver):
-    uncalibrated = DbarSolver(gaussian_weight(1.0), n_radial=30, n_angular=48)
-    with pytest.raises(CalibrationError):
-        uncalibrated.cauchy_apply(_radial_form(), np.array([0.5]))
     with pytest.raises(DecayError):
         solver.cauchy_apply(gaussian_test_forms(1.0)[0], np.array([0.5]))
 
@@ -308,7 +330,7 @@ def test_approximant_gap_converged_in_rule_and_patch(solver, monkeypatch):
     monkeypatch.setattr(dbar, "PATCH_GRID",
                         tuple(2 * n for n in dbar.PATCH_GRID))
     fine = DbarSolver(solver.weight, n_radial=2 * solver.n_radial,
-                      n_angular=2 * solver.n_angular, c0=solver.c0)
+                      n_angular=2 * solver.n_angular)
     doubled = compact_approximant(f, D, fine, 2.0, basis, 10)
     assert abs(doubled.gap - base.gap) < 1e-6
     assert base.reliable and abs(base.gap - 1.0) <= 0.05

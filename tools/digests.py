@@ -5,8 +5,9 @@
 The runs are the 18 subcommands at their defaults (seed 0), plus
 `hankel-svd basis.degree=80 symbol.id=bump` (a Gram with one live rotation
 character), `hankel-svd basis.degree=40 symbol.id=mixed` (one with all
-four) and the four q != 2 ops of the `fits-spectra` benchmark workload,
-each into a fresh output directory.
+four), the four q != 2 ops of the `fits-spectra` benchmark workload and
+`dbar-check weight.kind=perturbed-gaussian` (the one dbar calibration on
+a non-Gaussian weight), each into a fresh output directory.
 Each CSV gives one line `label file sha256`; each manifest calibration or
 warning line gives one line `label manifest.txt <line>`.  A label is the
 subcommand with its overrides joined by '/'.  Two checkouts are compared
@@ -31,6 +32,7 @@ EXTRA = (
     ("ida-norm", "functional.q=3", "symbol.id=step", "lattice.r=0.5"),
     ("g-profile", "functional.q=1"),
     ("decompose", "functional.q=1", "symbol.id=bump"),
+    ("dbar-check", "weight.kind=perturbed-gaussian"),
 )
 
 
