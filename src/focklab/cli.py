@@ -116,6 +116,10 @@ class Runner:
 
     @cached_property
     def solver(self):
+        """The configured DbarSolver, certified.  Its residual is
+        memoised per process by weight and grid, so only the first Runner
+        of a grid pays the solve; the tolerance is checked on every
+        call."""
         with _blamed_on("dbar.n_radial/dbar.n_angular", CalibrationError):
             s = DbarSolver(self.weight, n_radial=self.cfg["dbar.n_radial"],
                            n_angular=self.cfg["dbar.n_angular"])

@@ -10,6 +10,9 @@ where the orientation constant C0 = -1/pi is a theorem: dbar(1/(pi z))
 in Several Variables, Thm 1.2.2), and the weight factor is 1 at xi = z
 for every phi.  `calibrate_orientation` only certifies a solver's grid by
 the finite-difference residual of dbar u = w over a family of test forms.
+A `DbarSolver` is a frozen value that hashes by (weight, n_radial,
+n_angular), the weight by identity, so the residual is memoised per
+solver, once per process; the tolerance is checked on every call.
 The |xi - z|^{-1} singularity is absorbed by integrating in polar
 coordinates centered at z, where the Jacobian cancels it exactly;
 `_polar_sum` is that one sum, for A_phi and for the singular patch of
@@ -33,6 +36,7 @@ chi/(xi - z) a small polar patch about each point near the support.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -249,20 +253,26 @@ def calibrate_orientation(solver: DbarSolver) -> float:
 
     One raw solve of gaussian_test_forms on a 5 x 5 probe grid, scaled by
     C0; the worst over the family of max|dbar u - w| relative to max|w|.
-    A residual above CALIBRATION_TOL raises CalibrationError.
+    The residual is memoised per solver (equal solvers share it); a
+    residual above CALIBRATION_TOL raises CalibrationError on every call.
     """
-    forms = gaussian_test_forms(solver.weight.alpha)
-    g = np.linspace(-1.2, 1.2, 5)
-    probes = (g[:, None] + 1j * g[None, :]).ravel()
-    raw = dbar_fd(lambda z: solver.raw_apply(forms, z), probes)
-    residual = max(float(np.max(np.abs(C0 * raw_dbar - w)))
-                   / (float(np.max(np.abs(w))) + 1e-30)
-                   for raw_dbar, w in zip(raw, [f(probes) for f in forms]))
+    residual = _residual(solver)
     if residual > CALIBRATION_TOL:
         raise CalibrationError(
             f"C0 = -1/pi misses the dbar residual tolerance "
             f"{CALIBRATION_TOL:g} at relative residual {residual:.3e}")
     return residual
+
+
+@lru_cache(maxsize=32)
+def _residual(solver: DbarSolver) -> float:
+    forms = gaussian_test_forms(solver.weight.alpha)
+    g = np.linspace(-1.2, 1.2, 5)
+    probes = (g[:, None] + 1j * g[None, :]).ravel()
+    raw = dbar_fd(lambda z: solver.raw_apply(forms, z), probes)
+    return max(float(np.max(np.abs(C0 * raw_dbar - w)))
+               / (float(np.max(np.abs(w))) + 1e-30)
+               for raw_dbar, w in zip(raw, [f(probes) for f in forms]))
 
 
 def hankel_via_dbar(solver: DbarSolver, f: Symbol, g,

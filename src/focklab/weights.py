@@ -3,10 +3,18 @@
 All evaluators are vectorized over complex numpy arrays.  The complex
 gradient follows the holomorphic convention d/dz = (d/dx - i d/dy)/2, so
 for the Gaussian weight (alpha/2)|z|^2 the gradient is (alpha/2)*conj(z).
+
+A `WeightModel` is immutable (its `params` are a read-only mapping) and
+hashes by identity, like a quadrature `Rule`.  The built-in weights are
+memoised per parameter (`gaussian_weight` by alpha,
+`perturbed_gaussian_weight` by eps), so a process shares one model per
+value, and a dbar certificate keyed by it is computed once.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -15,7 +23,7 @@ class WeightEvaluationError(RuntimeError):
     """Non-finite weight data at a probe point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightModel:
     """Weight phi with declared ellipticity bounds 0 < m <= M."""
 
@@ -25,11 +33,13 @@ class WeightModel:
     m: float
     M: float
     kind: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0 < self.m <= self.M):
             raise ValueError("bounds must satisfy 0 < m <= M")
+        object.__setattr__(self, "params",
+                           MappingProxyType(dict(self.params)))
 
     @property
     def alpha(self) -> float:
@@ -48,10 +58,14 @@ class CertificationReport:
 
 
 def gaussian_weight(alpha: float = 1.0) -> WeightModel:
-    """phi(z) = (alpha/2)|z|^2 with m = M = alpha."""
+    """phi(z) = (alpha/2)|z|^2 with m = M = alpha; one model per alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    return _gaussian_weight(float(alpha))
 
+
+@lru_cache(maxsize=32)
+def _gaussian_weight(alpha: float) -> WeightModel:
     def phi(z):
         return 0.5 * alpha * np.abs(z) ** 2
 
@@ -66,10 +80,15 @@ def gaussian_weight(alpha: float = 1.0) -> WeightModel:
 
 
 def perturbed_gaussian_weight(eps: float = 0.1) -> WeightModel:
-    """phi(z) = |z|^2/2 + eps*sin(Re z); Hessian diag(1 - eps*sin(x), 1)."""
+    """phi(z) = |z|^2/2 + eps*sin(Re z); Hessian diag(1 - eps*sin(x), 1).
+    One model per eps."""
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
+    return _perturbed_gaussian_weight(float(eps))
 
+
+@lru_cache(maxsize=32)
+def _perturbed_gaussian_weight(eps: float) -> WeightModel:
     def phi(z):
         return 0.5 * np.abs(z) ** 2 + eps * np.sin(np.real(z))
 

@@ -290,6 +290,29 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+@pytest.mark.parametrize("args", [["dbar-check"],
+                                  ["thm12-report", "functional.shells=2.0"]])
+def test_cold_and_warm_set_up_write_the_same_bytes(args, tmp_path):
+    # the first run of a process solves the certificate; the second
+    # finds it memoised
+    from focklab import dbar
+    dbar._residual.cache_clear()
+    outputs = []
+    for sub in ("cold", "warm"):
+        run_dir = run(args[0], load_config(None, args[1:], seed=0),
+                      str(tmp_path / sub))
+        manifest = (run_dir / "manifest.txt").read_text().splitlines()
+        outputs.append(({p.name: p.read_bytes()
+                         for p in run_dir.glob("*.csv")},
+                        [line for line in manifest
+                         if line.startswith("calibration.")]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] and outputs[0][1] == [
+        f"calibration.c0={dbar.C0}",
+        "calibration.residual=8.245927790425177e-07"]
+    assert dbar._residual.cache_info().misses == 1
+
+
 def test_cli_seed_changes_hash(tmp_path):
     for seed in ("0", "1"):
         assert main(["certify-weight", "--out", str(tmp_path),

@@ -86,6 +86,15 @@ def test_calibration_is_one_family_solve(monkeypatch):
 
     s = DbarSolver(dataclasses.replace(weight, grad=grad), n_radial=20,
                    n_angular=32)
+    calls = _count_raw_apply(monkeypatch)
+    calibrate_orientation(s)
+    assert calls == [(3, (4, 25))]
+    # 20 x 32 = 640 nodes: one point a chunk, the 4 x 25 stencil points
+    assert grads == [(1, 640)] * 100
+
+
+def _count_raw_apply(monkeypatch):
+    """The (family size, points shape) of every raw_apply call from now."""
     calls = []
     raw_apply = DbarSolver.raw_apply
 
@@ -94,10 +103,59 @@ def test_calibration_is_one_family_solve(monkeypatch):
         return raw_apply(self, forms, z)
 
     monkeypatch.setattr(DbarSolver, "raw_apply", counted)
-    calibrate_orientation(s)
+    return calls
+
+
+def test_calibration_memoised_per_solver(monkeypatch):
+    # equal solvers (same weight object, same grid) share one solve; a
+    # replaced weight is a new key and solves again, to the same value
+    weight = gaussian_weight(1.0)
+    assert DbarSolver(weight, 20, 32) == DbarSolver(weight, 20, 32)
+    assert hash(DbarSolver(weight, 20, 32)) == hash(DbarSolver(weight, 20,
+                                                               32))
+    first = calibrate_orientation(DbarSolver(weight, 20, 32))
+    calls = _count_raw_apply(monkeypatch)
+    assert calibrate_orientation(DbarSolver(weight, 20, 32)) == first
+    assert calls == []
+    copy = DbarSolver(dataclasses.replace(weight), 20, 32)
+    assert copy != DbarSolver(weight, 20, 32)
+    assert calibrate_orientation(copy) == first
     assert calls == [(3, (4, 25))]
-    # 20 x 32 = 640 nodes: one point a chunk, the 4 x 25 stencil points
-    assert grads == [(1, 640)] * 100
+
+
+def test_refused_grid_raises_on_every_call(monkeypatch):
+    s = DbarSolver(gaussian_weight(1.0), 10, 16)
+    with pytest.raises(CalibrationError):
+        calibrate_orientation(s)
+    calls = _count_raw_apply(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(CalibrationError):
+            calibrate_orientation(DbarSolver(gaussian_weight(1.0), 10, 16))
+    assert calls == []
+
+
+def test_tolerance_checked_on_memoised_residual(solver, monkeypatch):
+    residual = calibrate_orientation(solver)
+    monkeypatch.setattr(dbar, "CALIBRATION_TOL", 0.5 * residual)
+    with pytest.raises(CalibrationError):
+        calibrate_orientation(solver)
+
+
+def test_failed_solve_is_not_memoised(monkeypatch):
+    s = DbarSolver(dataclasses.replace(gaussian_weight(1.0)), 20, 32)
+
+    def failing(self, forms, z):
+        raise MemoryError("out of memory")
+
+    with monkeypatch.context() as m:
+        m.setattr(DbarSolver, "raw_apply", failing)
+        with pytest.raises(MemoryError):
+            calibrate_orientation(s)
+    reference = calibrate_orientation(DbarSolver(gaussian_weight(1.0), 20,
+                                                 32))
+    calls = _count_raw_apply(monkeypatch)
+    assert calibrate_orientation(s) == reference
+    assert len(calls) == 1
 
 
 def _stencil(z, h=dbar.FD_STEP):

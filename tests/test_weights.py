@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,23 @@ def test_finite_difference_consistency():
 def test_bad_alpha_rejected():
     with pytest.raises(ValueError):
         gaussian_weight(-1.0)
+
+
+def test_weights_memoised_per_parameter():
+    # one model per value, whichever way the value is passed
+    w = gaussian_weight(1.0)
+    assert gaussian_weight(1.0) is w
+    assert gaussian_weight() is w and gaussian_weight(alpha=1) is w
+    assert gaussian_weight(2.0) is not w
+    assert perturbed_gaussian_weight(0.1) is perturbed_gaussian_weight()
+    assert perturbed_gaussian_weight(0.2) is not perturbed_gaussian_weight()
+
+
+def test_weight_compares_by_identity_and_params_are_read_only():
+    w = gaussian_weight(1.0)
+    with pytest.raises(TypeError):
+        w.params["alpha"] = 2.0
+    assert w.params == {"alpha": 1.0}
+    copy = dataclasses.replace(w)
+    assert copy != w and copy.params == w.params
+    assert len({w, gaussian_weight(1.0), copy}) == 2
