@@ -363,7 +363,8 @@ def cmd_essential_norm(r: Runner, rng):
           int(est.reliable)]])}
 
 
-GAP_HEADER = ["t", "gap", "ess_tail", "margin_shift", "reliable"]
+GAP_HEADER = ["t", "gap", "ess_tail", "margin_shift", "degree_shift",
+              "reliable"]
 
 
 def _gap_rows(r: Runner, ts, t_key):
@@ -381,9 +382,10 @@ def _gap_rows(r: Runner, ts, t_key):
     D = r.decomposition(f, L)
     rows = []
     for t in ts:
-        g = compact_approximant(f, D, r.solver, t, r.basis(),
+        S = compact_approximant(f, D, r.solver, t, r.basis(),
                                 cfg["basis.margin"])
-        rows.append([t, g.gap, ess, g.margin_shift, int(g.reliable)])
+        rows.append([t, S.values[0], ess, S.stability_shift, S.degree_shift,
+                     int(S.reliable)])
     return rows
 
 

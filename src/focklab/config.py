@@ -66,7 +66,9 @@ _COUNT = Domain(int, lambda k: k >= 1, "an integer >= 1")
 
 KEYS = {
     "weight.kind": ("gaussian", _one_of("gaussian", "perturbed-gaussian")),
-    "weight.alpha": ("1.0", _POSITIVE),
+    # past either end the Gram underflows or the normalisations overflow
+    "weight.alpha": ("1.0", Domain(_real, lambda a: 1e-12 <= a <= 1e12,
+                                   "a number in 1e-12..1e12")),
     "basis.degree": ("20", _NATURAL),
     "basis.margin": ("10", _NATURAL),
     "quad.order": ("0", Domain(int, lambda k: k == 0, "0 (retired: the "
@@ -108,7 +110,8 @@ KEYS = {
     "approx.t": ("2.0", _POSITIVE),
     "measure.density": ("lebesgue", _one_of("lebesgue", "gaussian")),
     "probes.half_width": ("2.0", _POSITIVE),
-    "probes.count": ("25", _COUNT),
+    "probes.count": ("25", Domain(int, lambda k: 1 <= k <= POINT_CAP,
+                                  f"an integer in 1..{POINT_CAP}")),
 }
 
 DEFAULTS = {key: default for key, (default, _) in KEYS.items()}

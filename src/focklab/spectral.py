@@ -5,7 +5,7 @@ The Gram of the Hankel images is
 with the projection truncated at D' = D + margin.  Singular values are
 square roots of its eigenvalues; compactness and essential-norm questions
 are read off the tail of the spectrum.  A HankelGram is the one result
-type: the matrix with its singular values and its margin certificate,
+type: the matrix with its singular values and its two certificates,
 which the essential-norm tail, the Schatten criterion and the approximant
 gap all read.  One evaluation of the basis matrix E and one projection
 M = E^H (w f E) serve both projection degrees of the margin-stability
@@ -38,7 +38,7 @@ point, each point computed alone against work shared per call.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +63,8 @@ SLOPE_THRESHOLD = 0.05
 # that hold about this many bytes (1,024 nodes at D = 80, where E has 96
 # columns); each temporary built from a block holds at most as many
 GRAM_BLOCK_BYTES = 3 << 19
+# a Gram is reliable when neither truncation moves its top by more
+SHIFT_TOL = 1e-3
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -71,7 +73,8 @@ class NumericalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class HankelGram:
-    """The Gram of H_f at one degree and its singular spectrum."""
+    """The Gram of H_f at one degree, its singular spectrum and the
+    certificates of its two truncations, projection and domain."""
     degree: int                # of the Hankel images f e_j, j <= degree
     margin: int
     matrix: np.ndarray
@@ -81,6 +84,20 @@ class HankelGram:
     @property
     def projection_degree(self) -> int:
         return self.degree + self.margin
+
+    @cached_property
+    def degree_shift(self) -> float:
+        """s_0 minus the s_0 of the leading (D-1) x (D-1) block, the
+        degree-(D-2) Gram at the same projection degree: >= 0 by Cauchy
+        interlacing (roundoff clipped), s_0 itself for an empty block."""
+        block = self.matrix[:self.degree - 1, :self.degree - 1]
+        top = np.sqrt(max(np.linalg.eigvalsh(block)[-1], 0.0)) \
+            if block.size else 0.0
+        return max(float(self.values[0]) - top, 0.0)
+
+    @property
+    def reliable(self) -> bool:
+        return max(self.stability_shift, self.degree_shift) <= SHIFT_TOL
 
 
 @dataclass(frozen=True)

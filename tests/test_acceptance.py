@@ -231,12 +231,12 @@ def test_criterion_09_approximants(w, basis20, solver):
     fb = symbols.make("bump")
     Lb = build_lattice(0.0, 0.5, Window.square(4.0))
     Db = decompose(fb, build_partition(Lb), 2.0, 6)
-    gap2 = compact_approximant(fb, Db, solver, 2.0, basis20, 10).gap
+    gap2 = compact_approximant(fb, Db, solver, 2.0, basis20, 10).values[0]
     assert gap2 <= 1e-2
     fm = symbols.make("mixed")
     Lm = build_lattice(0.0, 0.5, Window.square(7.0))
     Dm = decompose(fm, build_partition(Lm), 2.0, 6)
-    gap4 = compact_approximant(fm, Dm, solver, 4.0, basis20, 10).gap
+    gap4 = compact_approximant(fm, Dm, solver, 4.0, basis20, 10).values[0]
     assert gap4 >= 0.5
     assert abs(gap4 - ess) <= 0.5 * ess
     _report(9, f"bump gap(2) {gap2:.1e}; mixed gap(4) {gap4:.3f} vs "

@@ -390,8 +390,45 @@ def test_approximant_gap_converged_in_rule_and_patch(solver, monkeypatch):
     fine = DbarSolver(solver.weight, n_radial=2 * solver.n_radial,
                       n_angular=2 * solver.n_angular)
     doubled = compact_approximant(f, D, fine, 2.0, basis, 10)
-    assert abs(doubled.gap - base.gap) < 1e-6
-    assert base.reliable and abs(base.gap - 1.0) <= 0.05
+    assert abs(doubled.values[0] - base.values[0]) < 1e-6
+    assert base.reliable and abs(base.values[0] - 1.0) <= 0.05
+
+
+def _thm12_decomposition(family):
+    """thm12-report's partition for t <= 5: lattice.r = 1 on the square
+    of half-width 5 + 1 + 2 lattice.r."""
+    f = symbols.make(family)
+    L = build_lattice(0.0, 1.0, Window.square(8.0))
+    return f, decompose(f, build_partition(L))
+
+
+@pytest.mark.parametrize("degree", [20, 30])
+def test_approximant_certified_exactly_when_converged(solver, degree):
+    # conj-linear's converged gap is ||H_f||_e = 1 at every t (D = 40 and
+    # 60 read 1.000000 up to t = 4); a row is certified exactly when its
+    # gap is within 1e-3 of it, and an uncertified row is stopped by its
+    # degree shift, not by its margin shift
+    f, D = _thm12_decomposition("conj-linear")
+    basis = build_basis(solver.weight, degree,
+                        default_rule_for_degree(degree, 1.0))
+    for t in (2.0, 3.0, 4.0, 5.0):
+        S = compact_approximant(f, D, solver, t, basis, 10)
+        assert S.degree_shift >= 0.0
+        assert S.reliable == (abs(S.values[0] - 1.0) <= 1e-3), (t, S.values[0])
+        assert S.stability_shift <= 1e-3
+
+
+def test_approximant_certifies_a_converged_compact_gap(solver):
+    # bump at t = 4: the degree-20 gap is certified and agrees with the
+    # degree-40 gap
+    f, D = _thm12_decomposition("bump")
+    gaps = {}
+    for degree in (20, 40):
+        basis = build_basis(solver.weight, degree,
+                            default_rule_for_degree(degree, 1.0))
+        gaps[degree] = compact_approximant(f, D, solver, 4.0, basis, 10)
+    assert gaps[20].reliable
+    assert abs(gaps[20].values[0] - gaps[40].values[0]) <= 1e-4
 
 
 def test_approximant_needs_a_positive_cutoff_radius(solver):

@@ -59,6 +59,23 @@ def test_gram_from_samples_matches_symbol_gram(weight):
     assert G.stability_shift == Gs.stability_shift
 
 
+@pytest.mark.parametrize("family", ["step", "mixed"])
+def test_degree_shift_reads_the_gram_two_degrees_down(weight, family):
+    # the leading block is the degree-18 Gram at the same projection
+    # degree, so the shift is the move of s_0 between the two Grams
+    f = symbols.make(family)
+    S = build_hankel_gram(f, weight, 20, 10)
+    lower = build_hankel_gram(f, weight, 18, 12)
+    assert S.degree_shift >= 0.0
+    assert abs(S.degree_shift - (S.values[0] - lower.values[0])) <= 1e-12
+
+
+def test_degree_shift_of_a_degree_one_gram_is_its_top(weight):
+    S = build_hankel_gram(symbols.make("bump"), weight, 1, 10)
+    assert S.degree_shift == S.values[0] > 0.0
+    assert not S.reliable
+
+
 def test_spectrum_scale_equivariance(weight):
     from focklab.symbols import Symbol
     f = symbols.make("conj-gaussian", beta=1.0)
