@@ -110,7 +110,8 @@ class Runner:
     def basis(self, degree=None):
         degree = self.cfg["basis.degree"] if degree is None else degree
         if degree not in self._bases:
-            with _blamed_on("basis.degree", ValueError, CapabilityError):
+            with _blamed_on("basis.degree/weight.alpha", ValueError,
+                            CapabilityError):
                 self._bases[degree] = build_basis(self.radial_weight, degree)
         return self._bases[degree]
 
@@ -120,7 +121,8 @@ class Runner:
         memoised per process by weight and grid, so only the first Runner
         of a grid pays the solve; the tolerance is checked on every
         call."""
-        with _blamed_on("dbar.n_radial/dbar.n_angular", CalibrationError):
+        with _blamed_on("dbar.n_radial/dbar.n_angular/weight.alpha",
+                        CalibrationError):
             s = DbarSolver(self.weight, n_radial=self.cfg["dbar.n_radial"],
                            n_angular=self.cfg["dbar.n_angular"])
             residual = calibrate_orientation(s)
@@ -214,7 +216,7 @@ def cmd_kernel_fit(r: Runner, rng):
     b = r.basis()
     half = r.cfg["probes.half_width"]
     g = np.linspace(-half, half, 7)
-    with _blamed_on("probes.half_width", ValueError):
+    with _blamed_on("probes.half_width/weight.alpha", ValueError):
         est = fit_kernel_estimates(b, (g[:, None] + 1j * g[None, :]).ravel())
     return {"kernel_fit.csv": (
         ["theta", "C1", "C2", "r0", "fit_residual", "bound_holds"],
@@ -329,8 +331,10 @@ KZ_MASS_LOSS = 1e-4
 def _in_reach(basis, z, key):
     """z, checked as the points of a kernel-on-rule integral: a kernel that
     overflows at a point of z, or whose degree-D truncation loses
-    KZ_MASS_LOSS of K(z, z) there, is beyond the rule; blamed on `key`."""
+    KZ_MASS_LOSS of K(z, z) there, is beyond the rule; blamed on `key`
+    and on weight.alpha, whose 1/sqrt(alpha) is the kernel's length."""
     zs = np.ravel(z)
+    key += "/weight.alpha"
     with _blamed_on(key):
         kept = np.sum(np.abs(basis.evaluate(zs)) ** 2, axis=1)
         lost = np.max(1.0 - kept / np.real(kernel(basis, zs, zs)))

@@ -33,6 +33,14 @@ floating cutoff chi(|xi - z| / PATCH_RADIUS) (Bruno & Kunyansky,
 J. Comput. Phys. 169, 2001): the smooth part (1 - chi)/(xi - z) is one
 sum against the shared samples at every point, the singular part
 chi/(xi - z) a small polar patch about each point near the support.
+The smooth kernel K obeys K(i d) = -i K(d), and when n_angular % 4 == 0
+a quarter-turn maps the support rule onto itself (the angle index
+l -> l + n_angular/4 in each ring), so on points closed under z -> iz
+(a plane rule's nodes; quadrature.quarter_turns) the sum is
+psi(i^s z) = i^{-s} sum K(xi - z) (w omega)(i^s xi): kernel rows are
+formed at the quarter's points only and multiplied by the four
+index-rotated copies of the samples at once.  Other points, and grids
+with n_angular % 4 != 0, take the same loop with one rotation.
 """
 
 from dataclasses import dataclass
@@ -42,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fock import FockBasis, evaluate_projection, project
-from .quadrature import polar_rule
+from .quadrature import polar_rule, quarter_turns
 from .symbols import Symbol
 from .weights import WeightModel
 
@@ -138,8 +146,10 @@ class DbarSolver:
 
         One solution of dbar u = omega; it differs from A_phi(omega) by an
         entire function.  omega is sampled once on an n_radial x n_angular
-        polar rule over its support for the smooth part of the kernel;
-        points within PATCH_RADIUS of the support add the singular part.
+        polar rule over its support for the smooth part of the kernel,
+        which is formed at one point of each quarter-turn orbit of z (see
+        the module docstring); points within PATCH_RADIUS of the support
+        add the singular part.
         """
         if omega.support_radius is None:
             raise DecayError("the Cauchy transform needs a compactly "
@@ -149,11 +159,27 @@ class DbarSolver:
         rule = polar_rule(0.0, R, self.n_radial, self.n_angular)
         xi = rule.nodes
         wom = rule.weights * _sample(omega, xi)
+        # kernel rows are formed at orbits[0] only, and column s of the
+        # product, against i^{-s} (w omega)(i^s xi), lands at orbits[s]:
+        # one rotation in general, four on points closed under z -> iz
+        # when the rule turns with them
+        orbits = quarter_turns(zs) if self.n_angular % 4 == 0 else None
+        if orbits is None:
+            orbits, columns = np.arange(zs.size)[None, :], wom
+        else:
+            rings = wom.reshape(self.n_radial, self.n_angular)
+            turn = self.n_angular // 4
+            columns = np.stack([(-1j) ** s * np.roll(rings, -s * turn, 1)
+                                .ravel() for s in range(4)], axis=1)
         out = np.empty(zs.shape, dtype=complex)
         step = max(1, KERNEL_BYTES // (16 * len(xi)))
-        for a in range(0, len(zs), step):
-            out[a:a + step] = _smooth_kernel(
-                xi[None, :] - zs[a:a + step, None]) @ wom
+        for a in range(0, orbits.shape[1], step):
+            rows = orbits[:, a:a + step]
+            block = (_smooth_kernel(xi[None, :] - zs[rows[0], None])
+                     @ columns).reshape(rows.shape[1], -1)
+            # s = 0 last: an odd-order rule's origin is in every row
+            for s in reversed(range(len(rows))):
+                out[rows[s]] = block[:, s]
         near = np.flatnonzero(np.abs(zs) < R + PATCH_RADIUS)
         if near.size:
             out[near] += _polar_sum(lambda zc, pts: omega(pts), zs[near],

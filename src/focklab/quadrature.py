@@ -6,14 +6,22 @@ be shared by every caller; rules compare and hash by identity.  Plane
 rules target integrands with Gaussian decay e^{-alpha|z|^2}, are
 memoised per (order, scale) and are exactly invariant under z -> iz,
 node for node and weight for weight (hermgauss symmetrises its nodes
-and weights), which the Hankel Grams exploit.  Polar rules are
-Gauss-Legendre x trapezoid product rules on B(center, r), whose weights
-do not depend on the center, and ball rules are polar rules sized by a
-polynomial degree.
+and weights).  Polar rules are Gauss-Legendre x trapezoid product rules
+on B(center, r), whose weights do not depend on the center, memoised per
+(center, r, grid); ball rules are polar rules sized by a polynomial
+degree.
+
+The quarter-turn orbit map lives here too: `quarter_turns` finds, for a
+node array closed under z -> iz, the index of each rotation i^r z of its
+nodes in Q = {Re z > 0, Im z >= 0}, and `_quarter` splits an invariant
+rule into its quarter and those rotations.  The Hankel Grams sum over
+the quarter of the plane rule, and the Cauchy transform evaluates its
+smooth kernel at the quarter's points only.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -78,12 +86,16 @@ def gaussian_plane_rule(order: int, scale: float = 1.0) -> Rule:
     return Rule(nodes=nodes, weights=weights)
 
 
+@lru_cache(maxsize=32)
 def polar_rule(center: complex, r: float, n_radial: int,
                n_angular: int) -> Rule:
     """Gauss-Legendre (radial) x trapezoidal (angular) rule on B(center,r).
 
     The weights carry the polar Jacobian rho and do not depend on the
-    center.
+    center.  Node (k, l), at index k * n_angular + l, is rho_k e^{i theta_l}
+    with theta_l = 2 pi l / n_angular, and every node of ring k has the
+    same weight.  Memoised: calls with equal arguments return the same
+    rule.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -101,3 +113,50 @@ def ball_rule(center: complex, r: float) -> Rule:
     """Polar rule on B(center, r), exact for polynomials in (Re w, Im w)
     of total degree <= BALL_ORDER."""
     return polar_rule(center, r, BALL_ORDER // 2 + 2, 2 * BALL_ORDER + 3)
+
+
+def quarter_turns(nodes: np.ndarray) -> Optional[np.ndarray]:
+    """The quarter-turn orbit map of a node array closed under z -> iz:
+    (4, n_Q) holds the index in nodes of i^r z for each node z in
+    Q = {Re z > 0, Im z >= 0}, r = 0..3, with the origin, if a node, last
+    and its own index in every row, so the rows together take every node
+    once and the origin four times.  None when some i^r z is not a node
+    or a node repeats."""
+    nodes = np.asarray(nodes)
+    inside = np.flatnonzero((nodes.real > 0) & (nodes.imag >= 0))
+    origin = np.flatnonzero(nodes == 0)
+    if len(nodes) != 4 * len(inside) + len(origin):
+        return None
+    # complex arrays sort by real part, then imaginary part
+    order = np.argsort(nodes)
+    ranked = nodes[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        return None
+    z = nodes[inside]
+    # i^r z exactly: a rotation by i only swaps and negates parts
+    turns = np.stack([z, -z.imag + 1j * z.real, -z, z.imag - 1j * z.real])
+    at = np.minimum(np.searchsorted(ranked, turns), len(nodes) - 1)
+    if not np.all(ranked[at] == turns):
+        return None
+    rotations = np.concatenate([order[at], np.tile(origin, (4, 1))], axis=1)
+    rotations.flags.writeable = False
+    return rotations
+
+
+@lru_cache(maxsize=32)
+def _quarter(rule: Rule) -> tuple:
+    """(quarter, rotations) of a rule invariant under z -> iz: rotations
+    is quarter_turns(rule.nodes), and quarter the Rule of its first row's
+    nodes with their weights, the origin's, if a node, cut to a quarter.
+    Memoised per rule (rules hash by identity); a rule that is not
+    invariant, node for node and weight for weight, is refused."""
+    rotations = quarter_turns(rule.nodes)
+    weights = rule.weights
+    if rotations is None or np.any(weights[rotations]
+                                   != weights[rotations[0]]):
+        raise ValueError("the rule is not invariant under z -> iz")
+    nodes = rule.nodes[rotations[0]]
+    quarter = Rule(nodes=nodes,
+                   weights=np.where(nodes == 0, 0.25, 1.0)
+                   * weights[rotations[0]])
+    return quarter, rotations

@@ -14,13 +14,14 @@ columns of E and rows of M, the one at D'+5 from it by an exact rank-5
 update in the five extra columns (least-squares updating, Golub & Van
 Loan, Matrix Computations, 6.5).
 
-Every product runs on the plane rule's quarter (_quarter): its nodes in
-Q = {Re z > 0, Im z >= 0} and, for odd orders, the origin with a
-quarter of its weight.  The rule is invariant under z -> iz, the weight
-is radial and e_j(i^r z) = i^{rj} e_j(z).  The samples, the symbol's
-values on the rule's nodes, are gathered as F_r = f(i^r z), z in Q, and
-split into four rotation characters Psi_s = (1/4) sum_r i^{rs} F_r; the
-residual at i^r z is sum_c i^{rc} R^(c)(z) with
+Every product runs on the plane rule's quarter (quadrature._quarter):
+its nodes in Q = {Re z > 0, Im z >= 0} and, for odd orders, the origin
+with a quarter of its weight.  The rule is invariant under z -> iz, the
+weight is radial and e_j(i^r z) = i^{rj} e_j(z).  The samples, the
+symbol's values on the rule's nodes, are gathered as F_r = f(i^r z),
+z in Q, and split into four rotation characters
+Psi_s = (1/4) sum_r i^{rs} F_r; the residual at i^r z is
+sum_c i^{rc} R^(c)(z) with
     R^(c)_j = Psi_{(j-c) mod 4} e_j - sum_{m = c mod 4} e_m M_{mj},
 so G = sum_c R^(c)H W4 R^(c) on Q, W4 being four times its weights times
 e^{-2phi}, and M splits into the blocks M^(c) of rows m = c mod 4.  A
@@ -38,7 +39,7 @@ point, each point computed alone against work shared per call.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +49,7 @@ from .fock import FockBasis, build_basis, default_rule_for_degree, \
 from .fock import project  # noqa: F401 (perfbench/layers.py hooks it)
 from .lattice import Lattice
 from .oscillation import g_functional  # noqa: F401 (hooked by perfbench)
-from .quadrature import Rule, ball_rule
+from .quadrature import Rule, _quarter, ball_rule
 from .symbols import Symbol
 from .weights import WeightModel
 
@@ -134,34 +135,6 @@ def _node_blocks(E: np.ndarray) -> list:
     """Row slices of E that hold about GRAM_BLOCK_BYTES each."""
     step = max(1, GRAM_BLOCK_BYTES // (E.itemsize * E.shape[1]))
     return [slice(a, a + step) for a in range(0, len(E), step)]
-
-
-@lru_cache(maxsize=32)
-def _quarter(rule: Rule) -> tuple:
-    """(quarter, rotations) of a rule invariant under z -> iz: quarter is
-    the Rule of its nodes in Q with their weights, and the origin, if a
-    node, with a quarter of its weight; rotations (4, n_Q) holds the index
-    in rule.nodes of i^r z for each quarter node z, r = 0..3, the
-    origin's own index in every row.  Memoised per rule (rules hash by
-    identity); a rule that is not invariant is refused."""
-    nodes, weights = rule.nodes, rule.weights
-    inside = np.flatnonzero((nodes.real > 0) & (nodes.imag >= 0))
-    origin = np.flatnonzero(nodes == 0)
-    at = {z: k for k, z in enumerate(nodes.tolist())}
-    x, y = nodes.real[inside], nodes.imag[inside]
-    # i^r z exactly: a rotation by i only swaps and negates parts
-    turns = [(x, y), (-y, x), (-x, -y), (y, -x)]
-    rotations = np.array([[at.get(complex(a, b), -1)
-                           for a, b in zip(u.tolist(), v.tolist())]
-                          + origin.tolist() for u, v in turns], dtype=int)
-    if (len(nodes) != 4 * len(inside) + len(origin) or np.any(rotations < 0)
-            or np.any(weights[rotations] != weights[rotations[0]])):
-        raise ValueError("a Hankel Gram needs a rule invariant under z -> iz")
-    quarter = Rule(nodes=nodes[rotations[0]],
-                   weights=np.concatenate([weights[inside],
-                                           0.25 * weights[origin]]))
-    rotations.flags.writeable = False
-    return quarter, rotations
 
 
 def _characters(samples: np.ndarray) -> tuple:

@@ -163,6 +163,19 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     # normalisations c_k that overflow
     ("hankel-svd weight.alpha=1e300", "weight.alpha"),
     ("hankel-svd weight.alpha=1e-20", "weight.alpha"),
+    # at the ends of the weight.alpha domain: a dbar grid that cannot
+    # resolve the weight's scale, and kz shells or a degree-50 basis that
+    # overflow at it
+    ("thm12-report weight.alpha=1e12", "weight.alpha"),
+    ("thm12-report weight.alpha=1e-12", "weight.alpha"),
+    ("compact-approx weight.alpha=1e12", "weight.alpha"),
+    ("compact-approx weight.alpha=1e-12", "weight.alpha"),
+    ("dbar-check weight.alpha=1e12", "weight.alpha"),
+    ("dbar-check weight.alpha=1e-12", "weight.alpha"),
+    ("kz-profile weight.alpha=1e12", "weight.alpha"),
+    ("kz-profile weight.alpha=1e-12", "weight.alpha"),
+    ("kernel-fit weight.alpha=1e12", "weight.alpha"),
+    ("berezin weight.alpha=1e12", "weight.alpha"),
     # a fit or a mean whose |f|^q overflows, or an IRLS that cannot settle
     ("g-profile functional.q=1e6", "functional.q"),
     ("ida-norm functional.q=1e6", "functional.q"),

@@ -1,10 +1,11 @@
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from focklab import dbar, symbols
-from focklab.approximant import compact_approximant
+from focklab.approximant import compact_approximant, smooth_cutoff
 from focklab.dbar import (CalibrationError, DbarSolver, DecayError,
                           ZeroOneForm, calibrate_orientation, dbar_fd,
                           gaussian_test_forms, hankel_via_dbar)
@@ -435,3 +436,86 @@ def test_approximant_needs_a_positive_cutoff_radius(solver):
     with pytest.raises(ValueError, match="t must be positive"):
         compact_approximant(symbols.make("conj-linear"), None, solver, 0.0,
                             None)
+
+
+# --- the quarter-turn smooth sum of the Cauchy engine --------------------
+
+def _cauchy_reference(solver, omega, z):
+    """cauchy_apply with the smooth kernel formed at every point: the
+    loop over blocks of about KERNEL_BYTES of kernel rows, then the same
+    singular patch."""
+    zs = np.asarray(z, dtype=complex).ravel()
+    R = omega.support_radius
+    rule = polar_rule(0.0, R, solver.n_radial, solver.n_angular)
+    xi = rule.nodes
+    wom = rule.weights * dbar._sample(omega, xi)
+    out = np.empty(zs.shape, dtype=complex)
+    step = max(1, dbar.KERNEL_BYTES // (16 * len(xi)))
+    for a in range(0, len(zs), step):
+        out[a:a + step] = dbar._smooth_kernel(
+            xi[None, :] - zs[a:a + step, None]) @ wom
+    near = np.flatnonzero(np.abs(zs) < R + dbar.PATCH_RADIUS)
+    if near.size:
+        out[near] += dbar._polar_sum(lambda zc, pts: omega(pts), zs[near],
+                                     dbar.PATCH_RADIUS, dbar.PATCH_GRID,
+                                     cutoff=True)
+    out *= dbar.C0
+    return out.reshape(np.shape(z))
+
+
+@lru_cache(maxsize=None)
+def _cutoff_form(family, t):
+    """sigma_t dbar f_1, the form whose Cauchy transform is psi_t."""
+    _, D = _thm12_decomposition(family)
+    return ZeroOneForm(lambda xi: smooth_cutoff(t, xi) * D.dbar_f1(xi),
+                       support_radius=t + 1.0)
+
+
+# every degree (21: an odd order, with an origin node), t and grid once
+@pytest.mark.parametrize("degree,t,n_angular", [
+    (20, 2.0, 192), (21, 2.0, 96), (21, 4.0, 192), (40, 4.0, 96)])
+@pytest.mark.parametrize("family", ["conj-linear", "mixed", "step"])
+def test_quartered_sum_equals_per_point_reference(family, degree, t,
+                                                  n_angular):
+    s = DbarSolver(gaussian_weight(1.0), n_radial=60, n_angular=n_angular)
+    omega = _cutoff_form(family, t)
+    nodes = default_rule_for_degree(degree, 1.0).nodes
+    psi = s.cauchy_apply(omega, nodes)
+    ref = _cauchy_reference(s, omega, nodes)
+    assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_one_rotation_equals_reference_bit_for_bit(solver):
+    # a grid with n_angular % 4 != 0, and points not closed under z -> iz
+    omega = _cutoff_form("mixed", 2.0)
+    nodes = default_rule_for_degree(20, 1.0).nodes
+    coarse = DbarSolver(solver.weight, n_radial=60, n_angular=90)
+    assert np.array_equal(coarse.cauchy_apply(omega, nodes),
+                          _cauchy_reference(coarse, omega, nodes))
+    rng = np.random.default_rng(7)
+    scattered = rng.uniform(-3.5, 3.5, (3, 5)) + 1j * rng.uniform(-3.5, 3.5,
+                                                                 (3, 5))
+    stencil = scattered[0] + np.array([1e-3, -1e-3, 1e-3j, -1e-3j])[:, None]
+    for z in (scattered, stencil, nodes[:-1], nodes + 0.5, 0.7 - 0.4j):
+        assert np.array_equal(solver.cauchy_apply(omega, z),
+                              _cauchy_reference(solver, omega, z))
+
+
+def test_smooth_kernel_formed_on_the_quarter_only(solver, monkeypatch):
+    # D = 20: 169 of the 676 plane-rule nodes, each against the 60 x 96
+    # support nodes; a grid that does not turn forms every node's row
+    offsets = []
+    kernel = dbar._smooth_kernel
+
+    def counted(d):
+        offsets.append(d.size)
+        return kernel(d)
+
+    monkeypatch.setattr(dbar, "_smooth_kernel", counted)
+    omega = _cutoff_form("conj-linear", 2.0)
+    nodes = default_rule_for_degree(20, 1.0).nodes
+    solver.cauchy_apply(omega, nodes)
+    assert nodes.size == 676 and sum(offsets) == 169 * 5760
+    offsets.clear()
+    DbarSolver(solver.weight, 60, 90).cauchy_apply(omega, nodes)
+    assert sum(offsets) == 676 * 5400

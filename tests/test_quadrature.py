@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focklab.quadrature import MAX_PLANE_ORDER, CapabilityError, ball_rule, \
-    gaussian_plane_rule
+    gaussian_plane_rule, polar_rule, quarter_turns
 
 
 def test_plane_rule_gaussian_mass():
@@ -80,3 +80,27 @@ def test_plane_rule_memoised_read_only():
             arr[0] = 0.0
         with pytest.raises(ValueError):
             arr *= 2.0
+
+
+def test_polar_rule_memoised_read_only():
+    rule = polar_rule(0.0, 3.0, 60, 96)
+    assert polar_rule(0.0, 3.0, 60, 96) is rule
+    assert ball_rule(0.0, 0.5) is ball_rule(0.0, 0.5)
+    assert polar_rule(0.0, 3.0, 60, 90) is not rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_quarter_turns_of_closed_and_open_node_sets():
+    z = np.array([0.5 + 0.25j, 2.0])
+    closed = np.concatenate([z, 1j * z, -z, -1j * z, [0.0]])
+    rotations = quarter_turns(closed)
+    assert rotations.shape == (4, 3) and not rotations.flags.writeable
+    for r in range(4):
+        assert np.array_equal(closed[rotations[r, :2]], 1j ** r * z)
+    assert np.all(rotations[:, 2] == 8)
+    # a missing rotation, a repeated node, or a shifted copy is not closed
+    for nodes in (closed[1:], np.append(closed, z[0]), closed + 0.5,
+                  np.array([0.5]), np.array([0.0, 0.0])):
+        assert quarter_turns(nodes) is None

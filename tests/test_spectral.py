@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from focklab import spectral, symbols
+from focklab import quadrature, spectral, symbols
 from focklab.fock import (FockBasis, build_basis,
                           default_rule_for_degree, lp_norm, normalized_kernel)
 from focklab.lattice import Window, build_lattice
@@ -186,7 +186,7 @@ def _unprojected_scale(fv, weight, degree, rule):
 def _character_grams(fv, weight, degree, margin, rule):
     """G and G2 from the Gram's own helpers on the rule's quarter."""
     Dp = degree + margin
-    quarter, rotations = spectral._quarter(rule)
+    quarter, rotations = quadrature._quarter(rule)
     E = build_basis(weight, Dp + 5, rule).evaluate(quarter.nodes)
     w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
     Psi, live = spectral._characters(fv[rotations])
@@ -202,7 +202,7 @@ def _dense_reference_once(fv, weight, degree, proj_degree, rule):
     """The Gram of the residuals at proj_degree on the quarter, with E
     evaluated afresh to proj_degree, every character kept, the characters
     by a 4 x 4 product and each product over the whole quarter."""
-    quarter, rotations = spectral._quarter(rule)
+    quarter, rotations = quadrature._quarter(rule)
     E = build_basis(weight, proj_degree, rule).evaluate(quarter.nodes)
     w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
     r = np.arange(4)
@@ -226,7 +226,7 @@ def _blocked_reference_once(fv, weight, degree, proj_degree, columns,
     E evaluated afresh to proj_degree: the same butterflies, each class's
     live columns in the same order, and the products summed over the node
     blocks of an E with `columns` columns."""
-    quarter, rotations = spectral._quarter(rule)
+    quarter, rotations = quadrature._quarter(rule)
     E = build_basis(weight, proj_degree, rule).evaluate(quarter.nodes)
     w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
     F0, F1, F2, F3 = fv[rotations]
@@ -311,7 +311,7 @@ def test_gram_equals_two_evaluation_reference(monkeypatch, weight, family,
     f = _gram_symbol(family, params)
     rule = default_rule_for_degree(degree + 15, 1.0, margin=8)
     fv = f(rule.nodes)
-    n, columns = spectral._quarter(rule)[0].nodes.size, degree + 16
+    n, columns = quadrature._quarter(rule)[0].nodes.size, degree + 16
     # the default blocks (one at these degrees), then three
     for rows in (None, n // 3 + 1):
         if rows:
@@ -357,7 +357,7 @@ def test_blocked_gram_equals_unblocked_formula(monkeypatch, weight, family,
     # whole-rule formula
     degree, margin = 20, 10
     rule = default_rule_for_degree(degree + 15, 1.0, margin=8)
-    quarter = spectral._quarter(rule)[0]
+    quarter = quadrature._quarter(rule)[0]
     n, columns = quarter.nodes.size, degree + margin + 6
     rows = {"one": n, "several": n // 5 + 1, "7-node": 7}[blocks]
     monkeypatch.setattr(spectral, "GRAM_BLOCK_BYTES", 16 * columns * rows)
@@ -381,7 +381,7 @@ def test_quarter_rotations_are_the_plane_rule(order, scale):
     # node for node and weight for weight, to the bit; the origin of an
     # odd order stands for its four rotations with a quarter of its weight
     rule = gaussian_plane_rule(order, scale)
-    quarter, rotations = spectral._quarter(rule)
+    quarter, rotations = quadrature._quarter(rule)
     z = quarter.nodes
     inside = z[:z.size - order % 2]
     assert np.all(inside.real > 0) and np.all(inside.imag >= 0)
@@ -399,7 +399,7 @@ def test_quarter_rotations_are_the_plane_rule(order, scale):
     mass = quarter.integrate(np.exp(-scale * np.abs(z) ** 2))
     assert abs(mass - np.pi / (4 * scale)) < 1e-13
     # memoised per rule, and read-only
-    assert spectral._quarter(rule)[1] is rotations
+    assert quadrature._quarter(rule)[1] is rotations
     for arr in (rotations, quarter.nodes, quarter.weights):
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -424,7 +424,7 @@ def test_gram_refuses_other_samples_and_rules(weight):
 def test_covariant_symbols_have_one_character(family, params, live):
     # f(iz) = i^{-s} f(z) at every node leaves exact zeros in the others
     rule = default_rule_for_degree(95, 1.0, margin=8)
-    rotations = spectral._quarter(rule)[1]
+    rotations = quadrature._quarter(rule)[1]
     fv = symbols.make(family, **params)(rule.nodes)
     assert spectral._characters(fv[rotations])[1] == live
 
@@ -451,7 +451,7 @@ def test_gram_peak_memory_is_the_basis_and_a_few_blocks(weight):
     degree, margin = 80, 10
     f = symbols.make("mixed", radius=1.0)
     rule = default_rule_for_degree(degree + margin + 5, 1.0, margin=8)
-    n = spectral._quarter(rule)[0].nodes.size
+    n = quadrature._quarter(rule)[0].nodes.size
     E_bytes = 16 * n * (degree + margin + 6)
     assert E_bytes > 2 * spectral.GRAM_BLOCK_BYTES
     tracemalloc.start()
