@@ -22,8 +22,13 @@ exactly 0 at every node keeps it: its L^q objective is 0, the least for
 every q.  The other centres are sampled again, in order, in batches whose
 sample array stays below IRLS_BATCH_BYTES, and the IRLS refits all
 still-active centres of a batch together from their q = 2 fits (see
-_irls), each centre stopping at its own iteration.  Mean oscillation
-samples the symbol in blocks of FIT_BLOCK centres as well.
+_irls), each centre stopping at its own iteration.  The IRLS is in
+correction form: each step solves for the update from the true residual
+the step before formed, one batched solve per step, damped to the step
+1/(q - 1) for q > 2, and a centre's last step is refined once on its own
+residual.  Its weighted Grams are formed from their upper triangle and
+mirrored (see _gram).  Mean oscillation samples the symbol in blocks of
+FIT_BLOCK centres as well.
 """
 
 import warnings
@@ -132,9 +137,7 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
             moves[blk] = np.any(res, axis=0)
     # the IRLS samples the moving centres again, in batches of `batch`
     moving = np.flatnonzero(moves)
-    # P[n, (i, j)] = conj(V[n, i]) V[n, j], so w^T P = V^H diag(w) V
-    P = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), -1) \
-        if moving.size else None
+    P = _gram_columns(V) if moving.size else None
     batch = max(1, IRLS_BATCH_BYTES // (len(V) * V.itemsize))
     unsettled = []       # last relative change of each unsettled IRLS fit
     for blk, F in _blocks(f, base, centres[moving], batch):
@@ -153,44 +156,109 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     return LocalApproximation(coeffs=coeffs, residual=residual)
 
 
+def _gram_columns(V):
+    """P[n, t] = conj(V[n, i]) V[n, j] over the upper triangle i <= j of
+    the Gram, pairs in np.triu_indices order, so that w^T P holds the upper
+    triangle of V^H diag(w) V; its diagonal columns |V|^2 are exactly real."""
+    i, j = np.triu_indices(V.shape[1])
+    P = np.empty((len(V), len(i)), dtype=complex)
+    np.multiply(V.conj()[:, i], V[:, j], out=P)
+    P.imag[:, i == j] = 0.0
+    return P
+
+
+def _gram(W2, P, k):
+    """The Grams V^H diag(W2[:, c]) V of the columns c of W2, shape (b, k,
+    k): one real product with P's upper triangle, mirrored, so each is
+    exactly Hermitian."""
+    i, j = np.triu_indices(k)
+    U = (W2.T @ P.view(float)).view(complex)
+    N = np.empty((len(U), k, k), dtype=complex)
+    N[:, i, j] = U
+    N[:, j, i] = U.conj()
+    return N
+
+
 def _irls(F, V, P, C, base, r, q):
     """IRLS from the q = 2 fits C (d+1, b) of one batch of centres, pooled
     across sample blocks; returns the fits and the last relative change of
     each centre left unsettled.
 
-    Each step solves the normal equations (W V)^H (W V) c = V^H W^2 f of
-    every active centre, the Grams formed by one real product with P, and
-    refines once on the true residual f - V c.  The Grams' eigenvalues
-    certify cond(W V) below COND_CAP and GRAM_COND_CAP, else
-    DegreeCapError.  A centre leaves the active set once it settles."""
+    Each step solves for the update from the true residual that the step
+    before formed: N_k delta = V^H W_k^2 (f - V c_k), with the Gram
+    N_k = (W_k V)^H (W_k V) of every active centre formed by one real
+    product with the upper triangle P (see _gram), and takes
+    c_{k+1} = c_k + s delta, where s = 1/(q - 1) for q > 2 (the Newton
+    step along the residual) and 1 otherwise.  Each step's right-hand side
+    is the refinement of the solve before it; a centre's last step, settled
+    or at IRLS_ITERS, is refined once on its own true residual.  The
+    Grams' eigenvalues certify cond(W V) below COND_CAP and GRAM_COND_CAP,
+    else DegreeCapError.  A centre leaves the active set once its L^q
+    residual settles: it changes by at most IRLS_TOL of itself, or by at
+    most its roundoff, eps times the L^q mean of |f| on the centre's ball."""
     k = V.shape[1]                 # d + 1 coefficients
     Vh = V.conj()
+    s = 1.0 / (q - 1.0) if q > 2.0 else 1.0
+    roundoff = np.finfo(float).eps * _lq_mean(np.abs(F), base, r, q)
     prev = np.full(F.shape[1], np.inf)
     change = np.zeros(F.shape[1])
+    late = change[:0]              # the changes of the unsettled centres
     active = np.arange(F.shape[1])
-    res = np.abs(F - V @ C)
-    for _ in range(IRLS_ITERS):
-        Fa = F[:, active]
-        W2 = base.weights[:, None] * np.maximum(res, 1e-12) ** (q - 2.0)
-        N = (W2.T @ P.view(float)).view(complex).reshape(-1, k, k)
+    Fa, Ca = F, C
+    R = V @ Ca                     # the true residual f - V c of each fit
+    np.subtract(Fa, R, out=R)
+    W2 = np.abs(R)
+    for it in range(1, IRLS_ITERS + 1):
+        np.maximum(W2, 1e-12, out=W2)
+        W2 **= q - 2.0
+        W2 *= base.weights[:, None]
+        N = _gram(W2, P, k)
         lam = np.linalg.eigvalsh(N)
         if not np.all(lam[:, 0] * min(COND_CAP, GRAM_COND_CAP) ** 2
                       > lam[:, -1]):
             raise DegreeCapError(
                 f"disk Vandermonde ill-conditioned at degree {k - 1}")
-        Ca = np.linalg.solve(N, ((W2 * Fa).T @ Vh)[:, :, None])[:, :, 0].T
-        Ca += np.linalg.solve(
-            N, ((W2 * (Fa - V @ Ca)).T @ Vh)[:, :, None])[:, :, 0].T
-        C[:, active] = Ca
-        res = np.abs(Fa - V @ Ca)
+        R *= W2
+        b = R.T @ Vh
+        Ca += s * np.linalg.solve(N, b[:, :, None])[:, :, 0].T
+        np.matmul(V, Ca, out=R)
+        np.subtract(Fa, R, out=R)
+        res = np.abs(R)
         cur = _lq_mean(res, base, r, q)
-        change[active] = np.abs(prev[active] - cur) / np.maximum(cur, 1e-30)
-        done = change[active] <= IRLS_TOL
+        step = np.abs(prev[active] - cur)
+        change[active] = step / np.maximum(cur, roundoff[active])
         prev[active] = cur
-        active, res = active[~done], res[:, ~done]
+        out = step <= np.maximum(IRLS_TOL * cur, roundoff[active])
+        if it == IRLS_ITERS:
+            late = change[active[~out]]
+            out[:] = True
+        if not out.any():
+            W2 = res
+            continue
+        # the leaving centres' last step, refined on its own true residual:
+        # V^H W_k^2 (f - V (c_k + delta)) = V^H W_k^2 r_{k+1} - (1 - s) b_k
+        if out.all():
+            Ro, W2o = R, W2
+        else:
+            Ro, W2o = R[:, out], W2[:, out]
+        Ro *= W2o
+        g = Ro.T @ Vh
+        if s != 1.0:
+            g -= (1.0 - s) * b[out]
+        C[:, active[out]] = Ca[:, out] + np.linalg.solve(
+            N[out], g[:, :, None])[:, :, 0].T
+        del Ro, W2o, W2
+        keep = ~out
+        active = active[keep]
         if active.size == 0:
             break
-    return C, change[active]
+        # one array at a time, so no two copies of one are alive at once
+        Fa = Fa[:, keep]
+        R = R[:, keep]
+        W2 = res[:, keep]
+        del res
+        Ca = Ca[:, keep]
+    return C, late
 
 
 def _lq_mean(absvals, base: Rule, r, q) -> np.ndarray:
