@@ -175,12 +175,12 @@ class Runner:
         with _blamed_on("basis.degree", ValueError):
             return essential_norm_tail(self.spectrum(f))
 
-    def decomposition(self, f, L):
-        """f = f1 + f2 on the partition of unity of L, fitted at the
+    def decomposition(self, f, P):
+        """f = f1 + f2 on the partition of unity P, fitted at the
         configured functional.q and functional.d on the bump supports, of
         radius 2 lattice.r."""
         with _blamed_on("functional.q/lattice.r", DegreeCapError):
-            return decompose(f, build_partition(L), self.cfg["functional.q"],
+            return decompose(f, P, self.cfg["functional.q"],
                              self.cfg["functional.d"])
 
     def g_on_lattice(self, f, L):
@@ -279,11 +279,11 @@ def cmd_ida_norm(r: Runner, rng):
 def cmd_decompose(r: Runner, rng):
     cfg = r.cfg
     f = r.symbol()
-    D = r.decomposition(f, r.lattice())
+    D = r.decomposition(f, build_partition(r.lattice()))
     probes = r.probes(rng)
     with _blamed_on("probes.half_width/functional.r", InvalidProfileError):
-        rep = verify_controls(D, probes, cfg["functional.r"],
-                              cfg["functional.q"])
+        rep, = verify_controls([D], probes, cfg["functional.r"],
+                               cfg["functional.q"])
     fv, f1 = f(probes), D.f1(probes)
     rows = np.column_stack([probes.real, probes.imag, np.abs(fv), np.abs(f1),
                             np.abs(fv - f1), rep.abs_dbar_f1,
@@ -352,8 +352,10 @@ def cmd_kz_profile(r: Runner, rng):
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES).ravel(),
                   "functional.shells")
     f = r.symbol()
-    with _blamed_on("functional.q", ValueError):
-        norms = hankel_on_kernel(f, z, cfg["functional.q"], basis)
+    # a kernel too wide for the rule reads all-zero samples as well as a q
+    # whose power underflows
+    with _blamed_on("functional.q/weight.alpha", ValueError):
+        norms, = hankel_on_kernel([f], z, cfg["functional.q"], basis)
     rows = np.column_stack([z.real, z.imag, np.repeat(shells, len(KZ_ANGLES)),
                             norms]).tolist()
     return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"], rows)}
@@ -383,7 +385,7 @@ def _gap_rows(r: Runner, ts, t_key):
     reach = ts[-1] + 1 + 2 * cfg["lattice.r"]
     L = r.lattice(max(window, reach),
                   "lattice.window" if window >= reach else t_key)
-    D = r.decomposition(f, L)
+    D = r.decomposition(f, build_partition(L))
     rows = []
     for t in ts:
         S = compact_approximant(f, D, r.solver, t, r.basis(),
@@ -443,16 +445,21 @@ def cmd_thm11_report(r: Runner, rng):
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES),
                   "functional.shells")
 
+    # the four families share the kernel layer and, shell by shell, the
+    # partition's blocks on the probes' balls
+    fs = [r.symbol(family) for family in THM11_FAMILIES]
+    ess = [essential_norm_tail(r.spectrum(f, 30, 10)).estimate for f in fs]
+    P = build_partition(L)
+    Ds = [r.decomposition(f, P) for f in fs]
+    with _blamed_on("functional.q/weight.alpha", ValueError):
+        kz = np.max(hankel_on_kernel(fs, z, q, basis), axis=-1)
+    reps = [verify_controls(Ds, pts, rr, q) for pts in z]
     all_rows, ratio_rows = [], []
-    for family in THM11_FAMILIES:
-        f = r.symbol(family)
-        ess = essential_norm_tail(r.spectrum(f, 30, 10)).estimate
-        D = r.decomposition(f, L)
-        for rad, pts in zip(shells, z):
-            with _blamed_on("functional.q", ValueError):
-                kz = float(np.max(hankel_on_kernel(f, pts, q, basis)))
-            rep = verify_controls(D, pts, rr, q)
-            all_rows.append([family, rad, ess, kz, float(np.max(rep.g_values)),
+    for i, family in enumerate(THM11_FAMILIES):
+        for rad, kz_max, shell_reps in zip(shells, kz[i], reps):
+            rep = shell_reps[i]
+            all_rows.append([family, rad, ess[i], float(kz_max),
+                             float(np.max(rep.g_values)),
                              rep.sup_dbar_f1 + max(rep.sup_m_f2, 0.0)])
         final = all_rows[-1]
         vals = [v for v in final[2:5] if v > 0]

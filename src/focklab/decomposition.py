@@ -17,14 +17,23 @@ the points of either block shape.  Bumps, psi_j, dbar psi_j and the h_j
 are evaluated on a point's cells only, and summed over them in lattice
 order; the other terms of each sum are exact zeros, so the values are
 those of the sum over every centre, to the bit.
+
+The glue takes a family: several decompositions on one partition, whose
+cell blocks depend on the points alone, so each block is formed once and
+serves every member; f1, dbar_f1 and f2 are the one-member case.
+verify_controls takes a family too, so a report on several symbols makes
+one partition pass over the probes' balls.  decompose at q = 2 forms the
+fits' coefficients only: their residual G is not read here.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .lattice import Lattice, near_support_circle, neighbour_cells
-from .oscillation import g_functional, ida_distance, mean_oscillation
+from .oscillation import fit_coefficients, g_functional, ida_distance, \
+    mean_oscillation
 from .quadrature import ball_rule  # noqa: F401 (perfbench/layers.py hooks it)
 from .symbols import Symbol
 
@@ -124,37 +133,51 @@ class Decomposition:
         """(N,) expansion points of the h_j: the partition's lattice."""
         return self.partition.lattice.points
 
-    def _glue(self, zf: np.ndarray, members) -> np.ndarray:
-        """sum_j h_j(z) w_j(z) over the block (idx, u, w) = members(z) of
-        each group of partition.point_groups.
-
-        Horner's rule in the block's offsets u = z - a_j, one coefficient
-        column at a time."""
-        z = zf.ravel()
-        out = np.empty(z.shape, dtype=complex)
-        for cols in self.partition.point_groups(z):
-            idx, u, w = members(z[cols])
-            h = self.coeffs[:, -1].take(idx)
-            for j in range(self.coeffs.shape[1] - 2, -1, -1):
-                h *= u
-                h += self.coeffs[:, j].take(idx)
-            h *= w
-            out[cols] = _cell_sum(h)
-        return out.reshape(zf.shape)
-
     def f1(self, z) -> np.ndarray:
-        return self._glue(np.asarray(z, dtype=complex), self.partition.members)
+        return _glue([self], z, dbar=False)[0]
 
     def f2(self, z) -> np.ndarray:
-        zf = np.asarray(z, dtype=complex)
-        return self.symbol(zf) - self.f1(zf)
+        return _f2([self], z)[0]
 
     def dbar_f1(self, z) -> np.ndarray:
-        return self._glue(np.asarray(z, dtype=complex),
-                          self.partition.members_dbar)
+        return _glue([self], z, dbar=True)[0]
 
-    def f2_symbol(self) -> Symbol:
-        return Symbol(self.f2)
+
+def _glue(family, z, dbar: bool) -> np.ndarray:
+    """sum_j h_j(z) w_j(z), w = psi (dbar psi with dbar), for each member
+    of `family` (decompositions on one partition) at each point of z, of
+    any shape; the result has a leading member axis.
+
+    The block (idx, u, w) of each group of partition.point_groups is
+    formed once and serves every member, whose h_j are summed by Horner's
+    rule in the offsets u = z - a_j, one coefficient column at a time; each
+    member's row equals its one-member family's bit for bit."""
+    P = family[0].partition
+    if any(D.partition is not P for D in family):
+        raise ValueError("a decomposition family needs one partition")
+    members = P.members_dbar if dbar else P.members
+    zf = np.asarray(z, dtype=complex)
+    zs = zf.ravel()
+    out = np.empty((len(family), zs.size), dtype=complex)
+    for cols in P.point_groups(zs):
+        idx, u, w = members(zs[cols])
+        for row, D in zip(out, family):
+            h = D.coeffs[:, -1].take(idx)
+            for j in range(D.coeffs.shape[1] - 2, -1, -1):
+                h *= u
+                h += D.coeffs[:, j].take(idx)
+            h *= w
+            row[cols] = _cell_sum(h)
+    return out.reshape((len(family),) + zf.shape)
+
+
+def _f2(family, z) -> np.ndarray:
+    """f2 = f - f1 of each member of `family` at z (see _glue)."""
+    zf = np.asarray(z, dtype=complex)
+    out = _glue(family, zf, dbar=False)
+    for row, D in zip(out, family):
+        np.subtract(D.symbol(zf), row, out=row)
+    return out
 
 
 def build_partition(L: Lattice, support_factor: float = 2.0) -> PartitionOfUnity:
@@ -167,9 +190,15 @@ def build_partition(L: Lattice, support_factor: float = 2.0) -> PartitionOfUnity
 
 def decompose(f: Symbol, P: PartitionOfUnity, q: float = 2.0,
               d: int = 6) -> Decomposition:
-    """Fit h_j on B(a_j, 2r) and assemble f1 = sum h_j psi_j."""
-    fit = ida_distance(f, P.lattice.points, P.support_radius, q, d)
-    return Decomposition(symbol=f, partition=P, coeffs=fit.coeffs, degree=d)
+    """Fit h_j on B(a_j, 2r) and assemble f1 = sum h_j psi_j.  The fits'
+    residual G is not read here, so q = 2 forms their coefficients only
+    (fit_coefficients); q != 2 takes ida_distance, whose IRLS needs it."""
+    fit = (P.lattice.points, P.support_radius)
+    if q == 2.0:
+        coeffs = fit_coefficients(f, *fit, d)
+    else:
+        coeffs = ida_distance(f, *fit, q, d).coeffs
+    return Decomposition(symbol=f, partition=P, coeffs=coeffs, degree=d)
 
 
 @dataclass(frozen=True)
@@ -182,18 +211,25 @@ class ControlReport:
     abs_dbar_f1: np.ndarray    # |dbar f1| at each probe
 
 
-def verify_controls(D: Decomposition, probes, r: float,
-                    q: float = 2.0) -> ControlReport:
+def verify_controls(family, probes, r: float,
+                    q: float = 2.0) -> list:
     """Empirical constants for |dbar f1| <~ G and M_{q,r}(f2) <~ G at
-    each point of the 1-D array probes."""
-    G = g_functional(D.symbol, probes, r, q, D.degree)
-    dbar_vals = np.abs(D.dbar_f1(probes))
-    m_vals = mean_oscillation(D.f2_symbol(), probes, r, q)
-    floor = max(1e-12, 1e-6 * float(np.max(G, initial=0.0)))
-    denom = np.maximum(G, floor)
-    return ControlReport(
-        sup_dbar_f1=float(np.max(dbar_vals)),
-        sup_m_f2=float(np.max(m_vals)),
-        max_ratio_dbar=float(np.max(dbar_vals / denom)),
-        max_ratio_m=float(np.max(m_vals / denom)),
-        g_values=G, abs_dbar_f1=dbar_vals)
+    each point of the 1-D array probes, one ControlReport per member of
+    `family` (decompositions on one partition, see _glue).  G and
+    |dbar f1| are each member's own: a fit per probe, and dbar_f1 at the
+    probes.  The f2 samples on the probes' balls, most of the partition
+    work, are glued for the whole family in one pass."""
+    G = [g_functional(D.symbol, probes, r, q, D.degree) for D in family]
+    dbar = [np.abs(D.dbar_f1(probes)) for D in family]
+    m = mean_oscillation(partial(_f2, family), probes, r, q)
+    reports = []
+    for g_vals, dbar_vals, m_vals in zip(G, dbar, m):
+        floor = max(1e-12, 1e-6 * float(np.max(g_vals, initial=0.0)))
+        denom = np.maximum(g_vals, floor)
+        reports.append(ControlReport(
+            sup_dbar_f1=float(np.max(dbar_vals)),
+            sup_m_f2=float(np.max(m_vals)),
+            max_ratio_dbar=float(np.max(dbar_vals / denom)),
+            max_ratio_m=float(np.max(m_vals / denom)),
+            g_values=g_vals, abs_dbar_f1=dbar_vals))
+    return reports

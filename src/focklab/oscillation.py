@@ -16,19 +16,25 @@ in the local variable u = w - z the weighted disk Vandermonde
 A = sqrt(w) (u/r)^j is the same at every centre: it is QR-factored and
 condition-checked once per call.
 Symbol samples are taken FIT_BLOCK centres at a time, which bounds the
-working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)).
-For q != 2 that fit is the start.  A centre whose q = 2 residual is
-exactly 0 at every node keeps it: its L^q objective is 0, the least for
-every q.  The other centres are sampled again, in order, in batches whose
-sample array stays below IRLS_BATCH_BYTES, and the IRLS refits all
+working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)),
+the one q = 2 block engine (_q2_fits).  ida_distance adds the residual
+pass that G needs; fit_coefficients, for callers that read no G, stops
+at the coefficients.  For q != 2 the q = 2 fit is the start.  A centre
+whose q = 2 residual is exactly 0 at every node keeps it: its L^q
+objective is 0, the least for every q.  The other centres are sampled
+again, in order, in batches whose sample array stays below
+IRLS_BATCH_BYTES, and the IRLS refits all
 still-active centres of a batch together from their q = 2 fits (see
 _irls), each centre stopping at its own iteration.  The IRLS is in
 correction form: each step solves for the update from the true residual
 the step before formed, one batched solve per step, damped to the step
 1/(q - 1) for q > 2, and a centre's last step is refined once on its own
 residual.  Its weighted Grams are formed from their upper triangle and
-mirrored (see _gram).  Mean oscillation samples the symbol in blocks of
-FIT_BLOCK centres as well.
+mirrored (see _gram), and certified by Cholesky and a norm bound from the
+step's own solve, with the eigenvalues only near the cap (see
+_certified_solve).  Mean oscillation samples the symbol in blocks of
+FIT_BLOCK centres as well, one row of means per member of a symbol whose
+samples carry a leading member axis.
 """
 
 import warnings
@@ -79,7 +85,7 @@ class RadialProfile:
 
 
 def _blocks(f: Symbol, base: Rule, centres: np.ndarray, size: int):
-    """(slice, F) per block of `size` centres, with F[k, i] =
+    """(slice, F) per block of `size` centres, with F[..., k, i] =
     f(base.nodes[k] + centre i) the symbol samples on B(centre, r)."""
     for lo in range(0, len(centres), size):
         block = centres[lo:lo + size]
@@ -91,30 +97,28 @@ def _blocks(f: Symbol, base: Rule, centres: np.ndarray, size: int):
 
 def mean_oscillation(f: Symbol, z, r: float, q: float) -> np.ndarray:
     """( |B(z,r)|^{-1} integral_B |f|^q dA )^{1/q} at each point of the
-    1-D array z."""
+    1-D array z.  A symbol whose samples carry a leading member axis (the
+    f2 of a decomposition family) gets one row of means per member."""
     if q < 1:
         raise ValueError("q must be >= 1")
     centres = np.asarray(z, dtype=complex)
     base = ball_rule(0.0, r)
-    out = np.empty(len(centres))
-    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
-        out[blk] = _lq_mean(np.abs(F), base, r, q)
-    return out
+    means = [_lq_mean(np.abs(F), base, r, q)
+             for _, F in _blocks(f, base, centres, FIT_BLOCK)]
+    return np.concatenate(means, axis=-1) if means else np.empty(0)
 
 
-def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
-                 d: int = 6) -> LocalApproximation:
-    """Best degree-d holomorphic polynomial fit to f on B(z, r) at each
-    point of the 1-D array z."""
+def _local_fit(r: float, d: int):
+    """(base, V, pinv) of the degree-d fits on balls of radius r: the ball
+    rule on B(0, r), the Vandermonde V = (u/r)^j in u = w - z, and
+    (sw V)^+ diag(sw), sw = sqrt(base.weights); DegreeCapError past
+    MAX_DEGREE or when the weighted Vandermonde's cond exceeds COND_CAP."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     if d > MAX_DEGREE:
         raise DegreeCapError(f"degree {d} exceeds {MAX_DEGREE}: the "
                              f"order-{BALL_ORDER} ball rule would alias "
                              f"the fit")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    centres = np.asarray(z, dtype=complex)
     base = ball_rule(0.0, r)
     # columns (u/r)^j in u = w - z keep the Vandermonde well conditioned
     V = (base.nodes[:, None] / r) ** np.arange(d + 1)[None, :]
@@ -122,13 +126,43 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     Q, R = np.linalg.qr(sw[:, None] * V)
     if np.linalg.cond(R) > COND_CAP:
         raise DegreeCapError(f"disk Vandermonde ill-conditioned at degree {d}")
-    pinv = np.linalg.solve(R, Q.conj().T) * sw     # (sw V)^+ diag(sw)
+    return base, V, np.linalg.solve(R, Q.conj().T) * sw
+
+
+def _q2_fits(f: Symbol, base: Rule, pinv, centres):
+    """(slice, F, C) per block of FIT_BLOCK centres: the samples F of
+    _blocks and their q = 2 fits C = pinv F, (d+1, block) in (u/r)^j; the
+    one q = 2 block engine of ida_distance and fit_coefficients."""
+    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
+        yield blk, F, pinv @ F
+
+
+def fit_coefficients(f: Symbol, z, r: float, d: int = 6) -> np.ndarray:
+    """The (n, d+1) coefficients of the q = 2 fits at the points of the
+    1-D array z, without their residual: ida_distance(f, z, r, 2, d).coeffs
+    bit for bit, for callers that do not read G."""
+    base, V, pinv = _local_fit(r, d)
+    centres = np.asarray(z, dtype=complex)
+    coeffs = np.empty((len(centres), d + 1), dtype=complex)
+    for blk, _, C in _q2_fits(f, base, pinv, centres):
+        coeffs[blk] = C.T
+    coeffs /= r ** np.arange(d + 1)
+    return coeffs
+
+
+def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
+                 d: int = 6) -> LocalApproximation:
+    """Best degree-d holomorphic polynomial fit to f on B(z, r) at each
+    point of the 1-D array z."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    base, V, pinv = _local_fit(r, d)
+    centres = np.asarray(z, dtype=complex)
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
     residual = np.empty(len(centres))
 
     moves = np.zeros(len(centres), dtype=bool)
-    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
-        C = pinv @ F
+    for blk, F, C in _q2_fits(f, base, pinv, centres):
         res = np.abs(F - V @ C)
         coeffs[blk] = C.T
         residual[blk] = _lq_mean(res, base, r, q)
@@ -179,6 +213,45 @@ def _gram(W2, P, k):
     return N
 
 
+def _certify(N):
+    """DegreeCapError unless every Hermitian N of the stack has
+    lam_min * cap^2 > lam_max, cap = min(COND_CAP, GRAM_COND_CAP): cond(W V)
+    below both caps, decided on the eigenvalues."""
+    lam = np.linalg.eigvalsh(N)
+    if not np.all(lam[:, 0] * min(COND_CAP, GRAM_COND_CAP) ** 2
+                  > lam[:, -1]):
+        raise DegreeCapError(
+            f"disk Vandermonde ill-conditioned at degree {N.shape[-1] - 1}")
+
+
+def _certified_solve(N, b):
+    """N^{-1} b for each Gram of the stack N (b, k, k) and row of b, with
+    _certify's decision at a fraction of its cost.  A stack that Cholesky
+    finds definite is bounded by ||N||_F ||N^{-1}||_F >= lam_max / lam_min,
+    N^{-1} read from the same LU solve as the step (the first column of
+    solve(N, [b | I]) is solve(N, b)); only Grams whose bound reaches half
+    the cap^2, a margin far wider than the rounding of either side, or
+    overflows, and every Gram of a stack that Cholesky refuses, take the
+    eigenvalues.  A passed bound implies _certify passes, so its decision
+    is unchanged."""
+    k = N.shape[-1]
+    try:
+        np.linalg.cholesky(N)
+    except np.linalg.LinAlgError:
+        _certify(N)
+    B = np.empty((len(N), k, k + 1), dtype=complex)
+    B[:, :, 0] = b
+    B[:, :, 1:] = np.eye(k)
+    X = np.linalg.solve(N, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound2 = (np.square(N.view(float)).sum(axis=(1, 2))
+                  * np.square(X[:, :, 1:].view(float)).sum(axis=(1, 2)))
+        doubtful = ~(bound2 < (min(COND_CAP, GRAM_COND_CAP) ** 2 / 2) ** 2)
+    if doubtful.any():
+        _certify(N[doubtful])
+    return X[:, :, 0]
+
+
 def _irls(F, V, P, C, base, r, q):
     """IRLS from the q = 2 fits C (d+1, b) of one batch of centres, pooled
     across sample blocks; returns the fits and the last relative change of
@@ -191,11 +264,12 @@ def _irls(F, V, P, C, base, r, q):
     c_{k+1} = c_k + s delta, where s = 1/(q - 1) for q > 2 (the Newton
     step along the residual) and 1 otherwise.  Each step's right-hand side
     is the refinement of the solve before it; a centre's last step, settled
-    or at IRLS_ITERS, is refined once on its own true residual.  The
-    Grams' eigenvalues certify cond(W V) below COND_CAP and GRAM_COND_CAP,
-    else DegreeCapError.  A centre leaves the active set once its L^q
-    residual settles: it changes by at most IRLS_TOL of itself, or by at
-    most its roundoff, eps times the L^q mean of |f| on the centre's ball."""
+    or at IRLS_ITERS, is refined once on its own true residual.  Each
+    step's solve certifies cond(W V) below COND_CAP and GRAM_COND_CAP, else
+    DegreeCapError (see _certified_solve).  A centre leaves the active set
+    once its L^q residual settles: it changes by at most IRLS_TOL of
+    itself, or by at most its roundoff, eps times the L^q mean of |f| on
+    the centre's ball."""
     k = V.shape[1]                 # d + 1 coefficients
     Vh = V.conj()
     s = 1.0 / (q - 1.0) if q > 2.0 else 1.0
@@ -213,14 +287,9 @@ def _irls(F, V, P, C, base, r, q):
         W2 **= q - 2.0
         W2 *= base.weights[:, None]
         N = _gram(W2, P, k)
-        lam = np.linalg.eigvalsh(N)
-        if not np.all(lam[:, 0] * min(COND_CAP, GRAM_COND_CAP) ** 2
-                      > lam[:, -1]):
-            raise DegreeCapError(
-                f"disk Vandermonde ill-conditioned at degree {k - 1}")
         R *= W2
         b = R.T @ Vh
-        Ca += s * np.linalg.solve(N, b[:, :, None])[:, :, 0].T
+        Ca += s * _certified_solve(N, b).T
         np.matmul(V, Ca, out=R)
         np.subtract(Fa, R, out=R)
         res = np.abs(R)
@@ -263,7 +332,7 @@ def _irls(F, V, P, C, base, r, q):
 
 def _lq_mean(absvals, base: Rule, r, q) -> np.ndarray:
     """( |B|^{-1} integral_B |v|^q dA )^{1/q} per column of |v| samples
-    on the ball rule `base` of radius r."""
+    on the ball rule `base` of radius r (nodes on the second-last axis)."""
     area = np.pi * r ** 2
     return (base.weights @ absvals ** q / area) ** (1.0 / q)
 

@@ -34,8 +34,10 @@ sums over node blocks of about GRAM_BLOCK_BYTES of E, so every other
 temporary holds one block.
 
 The kernel layer (the kernel norms ||H_f k_z||, the Berezin transform and
-the ball averages) takes a 1-D array of points and returns one value per
-point, each point computed alone against work shared per call.
+the ball averages) returns one value per point, each point computed
+alone against work shared per call.  The kernel norms take a family of
+symbols, one row each, and points of any shape, so a report that
+compares several symbols forms E, E^H and the decay weights once.
 """
 
 from dataclasses import dataclass, field
@@ -325,21 +327,26 @@ def _at_points(value, z) -> np.ndarray:
     return np.array([value(p) for p in z])
 
 
-def hankel_on_kernel(f: Symbol, z, q: float, basis: FockBasis) -> np.ndarray:
-    """||H_f(k_z)||_{q,phi} at each point of the 1-D array z, via
-    projection of f * k_z; E and f are sampled on the rule once per call.
-    Each point is projected alone: one product over all points would sum
-    in another order."""
+def hankel_on_kernel(family, z, q: float, basis: FockBasis) -> np.ndarray:
+    """||H_f(k_z)||_{q,phi} for each symbol f of the sequence `family` at
+    each point of z, of any shape; the result has a leading member axis.
+    Via projection of f * k_z: E, E^H, the decay weights and each symbol
+    are formed on the rule once per call, k_z once per point.  Each
+    (symbol, point) is projected alone, so its norm is its one-member,
+    one-point value bit for bit: one product over all points would sum in
+    another order."""
     rule = basis.rule
     E = basis.evaluate(rule.nodes)
     EH = np.conj(E).T
-    fv = f(rule.nodes)
+    fvs = [f(rule.nodes) for f in family]
     wd = rule.weights * np.exp(-2.0 * basis.weight.phi(rule.nodes))
 
-    def norm(p):
-        g = fv * normalized_kernel(basis, p)(rule.nodes)
-        return lp_norm(g - E @ (EH @ (wd * g)), q, rule, basis.weight)
-    return _at_points(norm, z)
+    def norms(p):
+        k = normalized_kernel(basis, p)(rule.nodes)
+        return [lp_norm(g - E @ (EH @ (wd * g)), q, rule, basis.weight)
+                for g in (fv * k for fv in fvs)]
+    out = _at_points(norms, np.ravel(z))
+    return out.T.reshape((len(family),) + np.shape(z))
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def test_criterion_05_decomposition(rng_probes):
             D = decompose(f, build_partition(L), 2.0, 6)
             assert np.max(np.abs(D.f1(probes) + D.f2(probes)
                                  - f(probes))) < 1e-12
-            rep = verify_controls(D, probes, rl, 2.0)
+            rep, = verify_controls([D], probes, rl, 2.0)
             sup_g = max(float(np.max(rep.g_values)), 1e-12)
             combined.append((rl * rep.sup_dbar_f1 + rep.sup_m_f2) / sup_g)
             assert np.isfinite(combined[-1])
@@ -155,7 +155,7 @@ def test_criterion_05_decomposition(rng_probes):
     # holomorphic symbols: both numerators negligible
     poly = symbols.make("holo-poly", coeffs=[1.0, 0.5, -0.25])
     Dp = decompose(poly, build_partition(L), 2.0, 6)
-    rep = verify_controls(Dp, probes, 0.5, 2.0)
+    rep, = verify_controls([Dp], probes, 0.5, 2.0)
     assert rep.sup_dbar_f1 < 1e-8 and rep.sup_m_f2 < 1e-8
     worst = max(drift.values())
     _report(5, f"exact split; worst refinement drift {worst:.1%} <= 20%; "
@@ -210,7 +210,7 @@ def test_criterion_08_bracket(w):
     for fam, kw in FOUR_SYMBOLS:
         f = symbols.make(fam, **kw)
         ess = essential_norm_tail(build_hankel_gram(f, w, 30, 10)).estimate
-        kz = float(np.max(hankel_on_kernel(f, angles, 2.0, basis)))
+        kz = float(np.max(hankel_on_kernel([f], angles, 2.0, basis)))
         G = float(np.max(g_functional(f, angles, 0.5, 2.0, 6)))
         rows[fam] = (ess, kz, G)
     for fam in ("conj-linear", "mixed"):

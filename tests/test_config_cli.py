@@ -185,6 +185,8 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     # q = 200), in both subcommands that take it
     ("kz-profile functional.q=1000", "functional.q"),
     ("thm11-report functional.q=1000", "functional.q"),
+    # a kernel so wide that one family's H_f k_z samples all read 0
+    ("thm11-report weight.alpha=1e-4", "weight.alpha"),
     # symbols whose |f|^2 overflows near 0
     ("kz-profile symbol.id=holo-poly symbol.coeffs=1e200", "symbol.coeffs"),
     ("m-profile symbol.id=holo-poly symbol.coeffs=1e300", "symbol.coeffs"),
@@ -238,6 +240,25 @@ def test_thm11_report_fits_each_shell_once(monkeypatch, tmp_path):
     assert main(["thm11-report", "--out", str(tmp_path),
                  "functional.shells=2.0,3.0"]) == 0
     assert calls == [8] * (4 * 2)    # one per family and shell
+
+
+def test_thm11_report_glues_each_shell_once(monkeypatch, tmp_path):
+    # the four families share one partition pass over each shell's probe
+    # balls: the 8 probes' ball-rule nodes reach the partition twice at two
+    # shells, not once per family and shell
+    from focklab.decomposition import PartitionOfUnity
+    from focklab.quadrature import ball_rule
+    points = []
+    members = PartitionOfUnity.members
+
+    def counted(self, z):
+        points.append(np.size(z))
+        return members(self, z)
+
+    monkeypatch.setattr(PartitionOfUnity, "members", counted)
+    assert main(["thm11-report", "--out", str(tmp_path),
+                 "functional.shells=2.0,3.0"]) == 0
+    assert sum(points) == 2 * 8 * len(ball_rule(0.0, 1.0).nodes)
 
 
 def test_decompose_evaluates_dbar_f1_once(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from focklab.decomposition import (Decomposition, InvalidProfileError,
                                    PartitionOfUnity, build_partition,
                                    decompose, verify_controls)
 from focklab.lattice import Window, build_lattice, near_support_circle
+from focklab.quadrature import ball_rule
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ def test_controls_bounded(partition):
     D = decompose(f, partition, 2.0, 6)
     rng = np.random.default_rng(10)
     probes = rng.uniform(-1.5, 1.5, 20) + 1j * rng.uniform(-1.5, 1.5, 20)
-    rep = verify_controls(D, probes, 0.5, 2.0)
+    rep, = verify_controls([D], probes, 0.5, 2.0)
     assert np.isfinite(rep.max_ratio_dbar)
     assert np.isfinite(rep.max_ratio_m)
     assert rep.sup_dbar_f1 < 20.0
@@ -225,3 +227,51 @@ def test_local_and_dense_both_reject_uncovered_points(window, z):
         P.members(z)
     with pytest.raises(InvalidProfileError):
         P.members_dbar(z)
+
+
+THM11_SYMBOLS = [("conj-linear", {}), ("conj-gaussian", {"beta": 1.0}),
+                 ("bump", {"radius": 1.0}), ("mixed", {"radius": 1.0})]
+
+
+def test_family_glue_equals_one_member_glue():
+    # the thm11-report lattice at functional.shells=2.0,3.0 (spacing 0.5,
+    # half-width 3 + 1 + 2 r at r = 1) and the ball-rule nodes about the 8
+    # probes of its outer shell, where verify_controls glues f2; lattice
+    # nodes and grid-line points (near a support circle), and points in
+    # the ring of cells just outside the lattice
+    L = build_lattice(0.0, 0.5, Window.square(6.0))
+    P = build_partition(L)
+    family = [decompose(symbols.make(fam, **kw), P) for fam, kw in
+              THM11_SYMBOLS]
+    probes = 3.0 * np.exp(2j * np.pi * np.arange(8) / 8)
+    balls = (ball_rule(0.0, 1.0).nodes[:, None] + probes[None, :]).ravel()
+    rng = np.random.default_rng(12)
+    nodes = L.points[rng.integers(0, len(L.points), 40)]
+    outside = (6.0 + 0.5 * rng.uniform(0, 1, 20)
+               + 1j * rng.uniform(-6, 6, 20))
+    z = np.concatenate([balls, nodes, nodes + 0.25, outside])
+    assert np.all(np.abs(outside.real) > np.max(L.points.real))
+    near = near_support_circle(L, z, P.support_radius)
+    assert 0 < near.sum() < z.size
+    f1 = decomposition._glue(family, z, dbar=False)
+    dbar_f1 = decomposition._glue(family, z, dbar=True)
+    f2 = decomposition._f2(family, z)
+    assert f1.shape == dbar_f1.shape == f2.shape == (len(family), z.size)
+    for D, a, b, c in zip(family, f1, dbar_f1, f2):
+        assert np.array_equal(a, D.f1(z))
+        assert np.array_equal(b, D.dbar_f1(z))
+        assert np.array_equal(c, D.f2(z))
+        assert np.array_equal(c, D.symbol(z) - D.f1(z))
+    # and so each member's control report is its one-member report
+    for D, rep in zip(family, verify_controls(family, probes, 1.0, 2.0)):
+        one, = verify_controls([D], probes, 1.0, 2.0)
+        for field in fields(rep):
+            assert np.array_equal(getattr(rep, field.name),
+                                  getattr(one, field.name))
+
+
+def test_family_glue_needs_one_partition(partition, lattice):
+    f = symbols.make("conj-linear")
+    family = [decompose(f, partition), decompose(f, build_partition(lattice))]
+    with pytest.raises(ValueError, match="one partition"):
+        decomposition._glue(family, np.zeros(1), dbar=False)

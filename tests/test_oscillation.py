@@ -450,3 +450,58 @@ def test_gram_from_one_triangle_is_the_full_product_and_hermitian():
     assert N.shape == full.shape
     assert np.max(np.abs(N - full) / scale) <= 1e-14
     assert np.array_equal(N, N.conj().transpose(0, 2, 1))
+
+
+def _hermitian(rng, k, lam):
+    """U diag(lam) U^H for a random unitary U, exactly Hermitian."""
+    U, _ = np.linalg.qr(rng.standard_normal((k, k))
+                        + 1j * rng.standard_normal((k, k)))
+    N = (U * lam) @ U.conj().T
+    return (N + N.conj().T) / 2
+
+
+def test_certified_solve_decides_as_eigvalsh(monkeypatch):
+    # the Cholesky-and-bound certificate takes the eigensolve's decision on
+    # Grams of cond 1e2 to 1e12, within a rounding of the cap^2 on either
+    # side, and indefinite, at scales where the bound's sums of squares
+    # overflow or underflow (under the CLI's errstate); its solution is
+    # solve(N, b) to the bit
+    rng = np.random.default_rng(3)
+    k = 7
+    cap2 = min(osc.COND_CAP, osc.GRAM_COND_CAP) ** 2
+    conds = [*np.logspace(2, 12, 21), cap2 * (1 - 1e-9), cap2,
+             cap2 * (1 + 1e-9), cap2 / 2, cap2 / 3]
+    grams = [_hermitian(rng, k, np.geomspace(c, 1.0, k) * 10.0 ** e)
+             for c in conds for e in (-170, -6, 0, 6, 170)]
+    lam = rng.uniform(0.5, 2.0, k)
+    lam[3] = -lam[3]
+    grams.append(_hermitian(rng, k, lam))
+    for N in grams:
+        N = N[None]
+        b = rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k))
+        try:
+            osc._certify(N)
+            passes = True
+        except osc.DegreeCapError:
+            passes = False
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                x = osc._certified_solve(N, b)
+            assert passes
+            assert np.array_equal(x, np.linalg.solve(N, b[..., None])[..., 0])
+        except osc.DegreeCapError:
+            assert not passes
+    # a well-conditioned stack takes no eigensolve
+    eig_calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        eig_calls.append(len(a))
+        return eigvalsh(a)
+
+    N = np.stack([g for g, c in zip(grams[2::5], conds) if c <= 1e8])
+    b = rng.standard_normal((len(N), k)) + 1j * rng.standard_normal((len(N), k))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    x = osc._certified_solve(N, b)
+    assert eig_calls == []
+    assert np.array_equal(x, np.linalg.solve(N, b[..., None])[..., 0])

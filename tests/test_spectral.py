@@ -128,7 +128,8 @@ def test_hankel_on_kernel_conj_linear(basis25):
     f = symbols.make("conj-linear")
     # ||H_{conj z} k_z|| = 1 at every z
     z = np.array([0.0, 1.0 + 0.5j, 2.0])
-    assert np.max(np.abs(hankel_on_kernel(f, z, 2.0, basis25) - 1.0)) < 1e-6
+    vals, = hankel_on_kernel([f], z, 2.0, basis25)
+    assert np.max(np.abs(vals - 1.0)) < 1e-6
 
 
 def test_berezin_of_lebesgue_is_one(basis25):
@@ -467,7 +468,7 @@ def test_hankel_on_kernel_equals_fresh_projection(weight):
     basis = build_basis(weight, 30)
     f = symbols.make("conj-gaussian", beta=0.8)
     z = 1.7 * np.exp(2j * np.pi * np.arange(8) / 8) + 0.3
-    vals = hankel_on_kernel(f, z, 2.0, basis)
+    vals, = hankel_on_kernel([f], z, 2.0, basis)
     for p, val in zip(z, vals):
         assert val == _reference_hankel_on_kernel(f, p, 2.0, basis)
 
@@ -492,14 +493,20 @@ def _points():
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
 def test_hankel_on_kernel_array_equals_per_point(weight, q):
-    # one call on a point set gives every point's own value to the bit
+    # one call on a family and a point set gives every symbol's value at
+    # every point its own one-member, one-point value to the bit
     basis = build_basis(weight, 30)
-    f = symbols.make("conj-gaussian", beta=0.8)
+    family = [symbols.make("conj-gaussian", beta=0.8),
+              symbols.make("bump", radius=1.0)]
     z = _points()
-    vals = hankel_on_kernel(f, z, q, basis)
-    assert vals.shape == z.shape
-    for i in range(len(z)):
-        assert vals[i] == hankel_on_kernel(f, z[i:i + 1], q, basis)[0]
+    vals = hankel_on_kernel(family, z, q, basis)
+    assert vals.shape == (2,) + z.shape
+    for f, row in zip(family, vals):
+        for i in range(len(z)):
+            assert row[i] == hankel_on_kernel([f], z[i:i + 1], q, basis)[0, 0]
+    # a (shells, angles) array of points keeps its shape
+    assert np.array_equal(hankel_on_kernel(family, z.reshape(2, 3), q, basis),
+                          vals.reshape(2, 2, 3))
 
 
 @pytest.mark.parametrize("density", [None, lambda z: np.exp(-np.abs(z) ** 2)])
@@ -535,8 +542,9 @@ def test_checked_gram_evaluates_basis_once(monkeypatch, weight):
 def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
     basis = build_basis(weight, 25)
     calls = _count_evaluate(monkeypatch)
-    f = symbols.make("conj-linear")
-    hankel_on_kernel(f, np.linspace(-2.0, 2.0, 16) + 0.5j, 2.0, basis)
+    # once per call, for every symbol of the family
+    family = [symbols.make("conj-linear"), symbols.make("bump", radius=1.0)]
+    hankel_on_kernel(family, np.linspace(-2.0, 2.0, 16) + 0.5j, 2.0, basis)
     assert len(calls) == 1
 
 

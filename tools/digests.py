@@ -5,9 +5,10 @@
 The runs are the 18 subcommands at their defaults (seed 0), plus
 `hankel-svd basis.degree=80 symbol.id=bump` (a Gram with one live rotation
 character), `hankel-svd basis.degree=40 symbol.id=mixed` (one with all
-four), the four q != 2 ops of the `fits-spectra` benchmark workload and
+four), the four q != 2 ops of the `fits-spectra` benchmark workload,
 `dbar-check weight.kind=perturbed-gaussian` (the one dbar calibration on
-a non-Gaussian weight), each into a fresh output directory.
+a non-Gaussian weight) and the benchmark's `thm11-report
+functional.shells=2.0,3.0`, each into a fresh output directory.
 Each CSV gives one line `label file sha256`; each manifest calibration or
 warning line gives one line `label manifest.txt <line>`.  A label is the
 subcommand with its overrides joined by '/'.  Two checkouts are compared
@@ -33,6 +34,7 @@ EXTRA = (
     ("g-profile", "functional.q=1"),
     ("decompose", "functional.q=1", "symbol.id=bump"),
     ("dbar-check", "weight.kind=perturbed-gaussian"),
+    ("thm11-report", "functional.shells=2.0,3.0"),
 )
 
 
