@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .dbar import DbarSolver, ZeroOneForm
+from .dbar import DbarSolver
 from .fock import FockBasis
 from .spectral import HankelGram, sampled_hankel_gram
 from .symbols import Symbol
@@ -43,8 +43,8 @@ def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
             out[mask] = s[mask] * field(xi[mask])
         return out
 
-    omega = ZeroOneForm(lambda xi: masked(xi, decomp.dbar_f1),
-                        support_radius=t + 1.0)
+    omega = Symbol(lambda xi: masked(xi, decomp.dbar_f1),
+                   support_radius=t + 1.0)
     psi_vals = solver.cauchy_apply(omega, nodes)
     h_vals = psi_vals + masked(nodes, decomp.f2)
     return sampled_hankel_gram(f(nodes) - h_vals, basis.weight,

@@ -85,12 +85,11 @@ def _lattice(base, r, half, key):
 
 
 class Runner:
-    """Shared lazy construction of weight/basis/solver per invocation, and
-    the pipeline steps the reports share."""
+    """Lazy weight and solver per invocation, bases on demand (their plane
+    rules are memoised), and the pipeline steps the reports share."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._bases = {}
         self.calibration = {}
 
     @cached_property
@@ -109,11 +108,9 @@ class Runner:
 
     def basis(self, degree=None):
         degree = self.cfg["basis.degree"] if degree is None else degree
-        if degree not in self._bases:
-            with _blamed_on("basis.degree/weight.alpha", ValueError,
-                            CapabilityError):
-                self._bases[degree] = build_basis(self.radial_weight, degree)
-        return self._bases[degree]
+        with _blamed_on("basis.degree/weight.alpha", ValueError,
+                        CapabilityError):
+            return build_basis(self.radial_weight, degree)
 
     @cached_property
     def solver(self):
@@ -375,16 +372,14 @@ GAP_HEADER = ["t", "gap", "ess_tail", "margin_shift", "degree_shift",
 
 def _gap_rows(r: Runner, ts, t_key):
     """Rows of GAP_HEADER for each cutoff radius t, read from `t_key`.
-    The lattice covers the configured window and supp sigma_t of the
-    largest t plus two bump radii; cells beyond that would add exact
-    zeros."""
+    The lattice is sized by its reach alone, not by lattice.window: the
+    approximants evaluate f_1 only within t + 1 of 0 (sigma_t masks the
+    rest), where every bump that does not vanish is centred within 2r,
+    so cells beyond t_max + 1 + 2r would add exact zeros."""
     cfg = r.cfg
     f = r.symbol()
     ess = r.essential_norm(f).estimate
-    window = cfg["lattice.window"]
-    reach = ts[-1] + 1 + 2 * cfg["lattice.r"]
-    L = r.lattice(max(window, reach),
-                  "lattice.window" if window >= reach else t_key)
+    L = r.lattice(ts[-1] + 1 + 2 * cfg["lattice.r"], t_key)
     D = r.decomposition(f, build_partition(L))
     rows = []
     for t in ts:

@@ -16,11 +16,13 @@ solver, once per process; the tolerance is checked on every call.
 The |xi - z|^{-1} singularity is absorbed by integrating in polar
 coordinates centered at z, where the Jacobian cancels it exactly;
 `_polar_sum` is that one sum, for A_phi and for the singular patch of
-the Cauchy transform.  The nodes and the kernel depend only on the point
-and the grid, so A_phi always takes a form family (a sequence of forms
-sharing one support radius; one form is passed as [omega]) in one kernel
-pass per chunk of points: the certificate and the dbar check each solve
-their three test forms in one call.
+the Cauchy transform.  A form is the `symbols.Symbol` of its
+coefficient w, compact iff its support_radius is set (else of Gaussian
+decay); its dbar field is not read.  The nodes and the kernel depend
+only on the point and the grid, so A_phi always takes a form family (a
+sequence of forms sharing one support radius; one form is passed as
+[omega]) in one kernel pass per chunk of points: the certificate and the
+dbar check each solve their three test forms in one call.
 
 Compact forms (those with a support radius) have a cheaper solution, the
 Cauchy transform C(w)(z) = C0 * integral w(xi) / (xi - z) dA(xi), with
@@ -28,8 +30,8 @@ the same C0 since the weight factor is 1 at xi = z.  C(w) - A_phi(w) is
 entire of exponential type, and the Hankel operator vanishes on such
 functions, so both give the same H_psi; but C(w) = O(1/z) off the
 support, so truncated projections represent it.  `cauchy_apply` samples
-w once on a polar rule over its support and splits the kernel with a
-floating cutoff chi(|xi - z| / PATCH_RADIUS) (Bruno & Kunyansky,
+w in one call on a polar rule over its support and splits the kernel
+with a floating cutoff chi(|xi - z| / PATCH_RADIUS) (Bruno & Kunyansky,
 J. Comput. Phys. 169, 2001): the smooth part (1 - chi)/(xi - z) is one
 sum against the shared samples at every point, the singular part
 chi/(xi - z) a small polar patch about each point near the support.
@@ -45,7 +47,7 @@ with n_angular % 4 != 0, take the same loop with one rotation.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -69,10 +71,11 @@ CALIBRATION_TOL = 1e-2
 # goes on a PATCH_GRID (radial x angular) polar patch about z.  Set by a
 # convergence sweep: on a smooth radial form these values are within
 # 1e-7 of the closed form at the default 60 x 96 support rule, where
-# exp(-u/(1-u)) reached only 5e-5.  Forms are sampled about OMEGA_CHUNK
-# nodes at a time and kernel blocks hold about KERNEL_BYTES (one point's
-# row at least), which bounds the engine's memory; 256 KiB blocks stay in
-# cache and ran 4x faster than 1 MiB ones.
+# exp(-u/(1-u)) reached only 5e-5.  Each polar sum (A_phi, the singular
+# patches) calls its field on about OMEGA_CHUNK nodes at a time, and
+# kernel blocks hold about KERNEL_BYTES (one point's row at least), which
+# bounds the engine's memory; 256 KiB blocks stay in cache and ran 4x
+# faster than 1 MiB ones.
 PATCH_RADIUS = 0.5
 PATCH_GRID = (8, 16)
 CUTOFF_POWER = 8
@@ -86,16 +89,6 @@ class DecayError(RuntimeError):
 
 class CalibrationError(RuntimeError):
     """The solver's grid does not solve the dbar equation to tolerance."""
-
-
-@dataclass(frozen=True)
-class ZeroOneForm:
-    """(0,1)-form w(xi) d(conj xi); evaluator vectorized over arrays."""
-    coefficient: Callable[[np.ndarray], np.ndarray]
-    support_radius: Optional[float] = None   # compact iff set, else Gaussian
-
-    def __call__(self, xi):
-        return self.coefficient(np.asarray(xi, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -141,15 +134,15 @@ class DbarSolver:
             self._certify_decay(form)
         return C0 * self.raw_apply(forms, z)
 
-    def cauchy_apply(self, omega: ZeroOneForm, z) -> np.ndarray:
+    def cauchy_apply(self, omega: Symbol, z) -> np.ndarray:
         """C0 * integral omega(xi) / (xi - z) dA(xi) for a compact form.
 
         One solution of dbar u = omega; it differs from A_phi(omega) by an
-        entire function.  omega is sampled once on an n_radial x n_angular
-        polar rule over its support for the smooth part of the kernel,
-        which is formed at one point of each quarter-turn orbit of z (see
-        the module docstring); points within PATCH_RADIUS of the support
-        add the singular part.
+        entire function.  omega is sampled in one call on an n_radial x
+        n_angular polar rule over its support for the smooth part of the
+        kernel, which is formed at one point of each quarter-turn orbit
+        of z (see the module docstring); points within PATCH_RADIUS of the
+        support add the singular part.
         """
         if omega.support_radius is None:
             raise DecayError("the Cauchy transform needs a compactly "
@@ -158,7 +151,7 @@ class DbarSolver:
         R = omega.support_radius
         rule = polar_rule(0.0, R, self.n_radial, self.n_angular)
         xi = rule.nodes
-        wom = rule.weights * _sample(omega, xi)
+        wom = rule.weights * omega(xi)
         # kernel rows are formed at orbits[0] only, and column s of the
         # product, against i^{-s} (w omega)(i^s xi), lands at orbits[s]:
         # one rotation in general, four on points closed under z -> iz
@@ -187,7 +180,7 @@ class DbarSolver:
         out *= C0
         return out.reshape(np.shape(z))
 
-    def _certify_decay(self, omega: ZeroOneForm):
+    def _certify_decay(self, omega: Symbol):
         """Check the kernel-weighted integrand has died out at the reach."""
         if omega.support_radius is not None:
             return
@@ -244,12 +237,6 @@ def _smooth_kernel(d: np.ndarray) -> np.ndarray:
     return np.conj(d) * g
 
 
-def _sample(omega: ZeroOneForm, xi: np.ndarray) -> np.ndarray:
-    """omega on the flat node array xi, OMEGA_CHUNK nodes at a time."""
-    return np.concatenate([omega(xi[a:a + OMEGA_CHUNK])
-                           for a in range(0, len(xi), OMEGA_CHUNK)])
-
-
 def dbar_fd(u: Callable[[np.ndarray], np.ndarray], z,
             h: float = FD_STEP) -> np.ndarray:
     """Central finite-difference dbar = (d/dx + i d/dy)/2 of a field, from
@@ -264,13 +251,13 @@ def dbar_fd(u: Callable[[np.ndarray], np.ndarray], z,
     return 0.5 * (ux + 1j * uy)
 
 
-def gaussian_test_forms(alpha: float = 1.0) -> list[ZeroOneForm]:
+def gaussian_test_forms(alpha: float = 1.0) -> list[Symbol]:
     """Gaussian-modulated coefficients with distinct angular structure."""
     return [
-        ZeroOneForm(lambda xi: np.exp(-alpha * np.abs(xi) ** 2)),
-        ZeroOneForm(lambda xi: np.conj(xi) * np.exp(-alpha * np.abs(xi) ** 2)),
-        ZeroOneForm(lambda xi: (1.0 + 0.5 * np.real(xi))
-                    * np.exp(-0.8 * alpha * np.abs(xi) ** 2)),
+        Symbol(lambda xi: np.exp(-alpha * np.abs(xi) ** 2)),
+        Symbol(lambda xi: np.conj(xi) * np.exp(-alpha * np.abs(xi) ** 2)),
+        Symbol(lambda xi: (1.0 + 0.5 * np.real(xi))
+               * np.exp(-0.8 * alpha * np.abs(xi) ** 2)),
     ]
 
 
@@ -313,12 +300,13 @@ def hankel_via_dbar(solver: DbarSolver, f: Symbol, g,
     if not callable(g):
         raise TypeError("g must be a callable kernel-span evaluator")
     rule = basis.rule
-    omega = ZeroOneForm(lambda xi: g(xi) * f.dbar(xi),
-                        support_radius=f.support_radius)
+
+    def residual(v):
+        """(I - P) v on the rule nodes."""
+        return v - evaluate_projection(basis, project(basis, v, rule),
+                                       rule.nodes)
+
+    omega = Symbol(lambda xi: g(xi) * f.dbar(xi),
+                   support_radius=f.support_radius)
     u, = solver.apply([omega], rule.nodes)
-    lhs = u - evaluate_projection(basis, project(basis, u, rule),
-                                  rule.nodes)
-    fg = f(rule.nodes) * g(rule.nodes)
-    rhs = fg - evaluate_projection(basis, project(basis, fg, rule),
-                                   rule.nodes)
-    return lhs, rhs
+    return residual(u), residual(f(rule.nodes) * g(rule.nodes))

@@ -128,11 +128,6 @@ class Decomposition:
     coeffs: np.ndarray         # (N, d+1) coefficients of (z - centre_j)^i
     degree: int
 
-    @property
-    def centres(self) -> np.ndarray:
-        """(N,) expansion points of the h_j: the partition's lattice."""
-        return self.partition.lattice.points
-
     def f1(self, z) -> np.ndarray:
         return _glue([self], z, dbar=False)[0]
 

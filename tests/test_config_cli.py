@@ -295,6 +295,29 @@ def test_thm12_report_rows_certified_at_defaults(tmp_path):
     assert [row["reliable"] for row in rows] == ["1", "0", "0", "0"]
 
 
+def test_compact_approx_lattice_stops_at_its_reach(tmp_path, monkeypatch):
+    # the lattice reaches t + 1 + 2 lattice.r = 5 whatever lattice.window
+    # says: cells beyond it add exact zeros, so a window of 12 writes the
+    # default's bytes and fits the default's 11 x 11 centres
+    from focklab import cli
+    centres = []
+    decompose = cli.decompose
+
+    def counted(f, P, *args, **kwargs):
+        centres.append(len(P.lattice.points))
+        return decompose(f, P, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "decompose", counted)
+    gaps = []
+    for window in ("5.0", "12.0"):
+        run_dir = run("compact-approx",
+                      load_config(None, [f"lattice.window={window}"], seed=0),
+                      str(tmp_path / window))
+        gaps.append((run_dir / "gap.csv").read_bytes())
+    assert gaps[0] == gaps[1]
+    assert centres == [121, 121]
+
+
 def test_cli_capability_limit_only_where_used(tmp_path):
     # the lattice builds no basis, so its degree is never checked
     assert main(["lattice", "--out", str(tmp_path), "basis.degree=400",

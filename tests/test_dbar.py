@@ -7,13 +7,14 @@ import pytest
 from focklab import dbar, symbols
 from focklab.approximant import compact_approximant, smooth_cutoff
 from focklab.dbar import (CalibrationError, DbarSolver, DecayError,
-                          ZeroOneForm, calibrate_orientation, dbar_fd,
+                          calibrate_orientation, dbar_fd,
                           gaussian_test_forms, hankel_via_dbar)
 from focklab.decomposition import build_partition, decompose
 from focklab.fock import build_basis, default_rule_for_degree, \
     kernel
 from focklab.lattice import Window, build_lattice
 from focklab.quadrature import polar_rule
+from focklab.symbols import Symbol
 from focklab.weights import gaussian_weight, perturbed_gaussian_weight
 
 
@@ -166,8 +167,10 @@ def _stencil(z, h=dbar.FD_STEP):
 def _compact_family():
     bump = _radial_form()
     return [bump,
-            ZeroOneForm(lambda xi: np.conj(xi) * bump(xi), RADIAL_R),
-            ZeroOneForm(lambda xi: (1.0 + 0.5j * xi) * bump(xi), RADIAL_R)]
+            Symbol(lambda xi: np.conj(xi) * bump(xi),
+                   support_radius=RADIAL_R),
+            Symbol(lambda xi: (1.0 + 0.5j * xi) * bump(xi),
+                   support_radius=RADIAL_R)]
 
 
 @pytest.mark.parametrize("grid", [(60, 96), (10, 16)])
@@ -199,7 +202,8 @@ def test_mixed_support_radii_refused(solver):
     gaussian = gaussian_test_forms(1.0)[0]
     z = np.array([0.2 + 0.1j])
     for forms in ([gaussian, _radial_form()],
-                  [_radial_form(), ZeroOneForm(_radial_form(), 3.0)]):
+                  [_radial_form(),
+                   Symbol(_radial_form(), support_radius=3.0)]):
         with pytest.raises(ValueError, match="support radius"):
             solver.raw_apply(forms, z)
         with pytest.raises(ValueError, match="support radius"):
@@ -288,8 +292,8 @@ def test_residual_on_gaussian_family(solver):
 
 def test_linearity(solver):
     a, b = gaussian_test_forms(1.0)[:2]
-    combo = ZeroOneForm(lambda xi: 2.0 * a.coefficient(xi)
-                        - 0.5j * b.coefficient(xi))
+    combo = Symbol(lambda xi: 2.0 * a.evaluator(xi)
+                   - 0.5j * b.evaluator(xi))
     z = np.array([0.3 - 0.2j, -0.6 + 0.4j])
     lhs, = solver.apply([combo], z)
     ua, ub = solver.apply([a, b], z)
@@ -323,7 +327,7 @@ RADIAL_R = 2.0
 
 def _radial_form():
     # omega(rho) = (1 - rho^2/R^2)^3 cos(2 rho) on B(0, R)
-    return ZeroOneForm(
+    return Symbol(
         lambda xi: (np.clip(1.0 - np.abs(xi) ** 2 / RADIAL_R ** 2, 0.0, None)
                     ** 3 * np.cos(2.0 * np.abs(xi))),
         support_radius=RADIAL_R)
@@ -372,6 +376,25 @@ def test_cauchy_apply_chunking_invariant(solver, monkeypatch):
     monkeypatch.setattr(dbar, "KERNEL_BYTES", 1)
     monkeypatch.setattr(dbar, "OMEGA_CHUNK", 7)
     assert np.max(np.abs(solver.cauchy_apply(omega, z) - whole)) <= 1e-14
+
+
+def test_cauchy_apply_samples_the_support_rule_in_one_call(solver):
+    # the 60 x 96 support nodes reach the form in one flat call; the
+    # singular patches' calls, (points, patch nodes) arrays, are apart
+    omega = _radial_form()
+    flat = []
+
+    def recorded(xi):
+        if np.ndim(xi) == 1:
+            flat.append(np.array(xi))
+        return omega(xi)
+
+    wrapped = Symbol(recorded, support_radius=RADIAL_R)
+    nodes = default_rule_for_degree(20, 1.0).nodes
+    psi = solver.cauchy_apply(wrapped, nodes)
+    rule = polar_rule(0.0, RADIAL_R, solver.n_radial, solver.n_angular)
+    assert len(flat) == 1 and np.array_equal(flat[0], rule.nodes)
+    assert np.array_equal(psi, solver.cauchy_apply(omega, nodes))
 
 
 def test_cauchy_apply_rejections(solver):
@@ -448,7 +471,7 @@ def _cauchy_reference(solver, omega, z):
     R = omega.support_radius
     rule = polar_rule(0.0, R, solver.n_radial, solver.n_angular)
     xi = rule.nodes
-    wom = rule.weights * dbar._sample(omega, xi)
+    wom = rule.weights * omega(xi)
     out = np.empty(zs.shape, dtype=complex)
     step = max(1, dbar.KERNEL_BYTES // (16 * len(xi)))
     for a in range(0, len(zs), step):
@@ -467,8 +490,8 @@ def _cauchy_reference(solver, omega, z):
 def _cutoff_form(family, t):
     """sigma_t dbar f_1, the form whose Cauchy transform is psi_t."""
     _, D = _thm12_decomposition(family)
-    return ZeroOneForm(lambda xi: smooth_cutoff(t, xi) * D.dbar_f1(xi),
-                       support_radius=t + 1.0)
+    return Symbol(lambda xi: smooth_cutoff(t, xi) * D.dbar_f1(xi),
+                  support_radius=t + 1.0)
 
 
 # every degree (21: an odd order, with an origin node), t and grid once

@@ -107,8 +107,9 @@ def _dense_members(P, z):
 
 def _dense_glue(D, z, weights):
     """sum_j h_j(z) w_j(z) over every centre, one polyval per centre."""
+    centres = D.partition.lattice.points
     h = np.stack([np.polynomial.polynomial.polyval(z - c, coeffs)
-                  for c, coeffs in zip(D.centres, D.coeffs)])
+                  for c, coeffs in zip(centres, D.coeffs)])
     return np.sum(h * weights, axis=0)
 
 

@@ -5,6 +5,8 @@ the default margin of 10.  The translated symbol has no rotation
 character that vanishes, so it checks the Gram's all-characters path.
 """
 
+from math import lgamma
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,54 @@ def test_translated_conj_gaussian_has_the_centred_spectrum(weight):
     exact = exact_spectra.conj_gaussian(1.0, 1.0, 60)
     assert np.max(np.abs(S.values[:10] - exact[:10])) <= 5e-15
     assert S.stability_shift <= 1e-15
+
+
+# --- the radial references against independent evaluations --------------
+
+RADIAL_CASES = [(1.0, 1.0), (0.5, 1.2), (2.0, 0.8), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("degree", [20, 40, 80])
+@pytest.mark.parametrize("alpha,radius", RADIAL_CASES)
+def test_step_reference_matches_its_integral(alpha, radius, degree):
+    # lambda_j = (alpha^{j+1}/j!) int_0^{R^2} rho^j e^{-alpha rho} d rho by
+    # Gauss-Legendre, the weights built by the recurrence
+    # w_j = w_{j-1} alpha rho / j, against the direct Poisson sums; seen:
+    # 4.5e-16 s_0 at R = 2, 2.3e-16 s_0 or less elsewhere
+    t, w = np.polynomial.legendre.leggauss(80)
+    rho = 0.5 * radius ** 2 * (t + 1.0)
+    density = alpha * np.exp(-alpha * rho)
+    lam = []
+    for j in range(degree + 1):
+        if j:
+            density = density * (alpha * rho / j)
+        lam.append(0.5 * radius ** 2 * np.sum(w * density))
+    lam = np.array(lam)
+    independent = np.sort(np.sqrt(lam * (1.0 - lam)))[::-1]
+    exact = exact_spectra.step(alpha, radius, degree)
+    assert np.max(np.abs(exact - independent)) <= 1e-14 * exact[0]
+
+
+@pytest.mark.parametrize("degree", [20, 40, 80])
+@pytest.mark.parametrize("alpha,radius", RADIAL_CASES)
+def test_bump_reference_matches_its_kummer_series(alpha, radius, degree):
+    # with x = alpha R^2, (alpha^{j+1}/j!) int_0^{R^2} (1 - rho/R^2)^m
+    # rho^j e^{-alpha rho} d rho = x^{j+1} m!/(j+m+1)! e^{-x}
+    # 1F1(m+1; j+m+2; x) by Kummer's transformation: a series of positive
+    # terms, against Gauss-Legendre; seen: 2.6e-15 s_0 at R = 2, 9.4e-16
+    # s_0 or less elsewhere
+    x = alpha * radius ** 2
+    j = np.arange(degree + 1)
+
+    def moment(m):
+        log_front = np.array([(k + 1) * np.log(x) + lgamma(m + 1.0)
+                              - lgamma(k + m + 2.0) - x for k in j])
+        term, total = np.ones(degree + 1), np.ones(degree + 1)
+        for n in range(200):
+            term = term * ((m + 1 + n) * x / ((j + m + 2 + n) * (n + 1)))
+            total += term
+        return np.exp(log_front) * total
+
+    independent = np.sort(np.sqrt(moment(4) - moment(2) ** 2))[::-1]
+    exact = exact_spectra.bump(alpha, radius, degree)
+    assert np.max(np.abs(exact - independent)) <= 1e-14 * exact[0]

@@ -7,8 +7,11 @@ The runs are the 18 subcommands at their defaults (seed 0), plus
 character), `hankel-svd basis.degree=40 symbol.id=mixed` (one with all
 four), the four q != 2 ops of the `fits-spectra` benchmark workload,
 `dbar-check weight.kind=perturbed-gaussian` (the one dbar calibration on
-a non-Gaussian weight) and the benchmark's `thm11-report
-functional.shells=2.0,3.0`, each into a fresh output directory.
+a non-Gaussian weight), the benchmark's `thm11-report
+functional.shells=2.0,3.0`, `compact-approx dbar.n_angular=90` (the
+Cauchy sum's one-rotation path) and `compact-approx lattice.window=12.0`
+(a window past the approximant's reach), each into a fresh output
+directory.
 Each CSV gives one line `label file sha256`; each manifest calibration or
 warning line gives one line `label manifest.txt <line>`.  A label is the
 subcommand with its overrides joined by '/'.  Two checkouts are compared
@@ -35,6 +38,8 @@ EXTRA = (
     ("decompose", "functional.q=1", "symbol.id=bump"),
     ("dbar-check", "weight.kind=perturbed-gaussian"),
     ("thm11-report", "functional.shells=2.0,3.0"),
+    ("compact-approx", "dbar.n_angular=90"),
+    ("compact-approx", "lattice.window=12.0"),
 )
 
 
