@@ -31,8 +31,8 @@ from .fock import build_basis, fit_kernel_estimates, kernel
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import CapabilityError
-from .oscillation import DegreeCapError, g_functional, m_profile, \
-    ida_norm, vda_profile
+from .oscillation import N_ANGLES, DegreeCapError, g_functional, \
+    m_profile, ida_norm, vda_profile
 from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
     schatten_h_criterion
@@ -43,8 +43,6 @@ from .weights import WeightEvaluationError, certify_weight, \
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, complex):
-        return f"{x.real:.16e}{x.imag:+.16e}j"
     if isinstance(x, str):
         return x
     return f"{float(x):.16e}"
@@ -234,11 +232,11 @@ def cmd_lattice(r: Runner, rng):
     }
 
 
-def _shell_rows(profile):
-    rows = []
-    for p, v in zip(profile.sample_points, profile.values):
-        rows.append([p.real, p.imag, abs(p), v])
-    return rows
+def _shell_rows(profile, shells):
+    """Rows (re, im, shell_radius, value), the radius as configured."""
+    p = profile.sample_points
+    return np.column_stack([p.real, p.imag, np.repeat(shells, N_ANGLES),
+                            profile.values]).tolist()
 
 
 def cmd_g_profile(r: Runner, rng):
@@ -249,7 +247,7 @@ def cmd_g_profile(r: Runner, rng):
                            cfg["functional.r"], cfg["functional.d"],
                            cfg["functional.shells"])
     return {"g_profile.csv": (["re", "im", "shell_radius", "value"],
-                              _shell_rows(prof))}
+                              _shell_rows(prof, cfg["functional.shells"]))}
 
 
 def cmd_m_profile(r: Runner, rng):
@@ -258,7 +256,7 @@ def cmd_m_profile(r: Runner, rng):
         prof = m_profile(r.symbol(), cfg["functional.q"],
                          cfg["functional.r"], cfg["functional.shells"])
     return {"m_profile.csv": (["re", "im", "shell_radius", "value"],
-                              _shell_rows(prof))}
+                              _shell_rows(prof, cfg["functional.shells"]))}
 
 
 def cmd_ida_norm(r: Runner, rng):

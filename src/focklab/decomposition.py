@@ -20,10 +20,11 @@ those of the sum over every centre, to the bit.
 
 The glue takes a family: several decompositions on one partition, whose
 cell blocks depend on the points alone, so each block is formed once and
-serves every member; f1, dbar_f1 and f2 are the one-member case.
-verify_controls takes a family too, so a report on several symbols makes
-one partition pass over the probes' balls.  decompose at q = 2 forms the
-fits' coefficients only: their residual G is not read here.
+serves every member, whose row equals its one-member family's bit for
+bit; f1, dbar_f1 and f2 are the one-member case.  verify_controls takes
+a family too, so a report on several symbols makes one partition pass
+over the probes' balls.  decompose at q = 2 forms the fits' coefficients
+only: their residual G is not read here.
 """
 
 from dataclasses import dataclass

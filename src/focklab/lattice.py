@@ -2,7 +2,8 @@
 
 In dimension n = 1 the fundamental lattice is w1 + r*(m + i*s) for
 integers m, s; the balls B(., r/2) are pairwise disjoint and the balls
-B(., r) cover the plane.  Lattices are materialized over finite windows.
+B(., r) cover the plane.  A lattice is materialized over a finite window
+from one np.mgrid of its (s, m) pairs, so a cell's index is arithmetic.
 """
 
 from dataclasses import dataclass
@@ -74,14 +75,10 @@ def build_lattice(base: complex, r: float, window: Window) -> Lattice:
     if count > POINT_CAP:
         raise ValueError(f"window would enumerate {count} points "
                          f"(cap {POINT_CAP})")
-    pts, ms = [], []
-    for s in range(s_lo, s_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            pts.append(base + step * (m + 1j * s))
-            ms.append((m, s))
+    s, m = (a.ravel() for a in np.mgrid[s_lo:s_hi + 1, m_lo:m_hi + 1])
     return Lattice(base=complex(base), r=float(r), window=window,
-                   points=np.asarray(pts, dtype=complex),
-                   ms=np.asarray(ms, dtype=int).reshape(-1, 2))
+                   points=base + step * (m + 1j * s),
+                   ms=np.column_stack([m, s]))
 
 
 def covering_multiplicity(L: Lattice, z: complex, factor: float) -> int:
@@ -129,9 +126,6 @@ def cell_index(L: Lattice, m, s):
     numbers (a far query point must not overflow an integer cast); they
     broadcast, so per-axis arrays give the index of the whole block.
     """
-    if len(L.ms) == 0:
-        shape = np.broadcast_shapes(np.shape(m), np.shape(s))
-        return np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=bool)
     (m_lo, s_lo), (m_hi, s_hi) = L.ms[0], L.ms[-1]
     on = ((m >= m_lo) & (m <= m_hi)) & ((s >= s_lo) & (s <= s_hi))
     row = (np.clip(s, s_lo, s_hi) - s_lo).astype(np.intp)

@@ -10,22 +10,21 @@ while 2d <= BALL_ORDER, so d is capped at MAX_DEGREE.
 
 One engine fits every centre: ida_distance, g_functional and
 mean_oscillation take a 1-D array of centres and return arrays, one entry
-(a fit's one row) per centre.  The ball rule
-B(z, r) is the rule on B(0, r) translated by z with unchanged weights, so
-in the local variable u = w - z the weighted disk Vandermonde
-A = sqrt(w) (u/r)^j is the same at every centre: it is QR-factored and
-condition-checked once per call.
-Symbol samples are taken FIT_BLOCK centres at a time, which bounds the
-working set; q = 2 fits a block in one product with A^+ diag(sqrt(w)),
-the one q = 2 block engine (_q2_fits).  ida_distance adds the residual
-pass that G needs; fit_coefficients, for callers that read no G, stops
-at the coefficients.  For q != 2 the q = 2 fit is the start.  A centre
-whose q = 2 residual is exactly 0 at every node keeps it: its L^q
-objective is 0, the least for every q.  The other centres are sampled
-again, in order, in batches whose sample array stays below
-IRLS_BATCH_BYTES, and the IRLS refits all
-still-active centres of a batch together from their q = 2 fits (see
-_irls), each centre stopping at its own iteration.  The IRLS is in
+(a fit's one row) per centre.  The ball rule B(z, r) is the rule on
+B(0, r) translated by z with unchanged weights, so in the local variable
+u = w - z the weighted disk Vandermonde A = sqrt(w) (u/r)^j is the same
+at every centre: it is QR-factored and condition-checked once per call.
+Symbol samples are taken FIT_BLOCK centres at a time (_blocks), which
+bounds the working set; q = 2 fits a block in one product with
+A^+ diag(sqrt(w)).  ida_distance adds the residual pass that G needs;
+fit_coefficients, for callers that read no G, stops at the coefficients,
+bit for bit those of ida_distance.  For q != 2 the q = 2 fit is the
+start.  A centre whose q = 2 residual is exactly 0 at every node keeps
+it: its L^q objective is 0, the least for every q.  The other centres
+are sampled again, in order, in batches whose sample array stays below
+IRLS_BATCH_BYTES, and the IRLS refits all still-active centres of a
+batch together from their q = 2 fits (see _irls), each centre stopping
+at its own iteration.  The IRLS is in
 correction form: each step solves for the update from the true residual
 the step before formed, one batched solve per step, damped to the step
 1/(q - 1) for q > 2, and a centre's last step is refined once on its own
@@ -68,7 +67,7 @@ class DegreeCapError(RuntimeError):
 
 
 class IRLSWarning(UserWarning):
-    """Some centres used up IRLS_ITERS before their residual settled."""
+    """Centres that used up IRLS_ITERS unsettled; raised once per call."""
 
 
 @dataclass(frozen=True)
@@ -129,14 +128,6 @@ def _local_fit(r: float, d: int):
     return base, V, np.linalg.solve(R, Q.conj().T) * sw
 
 
-def _q2_fits(f: Symbol, base: Rule, pinv, centres):
-    """(slice, F, C) per block of FIT_BLOCK centres: the samples F of
-    _blocks and their q = 2 fits C = pinv F, (d+1, block) in (u/r)^j; the
-    one q = 2 block engine of ida_distance and fit_coefficients."""
-    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
-        yield blk, F, pinv @ F
-
-
 def fit_coefficients(f: Symbol, z, r: float, d: int = 6) -> np.ndarray:
     """The (n, d+1) coefficients of the q = 2 fits at the points of the
     1-D array z, without their residual: ida_distance(f, z, r, 2, d).coeffs
@@ -144,8 +135,8 @@ def fit_coefficients(f: Symbol, z, r: float, d: int = 6) -> np.ndarray:
     base, V, pinv = _local_fit(r, d)
     centres = np.asarray(z, dtype=complex)
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
-    for blk, _, C in _q2_fits(f, base, pinv, centres):
-        coeffs[blk] = C.T
+    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
+        coeffs[blk] = (pinv @ F).T
     coeffs /= r ** np.arange(d + 1)
     return coeffs
 
@@ -162,7 +153,8 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     residual = np.empty(len(centres))
 
     moves = np.zeros(len(centres), dtype=bool)
-    for blk, F, C in _q2_fits(f, base, pinv, centres):
+    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
+        C = pinv @ F
         res = np.abs(F - V @ C)
         coeffs[blk] = C.T
         residual[blk] = _lq_mean(res, base, r, q)
@@ -275,8 +267,7 @@ def _irls(F, V, P, C, base, r, q):
     s = 1.0 / (q - 1.0) if q > 2.0 else 1.0
     roundoff = np.finfo(float).eps * _lq_mean(np.abs(F), base, r, q)
     prev = np.full(F.shape[1], np.inf)
-    change = np.zeros(F.shape[1])
-    late = change[:0]              # the changes of the unsettled centres
+    late = np.empty(0)             # the changes of the unsettled centres
     active = np.arange(F.shape[1])
     Fa, Ca = F, C
     R = V @ Ca                     # the true residual f - V c of each fit
@@ -295,11 +286,10 @@ def _irls(F, V, P, C, base, r, q):
         res = np.abs(R)
         cur = _lq_mean(res, base, r, q)
         step = np.abs(prev[active] - cur)
-        change[active] = step / np.maximum(cur, roundoff[active])
         prev[active] = cur
         out = step <= np.maximum(IRLS_TOL * cur, roundoff[active])
         if it == IRLS_ITERS:
-            late = change[active[~out]]
+            late = (step / np.maximum(cur, roundoff[active]))[~out]
             out[:] = True
         if not out.any():
             W2 = res

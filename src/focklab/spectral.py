@@ -28,10 +28,11 @@ e^{-2phi}, and M splits into the blocks M^(c) of rows m = c mod 4.  A
 character that is exactly zero at every node of Q, as three of them are
 for f = conj(z)^k g(|z|^2), contributes exact zeros, so its columns are
 never formed: R^(c) then has the columns of class c + s alone and G is
-block-diagonal by j mod 4.  E on Q is the one array that scales with the
-rule: M, the residual Grams and the two small products of the update are
-sums over node blocks of about GRAM_BLOCK_BYTES of E, so every other
-temporary holds one block.
+block-diagonal by j mod 4 (conj-linear, conj-gaussian, bump, step and
+holo-poly z; mixed, holo-poly 1 + z and translates keep all four).  M,
+the residual Grams and the update's two small products are sums over
+node blocks of about GRAM_BLOCK_BYTES of E on Q, the one array that
+scales with the rule, so every other temporary holds one block.
 
 The kernel layer (the kernel norms ||H_f k_z||, the Berezin transform and
 the ball averages) returns one value per point, each point computed

@@ -17,6 +17,11 @@ Equations Operator Theory 44, 2002).  With c_j^2 = pi j! / alpha^{j+1}:
   lambda_j = mu_j = P(Poisson(alpha R^2) >= j + 1); bump(R) has
   g = (1 - rho/R^2)^2 on rho < R^2, integrated by Gauss-Legendre on
   [0, R^2], where the integrand is a polynomial times e^{-alpha rho}.
+- mixed(R) = conj(z) + bump(R): conj(z) e_j lies in the mode j - 1 and
+  bump e_j in the mode j, so the Gram is tridiagonal, with
+  G_jj = 1/alpha + mu_j - lambda_j^2 (the two parts' squared norms) and
+  G_{j,j-1} = sqrt(j/alpha) (lambda_j - lambda_{j-1}) (the mode j - 1
+  part of H_f e_j against H_f e_{j-1}), lambda and mu bump's moments.
 
 The Weyl operators W_a g(z) = e^{alpha(z conj(a) - |a|^2/2)} g(z - a) are
 unitary on F^2_phi and commute with the Bergman projection, so
@@ -83,10 +88,23 @@ def step(alpha: float, radius: float, degree: int) -> np.ndarray:
     return np.sort(np.sqrt(head * tail))[::-1]
 
 
-def bump(alpha: float, radius: float, degree: int) -> np.ndarray:
+def bump_moments(alpha: float, radius: float, degree: int):
+    """(lambda_j, mu_j) of bump(R): the moments of g and g^2."""
     def g(rho):
         return (1.0 - rho / radius ** 2) ** 2
 
-    lam = radial_moments(alpha, radius, g, degree)
-    mu = radial_moments(alpha, radius, lambda rho: g(rho) ** 2, degree)
+    return (radial_moments(alpha, radius, g, degree),
+            radial_moments(alpha, radius, lambda rho: g(rho) ** 2, degree))
+
+
+def bump(alpha: float, radius: float, degree: int) -> np.ndarray:
+    lam, mu = bump_moments(alpha, radius, degree)
     return np.sort(np.sqrt(mu - lam ** 2))[::-1]
+
+
+def mixed(alpha: float, radius: float, degree: int) -> np.ndarray:
+    lam, mu = bump_moments(alpha, radius, degree)
+    j = np.arange(1, degree + 1)
+    G = np.diag(1.0 / alpha + mu - lam ** 2)
+    G[j, j - 1] = G[j - 1, j] = np.sqrt(j / alpha) * (lam[1:] - lam[:-1])
+    return np.sqrt(np.linalg.eigvalsh(G))[::-1]

@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focklab import symbols
+import exact_spectra
+from focklab import cli, oscillation, symbols
 from focklab.cli import SUBCOMMANDS, Runner, main, run
 from focklab.config import (KEYS, ConfigError, ExperimentConfig,
                             load_config, parse_config_text)
+from focklab.fock import build_basis, kernel
+from focklab.weights import gaussian_weight
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -403,6 +406,42 @@ def test_cli_g_profile_values(tmp_path):
     rows = (run_dir / "g_profile.csv").read_text().splitlines()[1:]
     vals = np.array([float(r.split(",")[3]) for r in rows])
     assert np.max(np.abs(vals - 0.5 / np.sqrt(2.0))) < 1e-4
+
+
+@pytest.mark.parametrize("sub,name", [("g-profile", "g_profile.csv"),
+                                      ("m-profile", "m_profile.csv")])
+def test_profile_shell_radius_is_the_configured_shell(tmp_path, sub, name):
+    # |z| of a rounded sample point misses its shell in the last bit
+    # (3.0000000000000004 on the shell 3.0); the column names the shell
+    assert main([sub, "--out", str(tmp_path),
+                 "functional.shells=2.0,3.0,4.0,5.0"]) == 0
+    run_dir = next((tmp_path / sub).iterdir())
+    rows = (run_dir / name).read_text().splitlines()[1:]
+    radii = [float(row.split(",")[2]) for row in rows]
+    assert radii == [rad for rad in (2.0, 3.0, 4.0, 5.0)
+                     for _ in range(len(rows) // 4)]
+    assert len(rows) == 4 * oscillation.N_ANGLES
+
+
+@pytest.mark.parametrize("alpha,degree,radius,measured", [
+    (1.5, 50, 5.0, 0.0206222593679), (2.0, 50, 5.0, 0.462483309146852),
+    (1.0, 50, 5.0, None), (1.0, 20, 3.0, None), (1.0, 80, 5.0, None)])
+def test_in_reach_loss_is_a_poisson_tail(alpha, degree, radius, measured):
+    # e_k's closed form: the degree-D kernel keeps P(Poisson(alpha |z|^2)
+    # <= D) of K(z, z); seen: 3.9e-15 at alpha = 2
+    basis = build_basis(gaussian_weight(alpha), degree)
+    z = radius * cli.KZ_ANGLES
+    kept = np.sum(np.abs(basis.evaluate(z)) ** 2, axis=1)
+    lost = 1.0 - kept / np.real(kernel(basis, z, z))
+    tail = exact_spectra.poisson_split(alpha * radius ** 2, degree + 1)[1][-1]
+    assert np.max(np.abs(lost - tail)) <= 1e-14
+    if measured is not None:
+        assert abs(tail - measured) <= 1e-12
+    if tail > cli.KZ_MASS_LOSS:
+        with pytest.raises(ConfigError, match=f"loses {tail:.2g} of"):
+            cli._in_reach(basis, z, "functional.shells")
+    else:
+        assert cli._in_reach(basis, z, "functional.shells") is z
 
 
 def test_cli_records_warnings_in_manifest(tmp_path):

@@ -68,3 +68,21 @@ def test_base_shift_translates_points(re, im):
     assert np.max(np.abs(frac - np.round(frac.real) -
                          1j * np.round(frac.imag))) < 1e-12
     assert all(L1.window.contains(p) for p in L1.points)
+
+
+@pytest.mark.parametrize("base,r,half", [
+    (0.0, 1.0, 5.0), (0.3 - 0.7j, 1.0, 5.0), (-1.25 + 2.5j, 0.37, 3.3),
+    (0.5 + 0.5j, 1.0, 0.2)])     # the last window holds no point
+def test_points_are_the_per_point_definition(base, r, half):
+    # base + r (m + i s) point by point, (s, m) lexicographic: the same
+    # bits, signed zeros included, and the same dtypes and empty shapes
+    L = build_lattice(base, r, Window.square(half))
+    xs = np.arange(-100, 101)
+    m = xs[(base.real + r * xs >= -half) & (base.real + r * xs <= half)]
+    s = xs[(base.imag + r * xs >= -half) & (base.imag + r * xs <= half)]
+    ms = [(int(a), int(b)) for b in s for a in m]
+    pts = np.array([base + r * (a + 1j * b) for a, b in ms], dtype=complex)
+    assert L.ms.dtype == np.int64 and L.ms.shape == (len(ms), 2)
+    assert L.ms.tolist() == [list(p) for p in ms]
+    assert L.points.dtype == complex and L.points.shape == pts.shape
+    assert L.points.tobytes() == pts.tobytes()

@@ -10,8 +10,12 @@ four), the four q != 2 ops of the `fits-spectra` benchmark workload,
 a non-Gaussian weight), the benchmark's `thm11-report
 functional.shells=2.0,3.0`, `compact-approx dbar.n_angular=90` (the
 Cauchy sum's one-rotation path) and `compact-approx lattice.window=12.0`
-(a window past the approximant's reach), each into a fresh output
-directory.
+(a window past the approximant's reach), `ida-norm functional.s=2` (the
+finite-s lattice sum and its boundary check), `berezin
+measure.density=gaussian` (a measure with a density), `hankel-svd
+symbol.id=holo-poly` and `lattice lattice.base_re=0.3
+lattice.base_im=-0.7 lattice.K=3` (an offset lattice with 9
+sublattices), each into a fresh output directory.
 Each CSV gives one line `label file sha256`; each manifest calibration or
 warning line gives one line `label manifest.txt <line>`.  A label is the
 subcommand with its overrides joined by '/'.  Two checkouts are compared
@@ -40,6 +44,10 @@ EXTRA = (
     ("thm11-report", "functional.shells=2.0,3.0"),
     ("compact-approx", "dbar.n_angular=90"),
     ("compact-approx", "lattice.window=12.0"),
+    ("ida-norm", "functional.s=2"),
+    ("berezin", "measure.density=gaussian"),
+    ("hankel-svd", "symbol.id=holo-poly"),
+    ("lattice", "lattice.base_re=0.3", "lattice.base_im=-0.7", "lattice.K=3"),
 )
 
 
