@@ -5,7 +5,7 @@ Usage:  focklab <subcommand> --config <path> [--out <dir>] [--seed <n>]
 
 Every subcommand writes CSV artifacts plus a manifest (with content
 checksums) under <out>/<subcommand>/<config-hash>/.  Reruns with the
-same config and seed are byte-identical.
+same config and seed are byte-identical at one BLAS thread count.
 """
 
 import argparse
@@ -433,7 +433,10 @@ def cmd_thm11_report(r: Runner, rng):
     rr = cfg["functional.r"]
     shells = cfg["functional.shells"]
     basis = r.basis(50)
-    L = _lattice(0, 0.5, shells[-1] + 1 + 2 * rr,
+    # the lattice stops at its reach: the probes' balls lie within
+    # shells[-1] + r of 0, and only bumps of the spacing-0.5 partition
+    # centred within their support 2 * 0.5 of a ball touch it
+    L = _lattice(0, 0.5, shells[-1] + rr + 2 * 0.5,
                  "functional.shells/functional.r")
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES),
                   "functional.shells")

@@ -51,7 +51,6 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockBasis, evaluate_projection, project
 from .quadrature import polar_rule, quarter_turns
 from .symbols import Symbol
 from .weights import WeightModel
@@ -286,27 +285,3 @@ def _residual(solver: DbarSolver) -> float:
     return max(float(np.max(np.abs(C0 * raw_dbar - w)))
                / (float(np.max(np.abs(w))) + 1e-30)
                for raw_dbar, w in zip(raw, [f(probes) for f in forms]))
-
-
-def hankel_via_dbar(solver: DbarSolver, f: Symbol, g,
-                    basis: FockBasis):
-    """Evaluator for A_phi(g dbar f) - P(A_phi(g dbar f)) on rule nodes.
-
-    Returns (lhs values, rhs values) on the rule nodes, where the rhs is
-    the direct Hankel definition f*g - P(f*g).
-    """
-    if f.dbar is None:
-        raise ValueError("symbol lacks an analytic dbar evaluator")
-    if not callable(g):
-        raise TypeError("g must be a callable kernel-span evaluator")
-    rule = basis.rule
-
-    def residual(v):
-        """(I - P) v on the rule nodes."""
-        return v - evaluate_projection(basis, project(basis, v, rule),
-                                       rule.nodes)
-
-    omega = Symbol(lambda xi: g(xi) * f.dbar(xi),
-                   support_radius=f.support_radius)
-    u, = solver.apply([omega], rule.nodes)
-    return residual(u), residual(f(rule.nodes) * g(rule.nodes))

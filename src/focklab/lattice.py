@@ -1,4 +1,4 @@
-"""Square r-lattices on C, their K-step sublattices, and covering checks.
+"""Square r-lattices on C, their K-step sublattices and cell indexing.
 
 In dimension n = 1 the fundamental lattice is w1 + r*(m + i*s) for
 integers m, s; the balls B(., r/2) are pairwise disjoint and the balls
@@ -11,10 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 POINT_CAP = 200_000
-
-
-class WindowError(ValueError):
-    """Query point outside the safe (margin-shrunk) window."""
 
 
 @dataclass(frozen=True)
@@ -79,15 +75,6 @@ def build_lattice(base: complex, r: float, window: Window) -> Lattice:
     return Lattice(base=complex(base), r=float(r), window=window,
                    points=base + step * (m + 1j * s),
                    ms=np.column_stack([m, s]))
-
-
-def covering_multiplicity(L: Lattice, z: complex, factor: float) -> int:
-    """Number of lattice points a with |z - a| < factor * r."""
-    radius = factor * L.r
-    if not L.window.contains(complex(z), margin=radius):
-        raise WindowError(f"point {z} too close to the window boundary "
-                          f"for radius {radius}")
-    return int(np.count_nonzero(np.abs(L.points - z) < radius))
 
 
 def sublattice_ids(L: Lattice, K: int) -> np.ndarray:
@@ -184,19 +171,6 @@ def neighbour_cells(L: Lattice, z, radius: float):
     s = start[1][None, None, :] + offsets[:, None, None]
     idx, on = cell_index(L, m, s)
     return idx.reshape(-1, z.size), on.reshape(-1, z.size)
-
-
-def nearest_distance(L: Lattice, z) -> np.ndarray:
-    """Distance from each query point to the nearest lattice point.
-
-    On a rectangular grid the nearest point rounds each coordinate to the
-    nearest grid line, clamped to the window (as cell_index does).
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if len(L.points) == 0:
-        raise ValueError("lattice has no points")
-    idx, _ = cell_index(L, *map(np.rint, _grid_coords(L, z)))
-    return np.abs(z - L.points[idx])
 
 
 def export_points_csv(L: Lattice, K: int = 1) -> list[tuple]:

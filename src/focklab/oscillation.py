@@ -14,30 +14,32 @@ mean_oscillation take a 1-D array of centres and return arrays, one entry
 B(0, r) translated by z with unchanged weights, so in the local variable
 u = w - z the weighted disk Vandermonde A = sqrt(w) (u/r)^j is the same
 at every centre: it is QR-factored and condition-checked once per call.
-Symbol samples are taken FIT_BLOCK centres at a time (_blocks), which
+Symbol samples are taken FIT_BLOCK centres at a time (_samples), which
 bounds the working set; q = 2 fits a block in one product with
 A^+ diag(sqrt(w)).  ida_distance adds the residual pass that G needs;
 fit_coefficients, for callers that read no G, stops at the coefficients,
 bit for bit those of ida_distance.  For q != 2 the q = 2 fit is the
-start.  A centre whose q = 2 residual is exactly 0 at every node keeps
-it: its L^q objective is 0, the least for every q.  The other centres
-are sampled again, in order, in batches whose sample array stays below
-IRLS_BATCH_BYTES, and the IRLS refits all still-active centres of a
-batch together from their q = 2 fits (see _irls), each centre stopping
-at its own iteration.  The IRLS is in
-correction form: each step solves for the update from the true residual
-the step before formed, one batched solve per step, damped to the step
-1/(q - 1) for q > 2, and a centre's last step is refined once on its own
-residual.  Its weighted Grams are formed from their upper triangle and
-mirrored (see _gram), and certified by Cholesky and a norm bound from the
-step's own solve, with the eigenvalues only near the cap (see
-_certified_solve).  Mean oscillation samples the symbol in blocks of
+start, in one pass over the centres: each block is sampled once.  A
+centre whose q = 2 residual is exactly 0 at every node keeps it: its L^q
+objective is 0, the least for every q.  The other centres of the block,
+with their samples and q = 2 fits, join a pending batch (_batches), and
+as soon as it holds _batch_width centres, about IRLS_BATCH_BYTES of
+samples, the IRLS refits its centres together (see _irls), each centre
+stopping at its own iteration; the last batch takes the rest.  The IRLS
+is in correction form: each step solves for the update from the true
+residual the step before formed, one batched solve per step, damped to
+the step 1/(q - 1) for q > 2, and a centre's last step is refined once on
+its own residual.  Its weighted Grams are formed from their upper
+triangle and mirrored (see _gram), and certified by Cholesky and a norm
+bound from the step's own solve, with the eigenvalues only near the cap
+(see _certified_solve).  Mean oscillation samples the symbol in blocks of
 FIT_BLOCK centres as well, one row of means per member of a symbol whose
 samples carry a leading member axis.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,10 +57,12 @@ COND_CAP = 1e12
 # the cond(W V) eps of a QR solve while cond(W V)^3 eps <= 1
 GRAM_COND_CAP = np.finfo(float).eps ** (-1.0 / 3.0)     # 1.65e5
 FIT_BLOCK = 16             # centres per block of symbol samples
-# largest complex sample array of one IRLS batch (143 centres at the
-# 1,826-node ball rule): numpy madvises huge pages for arrays of 4 MiB and
-# up, and peak RSS then follows their layout
-IRLS_BATCH_BYTES = (4 << 20) - 1
+# budget of the complex sample array of one IRLS batch (32 centres at the
+# 1,826-node ball rule, see _batch_width): the one-pass fit holds one
+# batch at a time, so this bounds the IRLS working set.  On fits-spectra
+# (2-core Xeon, OpenBLAS) peak RSS read 56.5 MB at 32 centres, 58.0 MB at
+# 48 and 67.3 MB at 143 (a 4 MiB budget)
+IRLS_BATCH_BYTES = 1 << 20
 N_ANGLES = 12              # sample points per shell of a radial profile
 
 
@@ -83,15 +87,13 @@ class RadialProfile:
     values: np.ndarray
 
 
-def _blocks(f: Symbol, base: Rule, centres: np.ndarray, size: int):
-    """(slice, F) per block of `size` centres, with F[..., k, i] =
-    f(base.nodes[k] + centre i) the symbol samples on B(centre, r)."""
-    for lo in range(0, len(centres), size):
-        block = centres[lo:lo + size]
-        F = f(base.nodes[:, None] + block[None, :])
-        if not np.all(np.isfinite(F)):
-            raise ValueError("non-finite integrand samples")
-        yield slice(lo, lo + len(block)), F
+def _samples(f: Symbol, base: Rule, block: np.ndarray) -> np.ndarray:
+    """F[..., k, i] = f(base.nodes[k] + block[i]): the symbol samples on
+    B(block[i], r)."""
+    F = f(base.nodes[:, None] + block[None, :])
+    if not np.all(np.isfinite(F)):
+        raise ValueError("non-finite integrand samples")
+    return F
 
 
 def mean_oscillation(f: Symbol, z, r: float, q: float) -> np.ndarray:
@@ -102,8 +104,9 @@ def mean_oscillation(f: Symbol, z, r: float, q: float) -> np.ndarray:
         raise ValueError("q must be >= 1")
     centres = np.asarray(z, dtype=complex)
     base = ball_rule(0.0, r)
-    means = [_lq_mean(np.abs(F), base, r, q)
-             for _, F in _blocks(f, base, centres, FIT_BLOCK)]
+    means = [_lq_mean(np.abs(_samples(f, base, centres[lo:lo + FIT_BLOCK])),
+                      base, r, q)
+             for lo in range(0, len(centres), FIT_BLOCK)]
     return np.concatenate(means, axis=-1) if means else np.empty(0)
 
 
@@ -135,8 +138,9 @@ def fit_coefficients(f: Symbol, z, r: float, d: int = 6) -> np.ndarray:
     base, V, pinv = _local_fit(r, d)
     centres = np.asarray(z, dtype=complex)
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
-    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
-        coeffs[blk] = (pinv @ F).T
+    for lo in range(0, len(centres), FIT_BLOCK):
+        blk = slice(lo, lo + FIT_BLOCK)
+        coeffs[blk] = (pinv @ _samples(f, base, centres[blk])).T
     coeffs /= r ** np.arange(d + 1)
     return coeffs
 
@@ -152,24 +156,30 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
     residual = np.empty(len(centres))
 
-    moves = np.zeros(len(centres), dtype=bool)
-    for blk, F in _blocks(f, base, centres, FIT_BLOCK):
-        C = pinv @ F
-        res = np.abs(F - V @ C)
-        coeffs[blk] = C.T
-        residual[blk] = _lq_mean(res, base, r, q)
-        if q != 2.0:
-            # a zero residual is already the least L^q objective
-            moves[blk] = np.any(res, axis=0)
-    # the IRLS samples the moving centres again, in batches of `batch`
-    moving = np.flatnonzero(moves)
-    P = _gram_columns(V) if moving.size else None
-    batch = max(1, IRLS_BATCH_BYTES // (len(V) * V.itemsize))
+    def moving():
+        """The q = 2 fits, block by block, and of each block the centres
+        the IRLS refits: (index, samples F, q = 2 coefficients C)."""
+        for lo in range(0, len(centres), FIT_BLOCK):
+            blk = slice(lo, lo + FIT_BLOCK)
+            F = _samples(f, base, centres[blk])
+            C = pinv @ F
+            res = np.abs(F - V @ C)
+            coeffs[blk] = C.T
+            residual[blk] = _lq_mean(res, base, r, q)
+            if q != 2.0:
+                # a zero residual is already the least L^q objective
+                cols = np.flatnonzero(np.any(res, axis=0))
+                # only the moving columns stay alive through their IRLS
+                del res
+                F, C = F[:, cols], C[:, cols]
+                yield lo + cols, F, C
+
+    P = None
     unsettled = []       # last relative change of each unsettled IRLS fit
-    for blk, F in _blocks(f, base, centres[moving], batch):
-        idx = moving[blk]
-        C, change = _irls(F, V, P, np.ascontiguousarray(coeffs[idx].T),
-                          base, r, q)
+    for idx, F, C in _batches(moving(), _batch_width(len(V)), *V.shape):
+        if P is None:
+            P = _gram_columns(V)
+        C, change = _irls(F, V, P, C, base, r, q)
         unsettled.append(change)
         coeffs[idx] = C.T
         residual[idx] = _lq_mean(np.abs(F - V @ C), base, r, q)
@@ -182,11 +192,56 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     return LocalApproximation(coeffs=coeffs, residual=residual)
 
 
+def _batch_width(nodes: int) -> int:
+    """Centres per IRLS batch: as many complex sample columns of `nodes`
+    rows as IRLS_BATCH_BYTES holds, rounded down to a multiple of 4.  The
+    BLAS kernels take a product's columns 4 at a time and the rest in
+    another summation order, so a fit's last digits depend on its place in
+    its batch: at 35 columns g-profile functional.q=1's G moved, at 32
+    every tools/digests.py line kept its bytes."""
+    return max(4, IRLS_BATCH_BYTES // (16 * nodes) // 4 * 4)
+
+
+def _batches(parts, size, n, k):
+    """The columns of the (index, F, C) parts, in order, regrouped into
+    batches of `size` columns but the last, F of n rows and C of k.  One
+    buffer, allocated at the first column, serves every batch, so a batch
+    is valid until the next one is drawn."""
+    bufs = None
+    held = 0
+    for part in parts:
+        lo, count = 0, len(part[0])
+        while lo < count:
+            if bufs is None:
+                bufs = (np.empty(size, dtype=np.intp),
+                        np.empty((n, size), dtype=complex),
+                        np.empty((k, size), dtype=complex))
+            take = min(size - held, count - lo)
+            for buf, src in zip(bufs, part):
+                buf[..., held:held + take] = src[..., lo:lo + take]
+            held += take
+            lo += take
+            if held == size:
+                yield bufs
+                held = 0
+    if held:
+        yield tuple(buf[..., :held] for buf in bufs)
+
+
+@lru_cache(maxsize=None)
+def _layout(k):
+    """(i, j, I): the pairs i <= j of a k x k Gram in np.triu_indices order
+    and the k x k identity, built once per k rather than at every IRLS
+    step."""
+    i, j = np.triu_indices(k)
+    return i, j, np.eye(k)
+
+
 def _gram_columns(V):
     """P[n, t] = conj(V[n, i]) V[n, j] over the upper triangle i <= j of
     the Gram, pairs in np.triu_indices order, so that w^T P holds the upper
     triangle of V^H diag(w) V; its diagonal columns |V|^2 are exactly real."""
-    i, j = np.triu_indices(V.shape[1])
+    i, j, _ = _layout(V.shape[1])
     P = np.empty((len(V), len(i)), dtype=complex)
     np.multiply(V.conj()[:, i], V[:, j], out=P)
     P.imag[:, i == j] = 0.0
@@ -197,7 +252,7 @@ def _gram(W2, P, k):
     """The Grams V^H diag(W2[:, c]) V of the columns c of W2, shape (b, k,
     k): one real product with P's upper triangle, mirrored, so each is
     exactly Hermitian."""
-    i, j = np.triu_indices(k)
+    i, j, _ = _layout(k)
     U = (W2.T @ P.view(float)).view(complex)
     N = np.empty((len(U), k, k), dtype=complex)
     N[:, i, j] = U
@@ -233,7 +288,7 @@ def _certified_solve(N, b):
         _certify(N)
     B = np.empty((len(N), k, k + 1), dtype=complex)
     B[:, :, 0] = b
-    B[:, :, 1:] = np.eye(k)
+    B[:, :, 1:] = _layout(k)[2]
     X = np.linalg.solve(N, B)
     with np.errstate(over="ignore", invalid="ignore"):
         bound2 = (np.square(N.view(float)).sum(axis=(1, 2))

@@ -124,28 +124,3 @@ def certify_weight(w: WeightModel, probes, tol: float) -> CertificationReport:
     return CertificationReport(passed=worst <= tol, eig_min=float(lo),
                                eig_max=float(hi),
                                worst_violation=float(worst))
-
-
-def finite_difference_check(w: WeightModel, z: complex, h: float = 1e-4) -> float:
-    """Max deviation of declared gradient/Hessian from central differences."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    z = complex(z)
-
-    def p(x, y):
-        return float(w.phi(np.asarray(complex(x, y))))
-
-    x, y = z.real, z.imag
-    fx = (p(x + h, y) - p(x - h, y)) / (2 * h)
-    fy = (p(x, y + h) - p(x, y - h)) / (2 * h)
-    grad_fd = 0.5 * (fx - 1j * fy)
-    dev = abs(grad_fd - complex(w.grad(np.asarray(z))))
-
-    f0 = p(x, y)
-    hxx = (p(x + h, y) - 2 * f0 + p(x - h, y)) / h ** 2
-    hyy = (p(x, y + h) - 2 * f0 + p(x, y - h)) / h ** 2
-    hxy = (p(x + h, y + h) - p(x + h, y - h)
-           - p(x - h, y + h) + p(x - h, y - h)) / (4 * h ** 2)
-    H_fd = np.array([[hxx, hxy], [hxy, hyy]])
-    dev_h = np.max(np.abs(H_fd - np.asarray(w.hessian(z), dtype=float)))
-    return float(max(dev, dev_h))

@@ -9,16 +9,16 @@ import math
 import numpy as np
 import pytest
 
+from checks import covering_multiplicity, hankel_via_dbar, nearest_distance
 from focklab import symbols
 from focklab.approximant import compact_approximant
 from focklab.cli import main as cli_main
 from focklab.dbar import (DbarSolver, calibrate_orientation, dbar_fd,
-                          gaussian_test_forms, hankel_via_dbar)
+                          gaussian_test_forms)
 from focklab.decomposition import build_partition, decompose, verify_controls
 from focklab.fock import (build_basis, default_rule_for_degree,
                           evaluate_projection, kernel, lp_norm, project)
-from focklab.lattice import (Window, build_lattice, covering_multiplicity,
-                             nearest_distance, split_sublattices)
+from focklab.lattice import Window, build_lattice, split_sublattices
 from focklab.oscillation import g_functional, mean_oscillation
 from focklab.spectral import (berezin_transform, build_hankel_gram,
                               essential_norm_tail, hankel_on_kernel,

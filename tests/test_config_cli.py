@@ -264,6 +264,34 @@ def test_thm11_report_glues_each_shell_once(monkeypatch, tmp_path):
     assert sum(points) == 2 * 8 * len(ball_rule(0.0, 1.0).nodes)
 
 
+@pytest.mark.parametrize("shells, narrow, wide", [
+    ("2.0,3.0", 441, 625), ("2.0,3.0,4.0,5.0", 841, 1089)])
+def test_thm11_report_lattice_stops_at_its_reach(shells, narrow, wide,
+                                                 tmp_path, monkeypatch):
+    # the partition lattice reaches shells[-1] + functional.r + 2 * 0.5:
+    # a bump centred further out misses every probe's ball, so the wider
+    # lattice of half-width shells[-1] + 1 + 2 functional.r writes the
+    # same bytes
+    lattice = cli._lattice
+    outer = float(shells.split(",")[-1])
+    centres, outputs = [], []
+    for half in (None, outer + 1 + 2 * 1.0):     # functional.r = 1
+
+        def sized(base, r, reach, key, half=half):
+            L = lattice(base, r, reach if half is None else half, key)
+            centres.append(len(L.points))
+            return L
+
+        monkeypatch.setattr(cli, "_lattice", sized)
+        run_dir = run("thm11-report",
+                      load_config(None, [f"functional.shells={shells}"],
+                                  seed=0), str(tmp_path / str(half)))
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted(run_dir.glob("*.csv"))})
+    assert centres == [narrow, wide]
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
+
 def test_decompose_evaluates_dbar_f1_once(monkeypatch, tmp_path):
     # the abs_dbar_f1 column is read from the control report
     from focklab.decomposition import Decomposition

@@ -4,11 +4,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from checks import hankel_via_dbar
 from focklab import dbar, symbols
 from focklab.approximant import compact_approximant, smooth_cutoff
 from focklab.dbar import (CalibrationError, DbarSolver, DecayError,
                           calibrate_orientation, dbar_fd,
-                          gaussian_test_forms, hankel_via_dbar)
+                          gaussian_test_forms)
 from focklab.decomposition import build_partition, decompose
 from focklab.fock import build_basis, default_rule_for_degree, \
     kernel

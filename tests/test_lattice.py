@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focklab.lattice import (Window, WindowError, build_lattice,
-                             covering_multiplicity, export_points_csv,
-                             nearest_distance, split_sublattices)
+from checks import WindowError, covering_multiplicity, nearest_distance
+from focklab.lattice import (Window, build_lattice, export_points_csv,
+                             split_sublattices)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])

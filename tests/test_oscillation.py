@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,8 +219,10 @@ def _column_deviation(a, b, floor):
 
 
 B = osc.FIT_BLOCK
-# centres per pooled IRLS batch on the ball rule of the engine tests
-BATCH = osc.IRLS_BATCH_BYTES // (16 * len(ball_rule(0.0, 0.75).nodes))
+# more moving centres than one pooled IRLS batch holds: of the 32-centre
+# batches of the engine tests' ball rule, 4 and a tail of one block, and 9
+# and a tail of 17 centres
+MANY = (144, 305)
 ENGINE_CASES = {"conj-linear": {}, "mixed": {"radius": 1.2},
                 "step": {"radius": 1.0}, "bump": {"radius": 1.5},
                 "holo-poly": {"coeffs": [1.0, -2.0, 0.5, 1.0j]}}
@@ -236,14 +239,13 @@ ENGINE_PARAMS = (
     # more moving centres than one pooled IRLS batch holds
     + [pytest.param(family, q, count, 5, 1.6, id=f"{family}-{q}-{count}")
        for family, q, count in [
-           ("conj-linear", 1.0, BATCH + 1), ("conj-linear", 3.0, BATCH + 1),
-           ("conj-linear", 1.0, 2 * BATCH + B + 3),
-           ("conj-linear", 3.0, 2 * BATCH + B + 3),
-           ("mixed", 1.0, BATCH + 1), ("mixed", 3.0, 2 * BATCH + B + 3)]]
+           ("conj-linear", 1.0, MANY[0]), ("conj-linear", 3.0, MANY[0]),
+           ("conj-linear", 1.0, MANY[1]), ("conj-linear", 3.0, MANY[1]),
+           ("mixed", 1.0, MANY[0]), ("mixed", 3.0, MANY[1])]]
     # centres on both sides of the support's edge, so that exact q = 2 fits
     # sit between the centres the IRLS pools from many blocks
-    + [pytest.param(family, q, 2 * BATCH + B + 3, 5, 2.4,
-                    id=f"{family}-{q}-{2 * BATCH + B + 3}-wide")
+    + [pytest.param(family, q, MANY[1], 5, 2.4,
+                    id=f"{family}-{q}-{MANY[1]}-wide")
        for family, q in [("step", 3.0), ("bump", 1.0)]])
 
 
@@ -301,12 +303,55 @@ def test_exact_q2_fits_skip_the_irls(family, q, spacing, monkeypatch):
     nodes = ball_rule(0.0, r).nodes
     moved = f(nodes[:, None] + z[~exact][None, :])
     assert np.array_equal(np.concatenate(seen, axis=1), moved)
-    batch = osc.IRLS_BATCH_BYTES // (16 * len(nodes))
+    batch = osc._batch_width(len(nodes))
     sizes = [F.shape[1] for F in seen]
     assert sizes[:-1] == [batch] * (len(seen) - 1) and sizes[-1] <= batch
     assert (len(seen) > 1) == (spacing < 0.5)
     assert np.all(fit.residual[exact] == 0.0)
     assert np.array_equal(fit.coeffs[exact], l2.coeffs[exact])
+
+
+@pytest.mark.parametrize("family, q", [("conj-gaussian", 1.0),
+                                       ("conj-gaussian", 3.0),
+                                       ("step", 1.0), ("bump", 3.0)])
+def test_irls_samples_each_centre_once(family, q):
+    # the q = 2 fit and the IRLS of a centre share its one block of samples
+    f = symbols.make(family)
+    points = []
+
+    def counted(w):
+        points.append(w.size)
+        return f(w)
+
+    # step and bump: 69 of the 441 centres move, in 3 batches
+    z = build_lattice(0.0, 0.3, Window.square(3.0)).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", osc.IRLSWarning)
+        fit = ida_distance(Symbol(evaluator=counted), z, 0.5, q, 5)
+    assert np.count_nonzero(fit.residual) > osc._batch_width(len(
+        ball_rule(0.0, 0.5).nodes))
+    assert sum(points) == len(z) * len(ball_rule(0.0, 0.5).nodes)
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_irls_peak_memory_is_a_batch_not_the_lattice(q):
+    # the fits-spectra op "ida-norm functional.q=1 symbol.id=conj-gaussian":
+    # 121 moving centres, which one pooled batch held at once at a traced
+    # peak of 16.1 MiB; one pass over 32-centre batches peaks at 5.8 MiB,
+    # where the q = 2 fits alone peak at 2.4 MiB
+    f = symbols.make("conj-gaussian")
+    z = build_lattice(0.0, 1.0, Window.square(5.0)).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", osc.IRLSWarning)
+        ida_distance(f, z, 1.0, q, 6)
+        tracemalloc.start()
+        try:
+            fit = ida_distance(f, z, 1.0, q, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.all(fit.residual > 0)
+    assert peak <= 7 << 20
 
 
 def test_fit_fields_have_one_row_per_centre():

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from focklab.weights import (certify_weight, finite_difference_check,
-                             gaussian_weight, perturbed_gaussian_weight)
+from checks import finite_difference_check
+from focklab.weights import (certify_weight, gaussian_weight,
+                             perturbed_gaussian_weight)
 
 
 def test_gaussian_alpha_property():

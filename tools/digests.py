@@ -21,12 +21,24 @@ warning line gives one line `label manifest.txt <line>`.  A label is the
 subcommand with its overrides joined by '/'.  Two checkouts are compared
 with one `diff` of their outputs; running the script twice in separate
 processes shows nondeterminism that one process cannot see.
+
+Some digests depend on the BLAS thread count.  Before numpy loads, the
+script sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to
+2, the count perfbench/run.py pins on two or more cores, unless the
+environment already sets them; it prints the setting as its first line.
+Two outputs compare only when their first lines agree.
 """
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+for var in BLAS_THREAD_VARS:
+    os.environ.setdefault(var, "2")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -64,6 +76,8 @@ def digest_lines(sub: str, overrides: tuple) -> list[str]:
 
 
 def main() -> int:
+    print(" ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS),
+          flush=True)
     for sub, *overrides in [(s,) for s in sorted(SUBCOMMANDS)] + list(EXTRA):
         print("\n".join(digest_lines(sub, tuple(overrides))), flush=True)
     return 0
