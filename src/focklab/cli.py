@@ -31,8 +31,8 @@ from .fock import build_basis, fit_kernel_estimates, kernel
 from .lattice import Window, build_lattice, export_points_csv, \
     split_sublattices
 from .quadrature import CapabilityError
-from .oscillation import N_ANGLES, DegreeCapError, g_functional, \
-    m_profile, ida_norm, vda_profile
+from .oscillation import DegreeCapError, g_functional, ida_norm, \
+    mean_oscillation
 from .spectral import berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
     schatten_h_criterion
@@ -72,6 +72,8 @@ def _blamed_on(key, *errors):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+# the directions of the g-profile and m-profile samples on each shell
+PROFILE_ANGLES = np.exp(2j * np.pi * np.arange(12) / 12)
 KZ_ANGLES = np.exp(2j * np.pi * np.arange(8) / 8)
 
 
@@ -232,31 +234,35 @@ def cmd_lattice(r: Runner, rng):
     }
 
 
-def _shell_rows(profile, shells):
-    """Rows (re, im, shell_radius, value), the radius as configured."""
-    p = profile.sample_points
-    return np.column_stack([p.real, p.imag, np.repeat(shells, N_ANGLES),
-                            profile.values]).tolist()
+def _shell_rows(points, values, shells):
+    """Rows (re, im, shell_radius, value) of a profile sampled shell by
+    shell, as many points to each shell, the radius as configured."""
+    return np.column_stack([points.real, points.imag,
+                            np.repeat(shells, len(points) // len(shells)),
+                            values]).tolist()
 
 
 def cmd_g_profile(r: Runner, rng):
     cfg = r.cfg
+    shells = cfg["functional.shells"]
+    z = np.multiply.outer(shells, PROFILE_ANGLES).ravel()
     with _blamed_on("functional.q/functional.r/functional.shells",
                     DegreeCapError):
-        prof = vda_profile(r.symbol(), cfg["functional.q"],
-                           cfg["functional.r"], cfg["functional.d"],
-                           cfg["functional.shells"])
+        G = g_functional(r.symbol(), z, cfg["functional.r"],
+                         cfg["functional.q"], cfg["functional.d"])
     return {"g_profile.csv": (["re", "im", "shell_radius", "value"],
-                              _shell_rows(prof, cfg["functional.shells"]))}
+                              _shell_rows(z, G, shells))}
 
 
 def cmd_m_profile(r: Runner, rng):
     cfg = r.cfg
+    shells = cfg["functional.shells"]
+    z = np.multiply.outer(shells, PROFILE_ANGLES).ravel()
     with _blamed_on("functional.q/functional.r/functional.shells"):
-        prof = m_profile(r.symbol(), cfg["functional.q"],
-                         cfg["functional.r"], cfg["functional.shells"])
+        M = mean_oscillation(r.symbol(), z, cfg["functional.r"],
+                             cfg["functional.q"])
     return {"m_profile.csv": (["re", "im", "shell_radius", "value"],
-                              _shell_rows(prof, cfg["functional.shells"]))}
+                              _shell_rows(z, M, shells))}
 
 
 def cmd_ida_norm(r: Runner, rng):
@@ -351,9 +357,8 @@ def cmd_kz_profile(r: Runner, rng):
     # whose power underflows
     with _blamed_on("functional.q/weight.alpha", ValueError):
         norms, = hankel_on_kernel([f], z, cfg["functional.q"], basis)
-    rows = np.column_stack([z.real, z.imag, np.repeat(shells, len(KZ_ANGLES)),
-                            norms]).tolist()
-    return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"], rows)}
+    return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"],
+                               _shell_rows(z, norms, shells))}
 
 
 def cmd_essential_norm(r: Runner, rng):
@@ -376,15 +381,15 @@ def _gap_rows(r: Runner, ts, t_key):
     so cells beyond t_max + 1 + 2r would add exact zeros."""
     cfg = r.cfg
     f = r.symbol()
-    ess = r.essential_norm(f).estimate
+    ess = r.essential_norm(f)
     L = r.lattice(ts[-1] + 1 + 2 * cfg["lattice.r"], t_key)
     D = r.decomposition(f, build_partition(L))
     rows = []
     for t in ts:
         S = compact_approximant(f, D, r.solver, t, r.basis(),
                                 cfg["basis.margin"])
-        rows.append([t, S.values[0], ess, S.stability_shift, S.degree_shift,
-                     int(S.reliable)])
+        rows.append([t, S.values[0], ess.estimate, S.stability_shift,
+                     S.degree_shift, int(S.reliable and ess.reliable)])
     return rows
 
 

@@ -22,10 +22,11 @@ bit for bit those of ida_distance.  For q != 2 the q = 2 fit is the
 start, in one pass over the centres: each block is sampled once.  A
 centre whose q = 2 residual is exactly 0 at every node keeps it: its L^q
 objective is 0, the least for every q.  The other centres of the block,
-with their samples and q = 2 fits, join a pending batch (_batches), and
-as soon as it holds _batch_width centres, about IRLS_BATCH_BYTES of
-samples, the IRLS refits its centres together (see _irls), each centre
-stopping at its own iteration; the last batch takes the rest.  The IRLS
+with their samples and q = 2 fits, join a plain pending list; as soon as
+it holds IRLS_BATCH centres, and after the last block, its first
+IRLS_BATCH columns in centre order are concatenated into one batch, which
+the IRLS refits together (see _irls), each centre stopping at its own
+iteration, so no more than one batch and one block are pending.  The IRLS
 is in correction form: each step solves for the update from the true
 residual the step before formed, one batched solve per step, damped to
 the step 1/(q - 1) for q > 2, and a centre's last step is refined once on
@@ -39,7 +40,6 @@ samples carry a leading member axis.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,13 +57,14 @@ COND_CAP = 1e12
 # the cond(W V) eps of a QR solve while cond(W V)^3 eps <= 1
 GRAM_COND_CAP = np.finfo(float).eps ** (-1.0 / 3.0)     # 1.65e5
 FIT_BLOCK = 16             # centres per block of symbol samples
-# budget of the complex sample array of one IRLS batch (32 centres at the
-# 1,826-node ball rule, see _batch_width): the one-pass fit holds one
-# batch at a time, so this bounds the IRLS working set.  On fits-spectra
-# (2-core Xeon, OpenBLAS) peak RSS read 56.5 MB at 32 centres, 58.0 MB at
-# 48 and 67.3 MB at 143 (a 4 MiB budget)
-IRLS_BATCH_BYTES = 1 << 20
-N_ANGLES = 12              # sample points per shell of a radial profile
+# centres per IRLS batch: the one-pass fit holds one batch at a time, so
+# this bounds the IRLS working set.  On fits-spectra (2-core Xeon,
+# OpenBLAS) peak RSS read 56.5 MB at 32 centres, 58.0 MB at 48 and 67.3 MB
+# at 143.  A multiple of 4: the BLAS kernels take a product's columns 4 at
+# a time and the rest in another summation order, so a fit's last digits
+# depend on its place in its batch; at 35 g-profile functional.q=1's G
+# moved, at 32 every tools/digests.py line kept its bytes
+IRLS_BATCH = 32
 
 
 class DegreeCapError(RuntimeError):
@@ -79,12 +80,6 @@ class LocalApproximation:
     """One fit per centre z_i."""
     coeffs: np.ndarray         # (n, d+1): coefficients of (w - z_i)^j
     residual: np.ndarray       # (n,): G_{q,r}(f)(z_i), approximated from above
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    sample_points: np.ndarray
-    values: np.ndarray
 
 
 def _samples(f: Symbol, base: Rule, block: np.ndarray) -> np.ndarray:
@@ -156,33 +151,32 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     coeffs = np.empty((len(centres), d + 1), dtype=complex)
     residual = np.empty(len(centres))
 
-    def moving():
-        """The q = 2 fits, block by block, and of each block the centres
-        the IRLS refits: (index, samples F, q = 2 coefficients C)."""
-        for lo in range(0, len(centres), FIT_BLOCK):
-            blk = slice(lo, lo + FIT_BLOCK)
-            F = _samples(f, base, centres[blk])
-            C = pinv @ F
-            res = np.abs(F - V @ C)
-            coeffs[blk] = C.T
-            residual[blk] = _lq_mean(res, base, r, q)
-            if q != 2.0:
-                # a zero residual is already the least L^q objective
-                cols = np.flatnonzero(np.any(res, axis=0))
-                # only the moving columns stay alive through their IRLS
-                del res
-                F, C = F[:, cols], C[:, cols]
-                yield lo + cols, F, C
-
-    P = None
-    unsettled = []       # last relative change of each unsettled IRLS fit
-    for idx, F, C in _batches(moving(), _batch_width(len(V)), *V.shape):
-        if P is None:
-            P = _gram_columns(V)
-        C, change = _irls(F, V, P, C, base, r, q)
-        unsettled.append(change)
-        coeffs[idx] = C.T
-        residual[idx] = _lq_mean(np.abs(F - V @ C), base, r, q)
+    P = _gram_columns(V) if q != 2.0 else None
+    pending, held = [], 0  # (index, F, C) of the moving columns to refit
+    unsettled = []         # last relative change of each unsettled IRLS fit
+    for lo in range(0, len(centres), FIT_BLOCK):
+        blk = slice(lo, lo + FIT_BLOCK)
+        F = _samples(f, base, centres[blk])
+        C = pinv @ F
+        res = np.abs(F - V @ C)
+        coeffs[blk] = C.T
+        residual[blk] = _lq_mean(res, base, r, q)
+        if q != 2.0:
+            # a zero residual is already the least L^q objective
+            cols = np.flatnonzero(np.any(res, axis=0))
+            pending.append((lo + cols, F[:, cols], C[:, cols]))
+            held += len(cols)
+        # only the moving columns stay alive through their IRLS
+        del F, C, res
+        while held >= IRLS_BATCH or (held and lo + FIT_BLOCK >= len(centres)):
+            batch = [np.concatenate(a, axis=-1) for a in zip(*pending)]
+            pending = [[a[..., IRLS_BATCH:] for a in batch]]
+            held = len(pending[0][0])
+            idx, F, C = (a[..., :IRLS_BATCH] for a in batch)
+            C, change = _irls(F, V, P, C, base, r, q)
+            unsettled.append(change)
+            coeffs[idx] = C.T
+            residual[idx] = _lq_mean(np.abs(F - V @ C), base, r, q)
     if unsettled and (late := np.concatenate(unsettled)).size:
         warnings.warn(
             f"IRLS did not settle at {late.size} of {len(centres)} "
@@ -192,56 +186,11 @@ def ida_distance(f: Symbol, z, r: float, q: float = 2.0,
     return LocalApproximation(coeffs=coeffs, residual=residual)
 
 
-def _batch_width(nodes: int) -> int:
-    """Centres per IRLS batch: as many complex sample columns of `nodes`
-    rows as IRLS_BATCH_BYTES holds, rounded down to a multiple of 4.  The
-    BLAS kernels take a product's columns 4 at a time and the rest in
-    another summation order, so a fit's last digits depend on its place in
-    its batch: at 35 columns g-profile functional.q=1's G moved, at 32
-    every tools/digests.py line kept its bytes."""
-    return max(4, IRLS_BATCH_BYTES // (16 * nodes) // 4 * 4)
-
-
-def _batches(parts, size, n, k):
-    """The columns of the (index, F, C) parts, in order, regrouped into
-    batches of `size` columns but the last, F of n rows and C of k.  One
-    buffer, allocated at the first column, serves every batch, so a batch
-    is valid until the next one is drawn."""
-    bufs = None
-    held = 0
-    for part in parts:
-        lo, count = 0, len(part[0])
-        while lo < count:
-            if bufs is None:
-                bufs = (np.empty(size, dtype=np.intp),
-                        np.empty((n, size), dtype=complex),
-                        np.empty((k, size), dtype=complex))
-            take = min(size - held, count - lo)
-            for buf, src in zip(bufs, part):
-                buf[..., held:held + take] = src[..., lo:lo + take]
-            held += take
-            lo += take
-            if held == size:
-                yield bufs
-                held = 0
-    if held:
-        yield tuple(buf[..., :held] for buf in bufs)
-
-
-@lru_cache(maxsize=None)
-def _layout(k):
-    """(i, j, I): the pairs i <= j of a k x k Gram in np.triu_indices order
-    and the k x k identity, built once per k rather than at every IRLS
-    step."""
-    i, j = np.triu_indices(k)
-    return i, j, np.eye(k)
-
-
 def _gram_columns(V):
     """P[n, t] = conj(V[n, i]) V[n, j] over the upper triangle i <= j of
     the Gram, pairs in np.triu_indices order, so that w^T P holds the upper
     triangle of V^H diag(w) V; its diagonal columns |V|^2 are exactly real."""
-    i, j, _ = _layout(V.shape[1])
+    i, j = np.triu_indices(V.shape[1])
     P = np.empty((len(V), len(i)), dtype=complex)
     np.multiply(V.conj()[:, i], V[:, j], out=P)
     P.imag[:, i == j] = 0.0
@@ -252,7 +201,7 @@ def _gram(W2, P, k):
     """The Grams V^H diag(W2[:, c]) V of the columns c of W2, shape (b, k,
     k): one real product with P's upper triangle, mirrored, so each is
     exactly Hermitian."""
-    i, j, _ = _layout(k)
+    i, j = np.triu_indices(k)
     U = (W2.T @ P.view(float)).view(complex)
     N = np.empty((len(U), k, k), dtype=complex)
     N[:, i, j] = U
@@ -288,7 +237,7 @@ def _certified_solve(N, b):
         _certify(N)
     B = np.empty((len(N), k, k + 1), dtype=complex)
     B[:, :, 0] = b
-    B[:, :, 1:] = _layout(k)[2]
+    B[:, :, 1:] = np.eye(k)
     X = np.linalg.solve(N, B)
     with np.errstate(over="ignore", invalid="ignore"):
         bound2 = (np.square(N.view(float)).sum(axis=(1, 2))
@@ -404,25 +353,3 @@ def ida_norm(f: Symbol, s: float, q: float, r: float, L: Lattice,
         warnings.warn("window too small: boundary cells contribute > 1% "
                       "of the IDA norm", stacklevel=2)
     return float(total ** (1.0 / s))
-
-
-def vda_profile(f: Symbol, q: float, r: float, d: int,
-                shells) -> RadialProfile:
-    """Per-shell samples of G_{q,r}(f); the limsup surrogate."""
-    shells = np.asarray(shells, dtype=float)
-    if np.any(np.diff(shells) <= 0):
-        raise ValueError("shells must be strictly increasing")
-    pts = _shell_points(shells)
-    return RadialProfile(pts, g_functional(f, pts, r, q, d))
-
-
-def m_profile(f: Symbol, q: float, r: float, shells) -> RadialProfile:
-    """Per-shell samples of the mean oscillation M_{q,r}(f)."""
-    pts = _shell_points(np.asarray(shells, dtype=float))
-    return RadialProfile(pts, mean_oscillation(f, pts, r, q))
-
-
-def _shell_points(shells: np.ndarray) -> np.ndarray:
-    """N_ANGLES equally spaced points on each shell, shell by shell."""
-    angles = np.exp(2j * np.pi * np.arange(N_ANGLES) / N_ANGLES)
-    return (shells[:, None] * angles[None, :]).ravel()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import exact_spectra
-from focklab import cli, oscillation, symbols
+from focklab import cli, symbols
 from focklab.cli import SUBCOMMANDS, Runner, main, run
 from focklab.config import (KEYS, ConfigError, ExperimentConfig,
                             load_config, parse_config_text)
@@ -326,6 +326,26 @@ def test_thm12_report_rows_certified_at_defaults(tmp_path):
     assert [row["reliable"] for row in rows] == ["1", "0", "0", "0"]
 
 
+def test_gap_row_needs_the_plateau_flag(tmp_path):
+    # conj-gaussian's tail plateau is uncertified (essential-norm writes
+    # reliable=0 for the ess_tail 1.278e-3 its gap row prints), so the gap
+    # row reads reliable=0 although its two shifts are at roundoff
+    rows = {}
+    for sub, name in (("essential-norm", "essential_norm.csv"),
+                      ("compact-approx", "gap.csv")):
+        assert main([sub, "--out", str(tmp_path),
+                     "symbol.id=conj-gaussian"]) == 0
+        run_dir, = (tmp_path / sub).iterdir()
+        header, line = (run_dir / name).read_text().splitlines()
+        rows[sub] = dict(zip(header.split(","), line.split(",")))
+    ess, gap = rows["essential-norm"], rows["compact-approx"]
+    assert ess["reliable"] == "0"
+    assert gap["ess_tail"] == ess["estimate"]
+    assert float(gap["margin_shift"]) <= 1e-3
+    assert float(gap["degree_shift"]) <= 1e-3
+    assert gap["reliable"] == "0"
+
+
 def test_compact_approx_lattice_stops_at_its_reach(tmp_path, monkeypatch):
     # the lattice reaches t + 1 + 2 lattice.r = 5 whatever lattice.window
     # says: cells beyond it add exact zeros, so a window of 12 writes the
@@ -437,7 +457,8 @@ def test_cli_g_profile_values(tmp_path):
 
 
 @pytest.mark.parametrize("sub,name", [("g-profile", "g_profile.csv"),
-                                      ("m-profile", "m_profile.csv")])
+                                      ("m-profile", "m_profile.csv"),
+                                      ("kz-profile", "kz_profile.csv")])
 def test_profile_shell_radius_is_the_configured_shell(tmp_path, sub, name):
     # |z| of a rounded sample point misses its shell in the last bit
     # (3.0000000000000004 on the shell 3.0); the column names the shell
@@ -448,7 +469,8 @@ def test_profile_shell_radius_is_the_configured_shell(tmp_path, sub, name):
     radii = [float(row.split(",")[2]) for row in rows]
     assert radii == [rad for rad in (2.0, 3.0, 4.0, 5.0)
                      for _ in range(len(rows) // 4)]
-    assert len(rows) == 4 * oscillation.N_ANGLES
+    angles = cli.KZ_ANGLES if sub == "kz-profile" else cli.PROFILE_ANGLES
+    assert len(rows) == 4 * len(angles)
 
 
 @pytest.mark.parametrize("alpha,degree,radius,measured", [

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from focklab import cli
 from focklab import oscillation as osc
 from focklab import symbols
 from focklab.cli import main
@@ -13,7 +14,7 @@ from focklab.quadrature import ball_rule
 from focklab.symbols import Symbol
 from focklab.lattice import Window, build_lattice
 from focklab.oscillation import (g_functional, ida_distance, ida_norm,
-                                 m_profile, mean_oscillation, vda_profile)
+                                 mean_oscillation)
 
 
 def test_g_of_conjugate_is_r_over_sqrt2(probes):
@@ -78,14 +79,20 @@ def test_scaling_homogeneity(probes):
     assert np.allclose(b, 2.0 * a, rtol=1e-10)
 
 
+def _profile_points(shells):
+    """The profile samples of cli's g-profile and m-profile, shell by
+    shell, len(cli.PROFILE_ANGLES) to a shell."""
+    return np.multiply.outer(shells, cli.PROFILE_ANGLES).ravel()
+
+
 def test_vda_profile_conj_gaussian_decays():
     f = symbols.make("conj-gaussian", beta=1.0)
     shells = [2.0, 3.0, 4.0, 5.0, 6.0]
-    prof = vda_profile(f, 2.0, 0.5, 6, shells)
-    # the samples run shell by shell, osc.N_ANGLES to a shell
-    assert np.allclose(np.abs(prof.sample_points),
-                       np.repeat(shells, osc.N_ANGLES))
-    maxima = prof.values.reshape(len(shells), osc.N_ANGLES).max(axis=1)
+    z = _profile_points(shells)
+    values = g_functional(f, z, 0.5, 2.0, 6)
+    # the samples run shell by shell, len(cli.PROFILE_ANGLES) to a shell
+    assert np.allclose(np.abs(z), np.repeat(shells, len(cli.PROFILE_ANGLES)))
+    maxima = values.reshape(len(shells), len(cli.PROFILE_ANGLES)).max(axis=1)
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
     assert maxima[-1] < 1e-6
     assert np.polyfit(shells, maxima, 1)[0] < 0
@@ -93,14 +100,14 @@ def test_vda_profile_conj_gaussian_decays():
 
 def test_vda_profile_compact_zero():
     f = symbols.make("bump", radius=1.0)
-    prof = vda_profile(f, 2.0, 0.5, 6, [3.0, 4.0, 5.0, 6.0])
-    assert np.max(prof.values) < 1e-12
+    z = _profile_points([3.0, 4.0, 5.0, 6.0])
+    assert np.max(g_functional(f, z, 0.5, 2.0, 6)) < 1e-12
 
 
 def test_m_profile_step():
     f = symbols.make("step", radius=1.0)
-    prof = m_profile(f, 2.0, 0.5, [0.1, 3.0])
-    inner, outer = prof.values.reshape(2, osc.N_ANGLES)
+    values = mean_oscillation(f, _profile_points([0.1, 3.0]), 0.5, 2.0)
+    inner, outer = values.reshape(2, len(cli.PROFILE_ANGLES))
     assert np.max(inner) > 0.9
     assert np.max(outer) < 1e-12
 
@@ -303,7 +310,7 @@ def test_exact_q2_fits_skip_the_irls(family, q, spacing, monkeypatch):
     nodes = ball_rule(0.0, r).nodes
     moved = f(nodes[:, None] + z[~exact][None, :])
     assert np.array_equal(np.concatenate(seen, axis=1), moved)
-    batch = osc._batch_width(len(nodes))
+    batch = osc.IRLS_BATCH
     sizes = [F.shape[1] for F in seen]
     assert sizes[:-1] == [batch] * (len(seen) - 1) and sizes[-1] <= batch
     assert (len(seen) > 1) == (spacing < 0.5)
@@ -328,8 +335,7 @@ def test_irls_samples_each_centre_once(family, q):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", osc.IRLSWarning)
         fit = ida_distance(Symbol(evaluator=counted), z, 0.5, q, 5)
-    assert np.count_nonzero(fit.residual) > osc._batch_width(len(
-        ball_rule(0.0, 0.5).nodes))
+    assert np.count_nonzero(fit.residual) > osc.IRLS_BATCH
     assert sum(points) == len(z) * len(ball_rule(0.0, 0.5).nodes)
 
 

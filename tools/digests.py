@@ -9,11 +9,12 @@ four), the four q != 2 ops of the `fits-spectra` benchmark workload,
 `dbar-check weight.kind=perturbed-gaussian` (the one dbar calibration on
 a non-Gaussian weight), the benchmark's `thm11-report
 functional.shells=2.0,3.0`, `compact-approx dbar.n_angular=90` (the
-Cauchy sum's one-rotation path) and `compact-approx lattice.window=12.0`
-(a window past the approximant's reach), `ida-norm functional.s=2` (the
-finite-s lattice sum and its boundary check), `berezin
-measure.density=gaussian` (a measure with a density), `hankel-svd
-symbol.id=holo-poly` and `lattice lattice.base_re=0.3
+Cauchy sum's one-rotation path), `compact-approx lattice.window=12.0`
+(a window past the approximant's reach), `compact-approx
+symbol.id=conj-gaussian` (a gap row on an uncertified tail plateau),
+`ida-norm functional.s=2` (the finite-s lattice sum and its boundary
+check), `berezin measure.density=gaussian` (a measure with a density),
+`hankel-svd symbol.id=holo-poly` and `lattice lattice.base_re=0.3
 lattice.base_im=-0.7 lattice.K=3` (an offset lattice with 9
 sublattices), each into a fresh output directory.
 Each CSV gives one line `label file sha256`; each manifest calibration or
@@ -56,6 +57,7 @@ EXTRA = (
     ("thm11-report", "functional.shells=2.0,3.0"),
     ("compact-approx", "dbar.n_angular=90"),
     ("compact-approx", "lattice.window=12.0"),
+    ("compact-approx", "symbol.id=conj-gaussian"),
     ("ida-norm", "functional.s=2"),
     ("berezin", "measure.density=gaussian"),
     ("hankel-svd", "symbol.id=holo-poly"),
