@@ -320,9 +320,10 @@ def cmd_hankel_svd(r: Runner, rng):
     rows = [[k, s] for k, s in enumerate(S.values)]
     return {
         "spectrum.csv": (["k", "s_k"], rows),
-        "stability.csv": (["degree", "projection_degree", "margin_shift"],
-                          [[S.degree, S.projection_degree,
-                            S.stability_shift]]),
+        "stability.csv": (["degree", "projection_degree", "margin_shift",
+                           "degree_shift", "reliable"],
+                          [[S.degree, S.projection_degree, S.stability_shift,
+                            S.degree_shift, int(S.reliable)]]),
     }
 
 

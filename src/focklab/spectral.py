@@ -29,8 +29,12 @@ character that is exactly zero at every node of Q, as three of them are
 for f = conj(z)^k g(|z|^2), contributes exact zeros, so its columns are
 never formed: R^(c) then has the columns of class c + s alone and G is
 block-diagonal by j mod 4 (conj-linear, conj-gaussian, bump, step and
-holo-poly z; mixed, holo-poly 1 + z and translates keep all four).  M,
-the residual Grams and the update's two small products are sums over
+holo-poly z; mixed, holo-poly 1 + z and translates keep all four).
+_grams lays the columns out once, in one plan per class c: the (s, k)
+of each live character s, R^(c) seeing the columns j = k, k + 4, ... of
+class k = c + s; their degrees j; and M^(c)'s p projection rows m <= D'
+and extra rows past D'.  Both of its passes read the plans: M, then the
+residual Grams and the update's two small products.  Each is a sum over
 node blocks of about GRAM_BLOCK_BYTES of E on Q, the one array that
 scales with the rule, so every other temporary holds one block.
 
@@ -153,19 +157,6 @@ def _characters(samples: np.ndarray) -> tuple:
     return Psi, [s for s in range(4) if np.any(Psi[s])]
 
 
-def _live_classes(live: list, c: int) -> list:
-    """(s, k) for each live character s: the residual and the projection
-    of class c see the columns j = k, k + 4, ... of class k = c + s."""
-    return [(s, (c + s) % 4) for s in live]
-
-
-def _columns(live: list, c: int, degree: int) -> np.ndarray:
-    """The degrees j <= degree of the columns of class c, in the order
-    _images lays them out."""
-    return np.array([j for _, k in _live_classes(live, c)
-                     for j in range(k, degree + 1, 4)], dtype=int)
-
-
 def _images(Psi: np.ndarray, E: np.ndarray, b: slice, classes: list,
             degree: int) -> np.ndarray:
     """Psi_s e_j on the nodes b, for the columns j <= degree of each
@@ -180,79 +171,66 @@ def _images(Psi: np.ndarray, E: np.ndarray, b: slice, classes: list,
     return out
 
 
-def _coefficients(Psi: np.ndarray, live: list, w4: np.ndarray,
-                  E: np.ndarray, degree: int) -> list:
-    """M^(c) = E_c^H (w4 Psi_{j-c} e_j), c = 0..3: the projections of the
-    f e_j, j <= degree, onto the columns E_c = E[:, c::4] of class c, for
-    the j whose character j - c (mod 4) is live, the others being exact
-    zeros; w4 is four times the quarter rule's weights times e^{-2phi}.
-    Summed over node blocks."""
-    M = [np.zeros((len(range(c, E.shape[1], 4)),
-                   len(_columns(live, c, degree))), dtype=complex)
-         for c in range(4)]
+def _grams(samples: np.ndarray, weight: WeightModel, degree: int,
+           margin: int, rule: Rule) -> tuple:
+    """Grams of (I - P) f e_j, j <= degree, with P onto the first D'+1
+    columns of E, D' = degree + margin, and with P onto all D'+6 of them,
+    f being `samples` on the rule's nodes."""
+    D, Dp = degree, degree + margin
+    quarter, rotations = _quarter(rule)
+    E = build_basis(weight, Dp + 5, rule).evaluate(quarter.nodes)
+    # each quarter node stands for its four rotations
+    w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
+    Psi, live = _characters(samples[rotations])
+    # the plan of class c (module docstring): its (s, k), j, p and x
+    plans = []
+    for c in range(4):
+        classes = [(s, (c + s) % 4) for s in live]
+        j = np.array([i for _, k in classes for i in range(k, D + 1, 4)], int)
+        p = len(range(c, Dp + 1, 4))
+        plans.append((classes, j, p, np.arange(c, E.shape[1], 4)[p:]
+                      - (Dp + 1)))
+    # M^(c) = E_c^H (w4 Psi_{j-c} e_j) for the j of class c, the others
+    # being exact zeros; the projection at D' is its first p rows
+    M = [np.zeros((p + len(x), len(j)), dtype=complex) for _, j, p, x in plans]
     wPsi = w4 * Psi
     for b in _node_blocks(E):
-        for c in range(4):
-            M[c] += np.conj(E[b, c::4]).T @ _images(
-                wPsi, E, b, _live_classes(live, c), degree)
-    return M
-
-
-def _residual_products(Psi: np.ndarray, live: list, w4: np.ndarray,
-                       E: np.ndarray, b: slice, c: int, p: int,
-                       Mc: np.ndarray, degree: int) -> tuple:
-    """(R^H W4 R, R^H W4 Ex, Ex^H W4 Ex) on the nodes b for the residual
-    R_j = Psi_{j-c} e_j - E_c M^(c)_j of class c projected on the first
-    p columns of E_c = E[:, c::4], Ex being its other columns."""
-    Ec = E[b, c::4]
-    R = _images(Psi, E, b, _live_classes(live, c), degree)
-    R -= Ec[:, :p] @ Mc[:p]
-    wR = w4[b, None] * R
-    wEx = w4[b, None] * Ec[:, p:]
-    # R^H is R.T once R holds conj(R)
-    np.conj(R, out=R)
-    return R.T @ wR, R.T @ wEx, np.conj(Ec[:, p:]).T @ wEx
-
-
-def _margin_grams(Psi: np.ndarray, live: list, w4: np.ndarray,
-                  E: np.ndarray, M: list, degree: int, Dp: int) -> tuple:
-    """Grams of (I - P) f e_j, j <= degree, with P onto the first Dp+1
-    columns of E and with P onto all of them, summed over node blocks.
-
-    Psi, live, w4 and M are as for _coefficients(Psi, live, w4, E,
-    degree).  The residual at i^r z is sum_c i^{rc} R^(c)(z), so the
-    whole rule's Gram is sum_c R^(c)H W4 R^(c), one class at a time.
-    """
+        for c, (classes, _, _, _) in enumerate(plans):
+            M[c] += np.conj(E[b, c::4]).T @ _images(wPsi, E, b, classes, D)
+    del wPsi
     # residual form of (I - P): Gram of pointwise residuals is PSD by
     # construction and avoids the cancellation of <fe_j, fe_k> - M M^H.
     # R2 = R - Ex Mx on any rule, so G2 = G - C - C^H + Mx^H X Mx with
-    # C = S Mx, S = R^H W Ex and X = Ex^H W Ex: no second residual.
-    # Each sum splits by class: Ex's columns of class c meet only R^(c)
-    D, nx = degree, E.shape[1] - Dp - 1
-    cols = [_columns(live, c, D) for c in range(4)]
-    proj = [len(range(c, Dp + 1, 4)) for c in range(4)]
-    extra = [np.arange(c, E.shape[1], 4)[proj[c]:] - (Dp + 1)
-             for c in range(4)]
-    # per class: R^H W R, R^H W Ex and Ex^H W Ex
+    # C = S Mx, S = R^H W Ex and X = Ex^H W Ex: no second residual.  Ex's
+    # columns of class c meet only R^(c), so each sum splits by class
     sums = [[np.zeros((len(j), len(j)), dtype=complex),
              np.zeros((len(j), len(x)), dtype=complex),
              np.zeros((len(x), len(x)), dtype=complex)]
-            for j, x in zip(cols, extra)]
+            for _, j, _, x in plans]
     for b in _node_blocks(E):
-        for c in range(4):
-            parts = _residual_products(Psi, live, w4, E, b, c, proj[c],
-                                       M[c], D)
-            for total, part in zip(sums[c], parts):
-                total += part
+        for c, (classes, _, p, _) in enumerate(plans):
+            Ec = E[b, c::4]
+            R = _images(Psi, E, b, classes, D)
+            R -= Ec[:, :p] @ M[c][:p]
+            wR = w4[b, None] * R
+            wEx = w4[b, None] * Ec[:, p:]
+            # R^H is R.T once R holds conj(R)
+            np.conj(R, out=R)
+            RR, RX, XX = sums[c]
+            RR += R.T @ wR
+            RX += R.T @ wEx
+            XX += np.conj(Ec[:, p:]).T @ wEx
+            del R, wR, wEx
+    nx = E.shape[1] - Dp - 1
     G = np.zeros((D + 1, D + 1), dtype=complex)
     S = np.zeros((D + 1, nx), dtype=complex)
     X = np.zeros((nx, nx), dtype=complex)
     Mx = np.zeros((nx, D + 1), dtype=complex)
-    for c, (j, x) in enumerate(zip(cols, extra)):
+    for c, (_, j, p, x) in enumerate(plans):
         G[np.ix_(j, j)] += sums[c][0]
         S[np.ix_(j, x)] = sums[c][1]
         X[np.ix_(x, x)] = sums[c][2]
-        Mx[np.ix_(x, j)] = M[c][proj[c]:]
+        Mx[np.ix_(x, j)] = M[c][p:]
     C = S @ Mx
     G2 = G - C - np.conj(C).T + np.conj(Mx).T @ (X @ Mx)
     return 0.5 * (G + np.conj(G).T), 0.5 * (G2 + np.conj(G2).T)
@@ -266,17 +244,7 @@ def sampled_hankel_gram(samples: np.ndarray, weight: WeightModel,
         raise ValueError("samples must be the symbol on the rule's nodes")
     if not np.all(np.isfinite(samples)):
         raise ValueError("symbol evaluation failed on the plane rule")
-    Dp = degree + margin
-    quarter, rotations = _quarter(rule)
-    big = build_basis(weight, Dp + 5, rule)
-    E = big.evaluate(quarter.nodes)
-    # each quarter node stands for its four rotations
-    w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
-    Psi, live = _characters(samples[rotations])
-    # the projection at D' is the leading rows of each class of the one
-    # at D'+5
-    M = _coefficients(Psi, live, w4, E, degree)
-    G, G2 = _margin_grams(Psi, live, w4, E, M, degree, Dp)
+    G, G2 = _grams(samples, weight, degree, margin, rule)
     s1, s2 = _singular_from_gram(G), _singular_from_gram(G2)
     shift = float(np.max(np.abs(s1[:10] - s2[:10])))
     return HankelGram(degree=degree, margin=margin, matrix=G,

@@ -346,6 +346,23 @@ def test_gap_row_needs_the_plateau_flag(tmp_path):
     assert gap["reliable"] == "0"
 
 
+@pytest.mark.parametrize("overrides,reliable", [
+    ((), "1"),
+    (("symbol.id=step", "symbol.radius=3", "basis.degree=4"), "0")])
+def test_stability_row_carries_the_gram_certificate(tmp_path, overrides,
+                                                    reliable):
+    # the default conj-linear spectrum is certified; step of radius 3 at
+    # degree 4 moves its top by only 6.3e-6 when the margin grows, but by
+    # 0.161 against its degree-2 block, so its row reads reliable=0
+    assert main(["hankel-svd", "--out", str(tmp_path), *overrides]) == 0
+    run_dir, = (tmp_path / "hankel-svd").iterdir()
+    header, line = (run_dir / "stability.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert float(row["margin_shift"]) <= 1e-3
+    assert (float(row["degree_shift"]) <= 1e-3) == (reliable == "1")
+    assert row["reliable"] == reliable
+
+
 def test_compact_approx_lattice_stops_at_its_reach(tmp_path, monkeypatch):
     # the lattice reaches t + 1 + 2 lattice.r = 5 whatever lattice.window
     # says: cells beyond it add exact zeros, so a window of 12 writes the
@@ -533,7 +550,8 @@ SMOKE_HEADERS = {
                                              "window_hi,reliable"},
     "g-profile": {"g_profile.csv": "re,im,shell_radius,value"},
     "hankel-svd": {"spectrum.csv": "k,s_k",
-                   "stability.csv": "degree,projection_degree,margin_shift"},
+                   "stability.csv": "degree,projection_degree,margin_shift,"
+                                    "degree_shift,reliable"},
     "ida-norm": {"ida_norm.csv": "s,q,r,value"},
     "kernel-fit": {"kernel_fit.csv": "theta,C1,C2,r0,fit_residual,"
                                      "bound_holds"},

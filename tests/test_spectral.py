@@ -185,14 +185,8 @@ def _unprojected_scale(fv, weight, degree, rule):
 
 
 def _character_grams(fv, weight, degree, margin, rule):
-    """G and G2 from the Gram's own helpers on the rule's quarter."""
-    Dp = degree + margin
-    quarter, rotations = quadrature._quarter(rule)
-    E = build_basis(weight, Dp + 5, rule).evaluate(quarter.nodes)
-    w4 = 4.0 * quarter.weights * np.exp(-2.0 * weight.phi(quarter.nodes))
-    Psi, live = spectral._characters(fv[rotations])
-    M = spectral._coefficients(Psi, live, w4, E, degree)
-    return spectral._margin_grams(Psi, live, w4, E, M, degree, Dp)
+    """G and G2 from the Gram's own engine on the rule's quarter."""
+    return spectral._grams(fv, weight, degree, margin, rule)
 
 
 # i^k for k = 0..3, exactly
@@ -550,15 +544,17 @@ def test_kernel_projections_evaluate_basis_once(monkeypatch, weight):
 
 def test_checked_gram_projects_once(monkeypatch, weight):
     # the D' Gram and the D'+5 certificate share one projection pass,
-    # M = E^H (w f E) over every node block of the one E on the quarter
+    # M = E^H (w f E) over every node block of the one E on the quarter:
+    # at D = 25 (one block) that is one image per class for M and one per
+    # class for the residual, all of the one E of D' + 6 columns
     calls = []
-    coefficients = spectral._coefficients
+    images = spectral._images
 
-    def counted(Psi, live, w4, E, degree):
-        calls.append((E.shape, degree))
-        return coefficients(Psi, live, w4, E, degree)
+    def counted(Psi, E, b, classes, degree):
+        calls.append((id(E), E.shape[1], b.start, degree))
+        return images(Psi, E, b, classes, degree)
 
-    monkeypatch.setattr(spectral, "_coefficients", counted)
+    monkeypatch.setattr(spectral, "_images", counted)
     build_hankel_gram(symbols.make("conj-linear"), weight, 25,
                       margin=10)
-    assert calls == [((calls[0][0][0], 25 + 10 + 6), 25)]
+    assert calls == [(calls[0][0], 25 + 10 + 6, 0, 25)] * 8

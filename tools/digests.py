@@ -14,9 +14,14 @@ Cauchy sum's one-rotation path), `compact-approx lattice.window=12.0`
 symbol.id=conj-gaussian` (a gap row on an uncertified tail plateau),
 `ida-norm functional.s=2` (the finite-s lattice sum and its boundary
 check), `berezin measure.density=gaussian` (a measure with a density),
-`hankel-svd symbol.id=holo-poly` and `lattice lattice.base_re=0.3
+`hankel-svd symbol.id=holo-poly`, `lattice lattice.base_re=0.3
 lattice.base_im=-0.7 lattice.K=3` (an offset lattice with 9
-sublattices), each into a fresh output directory.
+sublattices), `hankel-svd basis.degree=80 symbol.id=mixed` (the one run
+with all four characters live over several node blocks, where the order
+of the Gram's block and class loops could move bytes) and `hankel-svd
+symbol.id=step symbol.radius=3 basis.degree=4` (a spectrum whose
+stability.csv row reads reliable=0 on its degree shift), each into a
+fresh output directory.
 Each CSV gives one line `label file sha256`; each manifest calibration or
 warning line gives one line `label manifest.txt <line>`.  A label is the
 subcommand with its overrides joined by '/'.  Two checkouts are compared
@@ -62,6 +67,8 @@ EXTRA = (
     ("berezin", "measure.density=gaussian"),
     ("hankel-svd", "symbol.id=holo-poly"),
     ("lattice", "lattice.base_re=0.3", "lattice.base_im=-0.7", "lattice.K=3"),
+    ("hankel-svd", "basis.degree=80", "symbol.id=mixed"),
+    ("hankel-svd", "symbol.id=step", "symbol.radius=3", "basis.degree=4"),
 )
 
 
