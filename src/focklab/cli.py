@@ -33,7 +33,7 @@ from .lattice import Window, build_lattice, export_points_csv, \
 from .quadrature import CapabilityError
 from .oscillation import DegreeCapError, g_functional, ida_norm, \
     mean_oscillation
-from .spectral import berezin_transform, build_hankel_gram, \
+from .spectral import SHIFT_TOL, berezin_transform, build_hankel_gram, \
     essential_norm_tail, hankel_on_kernel, measure_average, power_gauge, \
     schatten_h_criterion
 from .weights import WeightEvaluationError, certify_weight, \
@@ -377,9 +377,12 @@ GAP_HEADER = ["t", "gap", "ess_tail", "margin_shift", "degree_shift",
 def _gap_rows(r: Runner, ts, t_key):
     """Rows of GAP_HEADER for each cutoff radius t, read from `t_key`.
     The lattice is sized by its reach alone, not by lattice.window: the
-    approximants evaluate f_1 only within t + 1 of 0 (sigma_t masks the
-    rest), where every bump that does not vanish is centred within 2r,
-    so cells beyond t_max + 1 + 2r would add exact zeros."""
+    approximants evaluate f_1 only on the ramp annulus t < |xi| < t + 1,
+    where every bump that does not vanish is centred within 2r, so cells
+    beyond t_max + 1 + 2r would add exact zeros.  A row is reliable when
+    the Gram and the tail plateau are certified and the gap is not below
+    the tail by more than SHIFT_TOL of it: ||H_f - K|| >= ||H_f||_e for
+    every compact K, so a lower gap is an error of the approximant."""
     cfg = r.cfg
     f = r.symbol()
     ess = r.essential_norm(f)
@@ -389,8 +392,10 @@ def _gap_rows(r: Runner, ts, t_key):
     for t in ts:
         S = compact_approximant(f, D, r.solver, t, r.basis(),
                                 cfg["basis.margin"])
+        above = S.values[0] >= (1.0 - SHIFT_TOL) * ess.estimate
         rows.append([t, S.values[0], ess.estimate, S.stability_shift,
-                     S.degree_shift, int(S.reliable and ess.reliable)])
+                     S.degree_shift, int(S.reliable and ess.reliable
+                                         and above)])
     return rows
 
 

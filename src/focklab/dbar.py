@@ -29,8 +29,13 @@ Cauchy transform C(w)(z) = C0 * integral w(xi) / (xi - z) dA(xi), with
 the same C0 since the weight factor is 1 at xi = z.  C(w) - A_phi(w) is
 entire of exponential type, and the Hankel operator vanishes on such
 functions, so both give the same H_psi; but C(w) = O(1/z) off the
-support, so truncated projections represent it.  `cauchy_apply` samples
-w in one call on a polar rule over its support and splits the kernel
+support, so truncated projections represent it.  By Cauchy-Pompeiu
+(Thm 1.2.1 there) C(dbar g) = g for every g in C^1_c, which lets the
+approximants trade C(sigma dbar f) for sigma f - C(f dbar sigma), a
+form on the annulus where the cutoff sigma ramps; a compact form's
+support is the annulus inner_radius <= |xi| <= support_radius (a disc
+at inner radius 0).  `cauchy_apply` samples w in one call on a polar
+rule over that annulus and splits the kernel
 with a floating cutoff chi(|xi - z| / PATCH_RADIUS) (Bruno & Kunyansky,
 J. Comput. Phys. 169, 2001): the smooth part (1 - chi)/(xi - z) is one
 sum against the shared samples at every point, the singular part
@@ -138,17 +143,21 @@ class DbarSolver:
 
         One solution of dbar u = omega; it differs from A_phi(omega) by an
         entire function.  omega is sampled in one call on an n_radial x
-        n_angular polar rule over its support for the smooth part of the
-        kernel, which is formed at one point of each quarter-turn orbit
-        of z (see the module docstring); points within PATCH_RADIUS of the
-        support add the singular part.
+        n_angular polar rule over its support, the annulus
+        omega.inner_radius <= |xi| <= omega.support_radius (a disc at
+        inner radius 0), for the smooth part of the kernel, which is formed
+        at one point of each quarter-turn orbit of z (see the module
+        docstring); points within PATCH_RADIUS of the support,
+        inner - PATCH_RADIUS < |z| < R + PATCH_RADIUS, add the singular
+        part.  The patches reach past the support, where omega must read
+        0.
         """
         if omega.support_radius is None:
             raise DecayError("the Cauchy transform needs a compactly "
                              "supported form")
         zs = np.asarray(z, dtype=complex).ravel()
-        R = omega.support_radius
-        rule = polar_rule(0.0, R, self.n_radial, self.n_angular)
+        R, inner = omega.support_radius, omega.inner_radius
+        rule = polar_rule(0.0, R, self.n_radial, self.n_angular, inner)
         xi = rule.nodes
         wom = rule.weights * omega(xi)
         # kernel rows are formed at orbits[0] only, and column s of the
@@ -172,7 +181,9 @@ class DbarSolver:
             # s = 0 last: an odd-order rule's origin is in every row
             for s in reversed(range(len(rows))):
                 out[rows[s]] = block[:, s]
-        near = np.flatnonzero(np.abs(zs) < R + PATCH_RADIUS)
+        r = np.abs(zs)
+        near = np.flatnonzero((r > inner - PATCH_RADIUS)
+                              & (r < R + PATCH_RADIUS))
         if near.size:
             out[near] += _polar_sum(lambda zc, pts: omega(pts), zs[near],
                                     PATCH_RADIUS, PATCH_GRID, cutoff=True)

@@ -7,9 +7,11 @@ rules target integrands with Gaussian decay e^{-alpha|z|^2}, are
 memoised per (order, scale) and are exactly invariant under z -> iz,
 node for node and weight for weight (hermgauss symmetrises its nodes
 and weights).  Polar rules are Gauss-Legendre x trapezoid product rules
-on B(center, r), whose weights do not depend on the center, memoised per
-(center, r, grid); ball rules are polar rules sized by a polynomial
-degree.
+on B(center, r), or on an annulus about the center (the approximants
+transform their Cauchy-Pompeiu form f_1 dbar sigma_t on the annulus
+where the cutoff sigma_t ramps), whose weights do not depend on the
+center, memoised per (center, r, grid, inner); ball rules are polar
+rules sized by a polynomial degree.
 
 The quarter-turn orbit map lives here too: `quarter_turns` finds, for a
 node array closed under z -> iz, the index of each rotation i^r z of its
@@ -88,20 +90,23 @@ def gaussian_plane_rule(order: int, scale: float = 1.0) -> Rule:
 
 @lru_cache(maxsize=32)
 def polar_rule(center: complex, r: float, n_radial: int,
-               n_angular: int) -> Rule:
-    """Gauss-Legendre (radial) x trapezoidal (angular) rule on B(center,r).
+               n_angular: int, inner: float = 0.0) -> Rule:
+    """Gauss-Legendre (radial) x trapezoidal (angular) rule on the annulus
+    inner <= |z - center| <= r, the disc B(center, r) at inner = 0.
 
-    The weights carry the polar Jacobian rho and do not depend on the
-    center.  Node (k, l), at index k * n_angular + l, is rho_k e^{i theta_l}
-    with theta_l = 2 pi l / n_angular, and every node of ring k has the
-    same weight.  Memoised: calls with equal arguments return the same
-    rule.
+    The radial rule is Gauss-Legendre on [inner, r], so its nodes lie
+    strictly inside the annulus; at inner = 0 the rule is the disc rule
+    bit for bit.  The weights carry the polar Jacobian rho and do not
+    depend on the center.  Node (k, l), at index k * n_angular + l, is
+    rho_k e^{i theta_l} with theta_l = 2 pi l / n_angular, and every node
+    of ring k has the same weight.  Memoised: calls with equal arguments
+    return the same rule.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 <= inner < r:
+        raise ValueError("radii must satisfy 0 <= inner < r")
     t, wt = np.polynomial.legendre.leggauss(n_radial)
-    rho = 0.5 * r * (t + 1.0)
-    wrho = 0.5 * r * wt * rho          # polar Jacobian
+    rho = inner + 0.5 * (r - inner) * (t + 1.0)
+    wrho = 0.5 * (r - inner) * wt * rho          # polar Jacobian
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     wtheta = 2.0 * np.pi / n_angular
     nodes = center + rho[:, None] * np.exp(1j * theta)[None, :]

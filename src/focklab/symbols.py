@@ -16,6 +16,8 @@ class Symbol:
     evaluator: Callable[[np.ndarray], np.ndarray]
     dbar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: Optional[float] = None   # None => entire plane
+    # a compact symbol vanishes off inner_radius <= |z| <= support_radius
+    inner_radius: float = 0.0
 
     def __call__(self, z):
         return self.evaluator(np.asarray(z, dtype=complex))

@@ -309,7 +309,7 @@ def test_decompose_evaluates_dbar_f1_once(monkeypatch, tmp_path):
 
 def test_thm12_report_rows_certified_at_defaults(tmp_path):
     # a reliable=1 row has its gap within 1e-3 of ess and both shifts
-    # <= 1e-3; at degree 20 only t = 2 converged (t = 3 reads 0.977496
+    # <= 1e-3; at degree 20 only t = 2 converged (t = 3 reads 0.977503
     # against the converged 1.000000), and each other row shows why
     assert main(["thm12-report", "--out", str(tmp_path)]) == 0
     run_dir, = (tmp_path / "thm12-report").iterdir()
@@ -344,6 +344,32 @@ def test_gap_row_needs_the_plateau_flag(tmp_path):
     assert float(gap["margin_shift"]) <= 1e-3
     assert float(gap["degree_shift"]) <= 1e-3
     assert gap["reliable"] == "0"
+
+
+def test_gap_row_below_the_tail_is_unreliable(tmp_path, monkeypatch):
+    # ||H_f - K|| >= ||H_f||_e for every compact K: a certified Gram whose
+    # gap falls below ess_tail by more than SHIFT_TOL contradicts the
+    # theorem.  The Gram of (f - h_t) / 2 keeps the default row's
+    # certificate and halves its gap to 0.5 against ess_tail 1.0
+    import dataclasses
+    approximant = cli.compact_approximant
+    grams = []
+
+    def halved(*args):
+        S = approximant(*args)
+        grams.append(dataclasses.replace(S, matrix=S.matrix / 4,
+                                         values=S.values / 2))
+        return grams[-1]
+
+    monkeypatch.setattr(cli, "compact_approximant", halved)
+    assert main(["compact-approx", "--out", str(tmp_path)]) == 0
+    run_dir, = (tmp_path / "compact-approx").iterdir()
+    header, line = (run_dir / "gap.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    S, = grams
+    assert S.reliable and abs(float(row["gap"]) - 0.5) <= 1e-3
+    assert abs(float(row["ess_tail"]) - 1.0) <= 1e-9
+    assert row["reliable"] == "0"
 
 
 @pytest.mark.parametrize("overrides,reliable", [

@@ -6,11 +6,13 @@ import pytest
 
 from checks import hankel_via_dbar
 from focklab import dbar, symbols
-from focklab.approximant import compact_approximant, smooth_cutoff
+from focklab.approximant import compact_approximant, dbar_cutoff, \
+    ramp_form, smooth_cutoff
 from focklab.dbar import (CalibrationError, DbarSolver, DecayError,
                           calibrate_orientation, dbar_fd,
                           gaussian_test_forms)
-from focklab.decomposition import build_partition, decompose
+from focklab.decomposition import Decomposition, build_partition, \
+    decompose
 from focklab.fock import build_basis, default_rule_for_degree, \
     kernel
 from focklab.lattice import Window, build_lattice
@@ -462,15 +464,77 @@ def test_approximant_needs_a_positive_cutoff_radius(solver):
                             None)
 
 
+def test_approximant_reads_f1_on_the_ramp_annulus_only(solver, monkeypatch):
+    # psi_t by Cauchy-Pompeiu: no dbar f_1 and no f_2 are sampled, and
+    # f_1 is read strictly inside t < |xi| < t + 1, where dbar sigma_t
+    # does not vanish
+    points = []
+    f1 = Decomposition.f1
+
+    def recorded(self, z):
+        points.append(np.abs(np.ravel(z)))
+        return f1(self, z)
+
+    def refused(self, z):
+        raise AssertionError("compact_approximant sampled dbar f_1 or f_2")
+
+    f, D = _thm12_decomposition("mixed")
+    basis = build_basis(solver.weight, 20, default_rule_for_degree(20, 1.0))
+    monkeypatch.setattr(Decomposition, "f1", recorded)
+    monkeypatch.setattr(Decomposition, "dbar_f1", refused)
+    monkeypatch.setattr(Decomposition, "f2", refused)
+    for t in (2.0, 4.0):
+        points.clear()
+        compact_approximant(f, D, solver, t, basis, 10)
+        r = np.concatenate(points)
+        assert r.size >= solver.n_radial * solver.n_angular
+        assert np.all((t < r) & (r < t + 1.0)), t
+
+
+def test_dbar_cutoff_is_the_derivative_of_the_cutoff():
+    # dbar sigma_t against a central difference on the ramp, and 0 off it
+    rng = np.random.default_rng(3)
+    z = rng.uniform(2.05, 2.95, 20) * np.exp(2j * np.pi * rng.random(20))
+    fd = dbar_fd(lambda w: smooth_cutoff(2.0, w), z, h=1e-5)
+    assert np.max(np.abs(dbar_cutoff(2.0, z) - fd)) <= 1e-8
+    off = np.array([0.0, 1.0, -2.0, 3.0j, 4.0 - 1.0j])
+    assert np.array_equal(dbar_cutoff(2.0, off), np.zeros(5, complex))
+
+
+# on a refined Cauchy engine (twice the default grid each way, twice its
+# PATCH_GRID) the two forms of psi_t agree to 2.2e-4 max|psi| on these
+# six cases; at the default grid they differ by up to 2.4e-3
+IDENTITY_TOL = 3e-4
+
+
+@pytest.mark.parametrize("family", ["conj-linear", "mixed", "step"])
+def test_cauchy_pompeiu_identity_on_the_plane_rule(solver, monkeypatch,
+                                                   family):
+    # C(sigma_t dbar f_1) = sigma_t f_1 - C(f_1 dbar sigma_t): sigma_t f_1
+    # is C^1 with compact support
+    monkeypatch.setattr(dbar, "PATCH_GRID",
+                        tuple(2 * n for n in dbar.PATCH_GRID))
+    fine = DbarSolver(solver.weight, n_radial=2 * solver.n_radial,
+                      n_angular=2 * solver.n_angular)
+    _, D = _thm12_decomposition(family)
+    nodes = default_rule_for_degree(20, 1.0).nodes
+    for t in (2.0, 4.0):
+        psi = fine.cauchy_apply(_cutoff_form(family, t), nodes)
+        pompeiu = (smooth_cutoff(t, nodes) * D.f1(nodes)
+                   - fine.cauchy_apply(_ramp_form(family, t), nodes))
+        assert (np.max(np.abs(psi - pompeiu))
+                <= IDENTITY_TOL * np.max(np.abs(psi))), t
+
+
 # --- the quarter-turn smooth sum of the Cauchy engine --------------------
 
 def _cauchy_reference(solver, omega, z):
     """cauchy_apply with the smooth kernel formed at every point: the
     loop over blocks of about KERNEL_BYTES of kernel rows, then the same
-    singular patch."""
+    singular patch on the points near the support annulus."""
     zs = np.asarray(z, dtype=complex).ravel()
-    R = omega.support_radius
-    rule = polar_rule(0.0, R, solver.n_radial, solver.n_angular)
+    R, inner = omega.support_radius, omega.inner_radius
+    rule = polar_rule(0.0, R, solver.n_radial, solver.n_angular, inner)
     xi = rule.nodes
     wom = rule.weights * omega(xi)
     out = np.empty(zs.shape, dtype=complex)
@@ -478,8 +542,9 @@ def _cauchy_reference(solver, omega, z):
     for a in range(0, len(zs), step):
         out[a:a + step] = dbar._smooth_kernel(
             xi[None, :] - zs[a:a + step, None]) @ wom
-    near = np.flatnonzero(np.abs(zs) < R + dbar.PATCH_RADIUS)
-    if near.size:
+    near = [k for k, zk in enumerate(zs)
+            if inner - dbar.PATCH_RADIUS < abs(zk) < R + dbar.PATCH_RADIUS]
+    if near:
         out[near] += dbar._polar_sum(lambda zc, pts: omega(pts), zs[near],
                                      dbar.PATCH_RADIUS, dbar.PATCH_GRID,
                                      cutoff=True)
@@ -495,34 +560,45 @@ def _cutoff_form(family, t):
                   support_radius=t + 1.0)
 
 
+@lru_cache(maxsize=None)
+def _ramp_form(family, t):
+    """f_1 dbar sigma_t on the annulus t <= |xi| <= t + 1, the form that
+    compact_approximant transforms."""
+    _, D = _thm12_decomposition(family)
+    return ramp_form(t, D)
+
+
 # every degree (21: an odd order, with an origin node), t and grid once
 @pytest.mark.parametrize("degree,t,n_angular", [
     (20, 2.0, 192), (21, 2.0, 96), (21, 4.0, 192), (40, 4.0, 96)])
 @pytest.mark.parametrize("family", ["conj-linear", "mixed", "step"])
 def test_quartered_sum_equals_per_point_reference(family, degree, t,
                                                   n_angular):
+    # the disc form sigma_t dbar f_1 and the annulus form f_1 dbar sigma_t
     s = DbarSolver(gaussian_weight(1.0), n_radial=60, n_angular=n_angular)
-    omega = _cutoff_form(family, t)
     nodes = default_rule_for_degree(degree, 1.0).nodes
-    psi = s.cauchy_apply(omega, nodes)
-    ref = _cauchy_reference(s, omega, nodes)
-    assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for omega in (_cutoff_form(family, t), _ramp_form(family, t)):
+        psi = s.cauchy_apply(omega, nodes)
+        ref = _cauchy_reference(s, omega, nodes)
+        assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_one_rotation_equals_reference_bit_for_bit(solver):
-    # a grid with n_angular % 4 != 0, and points not closed under z -> iz
-    omega = _cutoff_form("mixed", 2.0)
+    # a grid with n_angular % 4 != 0, and points not closed under z -> iz,
+    # on the disc form and on the annulus form (0.7 - 0.4j lies inside
+    # the annulus's hole, beyond the patches' reach)
     nodes = default_rule_for_degree(20, 1.0).nodes
     coarse = DbarSolver(solver.weight, n_radial=60, n_angular=90)
-    assert np.array_equal(coarse.cauchy_apply(omega, nodes),
-                          _cauchy_reference(coarse, omega, nodes))
     rng = np.random.default_rng(7)
     scattered = rng.uniform(-3.5, 3.5, (3, 5)) + 1j * rng.uniform(-3.5, 3.5,
                                                                  (3, 5))
     stencil = scattered[0] + np.array([1e-3, -1e-3, 1e-3j, -1e-3j])[:, None]
-    for z in (scattered, stencil, nodes[:-1], nodes + 0.5, 0.7 - 0.4j):
-        assert np.array_equal(solver.cauchy_apply(omega, z),
-                              _cauchy_reference(solver, omega, z))
+    for omega in (_cutoff_form("mixed", 2.0), _ramp_form("mixed", 2.0)):
+        assert np.array_equal(coarse.cauchy_apply(omega, nodes),
+                              _cauchy_reference(coarse, omega, nodes))
+        for z in (scattered, stencil, nodes[:-1], nodes + 0.5, 0.7 - 0.4j):
+            assert np.array_equal(solver.cauchy_apply(omega, z),
+                                  _cauchy_reference(solver, omega, z))
 
 
 def test_smooth_kernel_formed_on_the_quarter_only(solver, monkeypatch):

@@ -92,6 +92,48 @@ def test_polar_rule_memoised_read_only():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("inner,outer", [(0.0, 1.0), (2.0, 3.0),
+                                         (4.0, 5.0), (0.5, 3.5)])
+def test_annulus_rule_integrates_radial_monomials(inner, outer):
+    # n_radial Gauss-Legendre nodes on [inner, outer] integrate
+    # rho^k rho d rho exactly for k + 1 <= 2 n_radial - 1
+    n = 6
+    rule = polar_rule(0.0, outer, n, 8, inner)
+    r = np.abs(rule.nodes)
+    assert np.all((inner < r) & (r < outer))
+    for k in range(2 * n - 1):
+        exact = 2 * np.pi * (outer ** (k + 2) - inner ** (k + 2)) / (k + 2)
+        assert abs(np.sum(rule.weights * r ** k) - exact) <= 1e-13 * exact
+
+
+def test_disc_rule_is_the_annulus_rule_at_inner_radius_zero():
+    # the disc rule of Gauss-Legendre on [0, r], as it was formed before
+    # the inner radius, bit for bit, and so every ball rule
+    for center, r, n_radial, n_angular in ((0.0, 3.0, 60, 96),
+                                           (0.3 - 0.2j, 0.5, 8, 16),
+                                           (1.5j, 2.0, 22, 83)):
+        t, wt = np.polynomial.legendre.leggauss(n_radial)
+        rho = 0.5 * r * (t + 1.0)
+        wrho = 0.5 * r * wt * rho
+        theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+        nodes = center + rho[:, None] * np.exp(1j * theta)[None, :]
+        weights = wrho[:, None] * np.full(n_angular,
+                                          2.0 * np.pi / n_angular)[None, :]
+        for rule in (polar_rule(center, r, n_radial, n_angular),
+                     polar_rule(center, r, n_radial, n_angular, 0.0)):
+            assert np.array_equal(rule.nodes, nodes.ravel())
+            assert np.array_equal(rule.weights, weights.ravel())
+    assert np.array_equal(ball_rule(0.3, 0.5).nodes,
+                          polar_rule(0.3, 0.5, 22, 83, 0.0).nodes)
+
+
+@pytest.mark.parametrize("inner,outer", [(-0.5, 1.0), (1.0, 1.0),
+                                         (2.0, 1.0), (0.0, 0.0)])
+def test_polar_rule_refuses_bad_radii(inner, outer):
+    with pytest.raises(ValueError, match="radii"):
+        polar_rule(0.0, outer, 4, 8, inner)
+
+
 def test_quarter_turns_of_closed_and_open_node_sets():
     z = np.array([0.5 + 0.25j, 2.0])
     closed = np.concatenate([z, 1j * z, -z, -1j * z, [0.0]])

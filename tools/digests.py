@@ -12,6 +12,9 @@ functional.shells=2.0,3.0`, `compact-approx dbar.n_angular=90` (the
 Cauchy sum's one-rotation path), `compact-approx lattice.window=12.0`
 (a window past the approximant's reach), `compact-approx
 symbol.id=conj-gaussian` (a gap row on an uncertified tail plateau),
+`compact-approx approx.t=4.0` (a ramp annulus far from the origin, its
+row uncertified on its degree shift), `compact-approx symbol.id=step` (a
+compact symbol inside the cutoff, whose gap is the ramp term alone),
 `ida-norm functional.s=2` (the finite-s lattice sum and its boundary
 check), `berezin measure.density=gaussian` (a measure with a density),
 `hankel-svd symbol.id=holo-poly`, `lattice lattice.base_re=0.3
@@ -63,6 +66,8 @@ EXTRA = (
     ("compact-approx", "dbar.n_angular=90"),
     ("compact-approx", "lattice.window=12.0"),
     ("compact-approx", "symbol.id=conj-gaussian"),
+    ("compact-approx", "approx.t=4.0"),
+    ("compact-approx", "symbol.id=step"),
     ("ida-norm", "functional.s=2"),
     ("berezin", "measure.density=gaussian"),
     ("hankel-svd", "symbol.id=holo-poly"),
