@@ -7,7 +7,7 @@ of the cutoff sigma_t and reads f_1, not dbar f_1 (compact_approximant).
 
 import numpy as np
 
-from .dbar import DbarSolver
+from .dbar import cauchy_transform
 from .fock import FockBasis
 from .spectral import HankelGram, sampled_hankel_gram
 from .symbols import Symbol
@@ -39,8 +39,8 @@ def ramp_form(t: float, decomp) -> Symbol:
     return Symbol(form, support_radius=t + 1.0, inner_radius=t)
 
 
-def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
-                        basis: FockBasis, margin: int = 10) -> HankelGram:
+def compact_approximant(f: Symbol, decomp, t: float, basis: FockBasis,
+                        margin: int = 10) -> HankelGram:
     """Build h_t = psi_t + sigma_t f_2; returns the Hankel Gram of
     f - h_t, whose top singular value values[0] is the gap
     ||H_f - H_{h_t}|| and whose `reliable` certifies it.
@@ -67,6 +67,6 @@ def compact_approximant(f: Symbol, decomp, solver: DbarSolver, t: float,
         raise ValueError("t must be positive")
     nodes = basis.rule.nodes
     samples = (1.0 - smooth_cutoff(t, nodes)) * f(nodes)
-    samples += solver.cauchy_apply(ramp_form(t, decomp), nodes)
+    samples += cauchy_transform(ramp_form(t, decomp), nodes)
     return sampled_hankel_gram(samples, basis.weight, basis.degree, margin,
                                basis.rule)

@@ -15,8 +15,7 @@ n_angular), the weight by identity, so the residual is memoised per
 solver, once per process; the tolerance is checked on every call.
 The |xi - z|^{-1} singularity is absorbed by integrating in polar
 coordinates centered at z, where the Jacobian cancels it exactly;
-`_polar_sum` is that one sum, for A_phi and for the singular patch of
-the Cauchy transform.  A form is the `symbols.Symbol` of its
+`_polar_sum` is that one sum.  A form is the `symbols.Symbol` of its
 coefficient w, compact iff its support_radius is set (else of Gaussian
 decay); its dbar field is not read.  The nodes and the kernel depend
 only on the point and the grid, so A_phi always takes a form family (a
@@ -34,20 +33,12 @@ support, so truncated projections represent it.  By Cauchy-Pompeiu
 approximants trade C(sigma dbar f) for sigma f - C(f dbar sigma), a
 form on the annulus where the cutoff sigma ramps; a compact form's
 support is the annulus inner_radius <= |xi| <= support_radius (a disc
-at inner radius 0).  `cauchy_apply` samples w in one call on a polar
-rule over that annulus and splits the kernel
-with a floating cutoff chi(|xi - z| / PATCH_RADIUS) (Bruno & Kunyansky,
-J. Comput. Phys. 169, 2001): the smooth part (1 - chi)/(xi - z) is one
-sum against the shared samples at every point, the singular part
-chi/(xi - z) a small polar patch about each point near the support.
-The smooth kernel K obeys K(i d) = -i K(d), and when n_angular % 4 == 0
-a quarter-turn maps the support rule onto itself (the angle index
-l -> l + n_angular/4 in each ring), so on points closed under z -> iz
-(a plane rule's nodes; quadrature.quarter_turns) the sum is
-psi(i^s z) = i^{-s} sum K(xi - z) (w omega)(i^s xi): kernel rows are
-formed at the quarter's points only and multiplied by the four
-index-rotated copies of the samples at once.  Other points, and grids
-with n_angular % 4 != 0, take the same loop with one rotation.
+at inner radius 0).  `cauchy_transform` evaluates C in Laurent modes
+(Daripa, SIAM J. Sci. Stat. Comput. 13, 1992): one FFT per ring of a
+polar rule over the annulus gives the angular modes of w, and
+1/(xi - z) expands in powers of z/xi or xi/z on each circle, so every
+point takes one sum over the modes of radial integrals, with no
+singular kernel and no dependence on the weight or on a solver's grid.
 """
 
 from dataclasses import dataclass
@@ -56,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import polar_rule, quarter_turns
+from .quadrature import polar_rule
 from .symbols import Symbol
 from .weights import WeightModel
 
@@ -70,21 +61,15 @@ C0 = -1.0 / np.pi
 # is refused
 CALIBRATION_TOL = 1e-2
 
-# The Cauchy engine splits its kernel with the floating cutoff
-# chi = (1 - |xi - z|^2 / PATCH_RADIUS^2)^CUTOFF_POWER: the singular part
-# goes on a PATCH_GRID (radial x angular) polar patch about z.  Set by a
-# convergence sweep: on a smooth radial form these values are within
-# 1e-7 of the closed form at the default 60 x 96 support rule, where
-# exp(-u/(1-u)) reached only 5e-5.  Each polar sum (A_phi, the singular
-# patches) calls its field on about OMEGA_CHUNK nodes at a time, and
-# kernel blocks hold about KERNEL_BYTES (one point's row at least), which
-# bounds the engine's memory; 256 KiB blocks stay in cache and ran 4x
-# faster than 1 MiB ones.
-PATCH_RADIUS = 0.5
-PATCH_GRID = (8, 16)
-CUTOFF_POWER = 8
+# Each polar sum of A_phi calls its field on about OMEGA_CHUNK nodes at a
+# time, which bounds the solver's memory.
 OMEGA_CHUNK = 1024
-KERNEL_BYTES = 1 << 18
+# cauchy_transform's (radial, angular) grid.  On thm12-report's ramp
+# forms (D = 20 plane nodes, t = 2, 4, 5) against a 64 x 512 grid,
+# conj-linear and mixed read <= 3.7e-6 max|psi| and step 4.5e-5; 24 x 192
+# and 32 x 256 read 1.4e-4 and 8.8e-5 on step at t = 4, whose f_1, glued
+# from C^1 bumps, has an algebraic angular tail.
+CAUCHY_GRID = (32, 288)
 
 
 class DecayError(RuntimeError):
@@ -138,58 +123,6 @@ class DbarSolver:
             self._certify_decay(form)
         return C0 * self.raw_apply(forms, z)
 
-    def cauchy_apply(self, omega: Symbol, z) -> np.ndarray:
-        """C0 * integral omega(xi) / (xi - z) dA(xi) for a compact form.
-
-        One solution of dbar u = omega; it differs from A_phi(omega) by an
-        entire function.  omega is sampled in one call on an n_radial x
-        n_angular polar rule over its support, the annulus
-        omega.inner_radius <= |xi| <= omega.support_radius (a disc at
-        inner radius 0), for the smooth part of the kernel, which is formed
-        at one point of each quarter-turn orbit of z (see the module
-        docstring); points within PATCH_RADIUS of the support,
-        inner - PATCH_RADIUS < |z| < R + PATCH_RADIUS, add the singular
-        part.  The patches reach past the support, where omega must read
-        0.
-        """
-        if omega.support_radius is None:
-            raise DecayError("the Cauchy transform needs a compactly "
-                             "supported form")
-        zs = np.asarray(z, dtype=complex).ravel()
-        R, inner = omega.support_radius, omega.inner_radius
-        rule = polar_rule(0.0, R, self.n_radial, self.n_angular, inner)
-        xi = rule.nodes
-        wom = rule.weights * omega(xi)
-        # kernel rows are formed at orbits[0] only, and column s of the
-        # product, against i^{-s} (w omega)(i^s xi), lands at orbits[s]:
-        # one rotation in general, four on points closed under z -> iz
-        # when the rule turns with them
-        orbits = quarter_turns(zs) if self.n_angular % 4 == 0 else None
-        if orbits is None:
-            orbits, columns = np.arange(zs.size)[None, :], wom
-        else:
-            rings = wom.reshape(self.n_radial, self.n_angular)
-            turn = self.n_angular // 4
-            columns = np.stack([(-1j) ** s * np.roll(rings, -s * turn, 1)
-                                .ravel() for s in range(4)], axis=1)
-        out = np.empty(zs.shape, dtype=complex)
-        step = max(1, KERNEL_BYTES // (16 * len(xi)))
-        for a in range(0, orbits.shape[1], step):
-            rows = orbits[:, a:a + step]
-            block = (_smooth_kernel(xi[None, :] - zs[rows[0], None])
-                     @ columns).reshape(rows.shape[1], -1)
-            # s = 0 last: an odd-order rule's origin is in every row
-            for s in reversed(range(len(rows))):
-                out[rows[s]] = block[:, s]
-        r = np.abs(zs)
-        near = np.flatnonzero((r > inner - PATCH_RADIUS)
-                              & (r < R + PATCH_RADIUS))
-        if near.size:
-            out[near] += _polar_sum(lambda zc, pts: omega(pts), zs[near],
-                                    PATCH_RADIUS, PATCH_GRID, cutoff=True)
-        out *= C0
-        return out.reshape(np.shape(z))
-
     def _certify_decay(self, omega: Symbol):
         """Check the kernel-weighted integrand has died out at the reach."""
         if omega.support_radius is not None:
@@ -204,21 +137,18 @@ class DbarSolver:
                              "the configured reach; refusing the integral")
 
 
-def _polar_sum(field, zs: np.ndarray, radius, grid,
-               cutoff: bool = False) -> np.ndarray:
+def _polar_sum(field, zs: np.ndarray, radius, grid) -> np.ndarray:
     """sum field(z, xi) dA(xi) / (xi - z) on B(z, radius) about each z in
     the flat array zs (radius: one or one per point).  With xi = z + R p
     on the unit polar_rule(0, 1, *grid), dA / (xi - z) = R w / p: the
-    Jacobian in w cancels the singularity.  With cutoff, w / p carries
-    (1 - |p|^2)^CUTOFF_POWER.  field gets (points, 1) and (points, nodes)
-    arrays, about OMEGA_CHUNK nodes and at least one point a call, and
-    returns (..., points, nodes) values; the sum has field's leading axes
-    then zs's (with no points, one empty chunk still gives those axes)."""
+    Jacobian in w cancels the singularity.  field gets (points, 1) and
+    (points, nodes) arrays, about OMEGA_CHUNK nodes and at least one point
+    a call, and returns (..., points, nodes) values; the sum has field's
+    leading axes then zs's (with no points, one empty chunk still gives
+    those axes)."""
     unit = polar_rule(0.0, 1.0, *grid)
     p = unit.nodes
     coef = unit.weights / p
-    if cutoff:
-        coef *= (1.0 - np.abs(p) ** 2) ** CUTOFF_POWER
     R = np.broadcast_to(radius, zs.shape)
     step = max(1, OMEGA_CHUNK // len(p))
     sums = []
@@ -228,23 +158,87 @@ def _polar_sum(field, zs: np.ndarray, radius, grid,
     return R * np.concatenate(sums, axis=-1)
 
 
-def _smooth_kernel(d: np.ndarray) -> np.ndarray:
-    """(1 - chi)/d on the offsets d = xi - z, with u = |d|^2/PATCH_RADIUS^2
-    and chi = (1 - u)^CUTOFF_POWER on u < 1, 0 beyond.  It is
-    conj(d)/PATCH_RADIUS^2 times 1/u off the patch and times the
-    polynomial sum_{k < CUTOFF_POWER} (1 - u)^k on it, so it is smooth
-    (and 0 at d = 0) while chi has CUTOFF_POWER - 1 derivatives."""
-    u = (d.real ** 2 + d.imag ** 2) / PATCH_RADIUS ** 2
-    g = 1.0 / np.maximum(u, 1.0)
-    inside = u < 1.0
-    v = 1.0 - u[inside]
-    s = np.ones_like(v)
-    for _ in range(CUTOFF_POWER - 1):
-        s *= v
-        s += 1.0
-    g[inside] = s
-    g *= 1.0 / PATCH_RADIUS ** 2
-    return np.conj(d) * g
+def cauchy_transform(omega: Symbol, z) -> np.ndarray:
+    """C0 * integral omega(xi) / (xi - z) dA(xi) for a compact form, at z
+    of any shape: one solution of dbar u = omega, which differs from
+    A_phi(omega) by an entire function.
+
+    omega is sampled in one call on the CAUCHY_GRID polar rule over its
+    support a <= |xi| <= R (a = inner_radius, R = support_radius), and an
+    FFT per ring gives its modes c_m(rho).  In Laurent series,
+    C(omega)(z) = 2 pi C0 [sum_{m >= 1} int_{max(|z|, a)}^R
+    - sum_{m <= 0} int_a^{min(|z|, R)}] c_m(rho) (z/rho)^{m-1} d rho,
+    each power of modulus at most 1 on its range.  Points in the hole or
+    outside take whole-interval sums in ratio form, (z/a)^{m-1}
+    (a/rho)^{m-1} or (R/z)^{1-m} (rho/R)^{1-m}; points on the annulus
+    resample c_m barycentrically onto Gauss-Legendre nodes of [|z|, R]
+    and [a, |z|], once per distinct radius.  Every sum over m is a
+    polynomial in z/a, R/z or z/|z|, taken by Horner's rule.
+    """
+    if omega.support_radius is None:
+        raise DecayError("the Cauchy transform needs a compactly "
+                         "supported form")
+    R, a = omega.support_radius, omega.inner_radius
+    n_r, n_t = CAUCHY_GRID
+    polyval = np.polynomial.polynomial.polyval
+    rule = polar_rule(0.0, R, n_r, n_t, a)
+    rho = rule.nodes[::n_t].real
+    # 2 pi times the Gauss-Legendre weights of d rho on [a, R]
+    drho = rule.weights[::n_t] * n_t / rho
+    c = np.fft.fftshift(np.fft.fft(omega(rule.nodes).reshape(n_r, n_t)),
+                        axes=1) / n_t
+    # column i of `up` is mode m = i + 1, of power (z/rho)^i, and of
+    # `down` mode m = -i, of power (rho/z)^(i + 1)
+    up, down = c[:, n_t // 2 + 1:], c[:, n_t // 2::-1]
+    e_up, e_down = np.arange(up.shape[1]), np.arange(1, down.shape[1] + 1)
+    zs = np.asarray(z, dtype=complex).ravel()
+    r = np.abs(zs)
+    out = np.empty(zs.shape, dtype=complex)
+    hole, far = r < a, r >= R
+    ring = ~(hole | far)
+    out[hole] = polyval(zs[hole] / a, drho @ ((a / rho[:, None]) ** e_up
+                                              * up))
+    w = R / zs[far]
+    out[far] = -w * polyval(w, drho @ ((rho[:, None] / R) ** e_down * down))
+    s, at = np.unique(r[ring], return_inverse=True)
+    x, v = np.polynomial.legendre.leggauss(n_r)
+    # the barycentric weights of Gauss-Legendre nodes (Wang & Xiang, SIAM
+    # J. Sci. Comput. 34, 2012)
+    lam = (-1.0) ** np.arange(n_r) * np.sqrt((1.0 - x ** 2) * v)
+    hi = s[:, None] + 0.5 * (R - s)[:, None] * (x + 1.0)
+    lo = a + 0.5 * (s - a)[:, None] * (x + 1.0)
+    above = _radial_sums(hi, np.pi * (R - s)[:, None] * v, s[:, None] / hi,
+                         e_up, up, rho, lam)
+    below = _radial_sums(lo, np.pi * (s - a)[:, None] * v,
+                         np.divide(lo, s[:, None], out=np.zeros_like(lo),
+                                   where=lo > 0), e_down, down, rho, lam)
+    # (z/rho)^(m-1) = (|z|/rho)^(m-1) u^(m-1) with u = z/|z|
+    u = np.exp(1j * np.angle(zs[ring]))
+    out[ring] = (polyval(u, above[:, at], tensor=False)
+                 - u.conj() * polyval(u.conj(), below[:, at], tensor=False))
+    out *= C0
+    return out.reshape(np.shape(z))
+
+
+def _radial_sums(y, w, ratio, e, modes, rho, lam) -> np.ndarray:
+    """(mode, radius) array of sum_j w_j ratio_j^e c(y_j) for each radius
+    (a row of the nodes y, weights w and ratios) and each mode column
+    c of modes, sampled at rho, with power e: c is resampled from rho to
+    y barycentrically (weights lam), a point on a node reading it.  The
+    resampling matrices are formed for every radius at once, and the
+    modes are summed one radius at a time, which keeps each (node, mode)
+    array to one radius's."""
+    d = y[..., None] - rho
+    hit = d == 0
+    d[hit] = 1.0
+    b = lam / d
+    on = hit.any(-1)
+    b[on] = hit[on]
+    b /= b.sum(-1, keepdims=True)
+    sums = np.empty((len(e), len(y)), dtype=complex)
+    for k, (bk, wk, rk) in enumerate(zip(b, w, ratio)):
+        sums[:, k] = (wk[:, None] * rk[:, None] ** e * (bk @ modes)).sum(0)
+    return sums
 
 
 def dbar_fd(u: Callable[[np.ndarray], np.ndarray], z,

@@ -17,8 +17,7 @@ The quarter-turn orbit map lives here too: `quarter_turns` finds, for a
 node array closed under z -> iz, the index of each rotation i^r z of its
 nodes in Q = {Re z > 0, Im z >= 0}, and `_quarter` splits an invariant
 rule into its quarter and those rotations.  The Hankel Grams sum over
-the quarter of the plane rule, and the Cauchy transform evaluates its
-smooth kernel at the quarter's points only.
+the quarter of the plane rule.
 """
 
 from dataclasses import dataclass

@@ -224,19 +224,19 @@ def test_criterion_08_bracket(w):
                "decaying symbols < 0.05x")
 
 
-def test_criterion_09_approximants(w, basis20, solver):
+def test_criterion_09_approximants(w, basis20):
     ess = essential_norm_tail(build_hankel_gram(
         symbols.make("mixed"), w, 20, 10)).estimate
     # compactly supported symbol: cutoff at t = 2 removes nearly everything
     fb = symbols.make("bump")
     Lb = build_lattice(0.0, 0.5, Window.square(4.0))
     Db = decompose(fb, build_partition(Lb), 2.0, 6)
-    gap2 = compact_approximant(fb, Db, solver, 2.0, basis20, 10).values[0]
+    gap2 = compact_approximant(fb, Db, 2.0, basis20, 10).values[0]
     assert gap2 <= 1e-2
     fm = symbols.make("mixed")
     Lm = build_lattice(0.0, 0.5, Window.square(7.0))
     Dm = decompose(fm, build_partition(Lm), 2.0, 6)
-    gap4 = compact_approximant(fm, Dm, solver, 4.0, basis20, 10).values[0]
+    gap4 = compact_approximant(fm, Dm, 4.0, basis20, 10).values[0]
     assert gap4 >= 0.5
     assert abs(gap4 - ess) <= 0.5 * ess
     _report(9, f"bump gap(2) {gap2:.1e}; mixed gap(4) {gap4:.3f} vs "

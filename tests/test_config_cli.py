@@ -309,7 +309,7 @@ def test_decompose_evaluates_dbar_f1_once(monkeypatch, tmp_path):
 
 def test_thm12_report_rows_certified_at_defaults(tmp_path):
     # a reliable=1 row has its gap within 1e-3 of ess and both shifts
-    # <= 1e-3; at degree 20 only t = 2 converged (t = 3 reads 0.977503
+    # <= 1e-3; at degree 20 only t = 2 converged (t = 3 reads 0.977481
     # against the converged 1.000000), and each other row shows why
     assert main(["thm12-report", "--out", str(tmp_path)]) == 0
     run_dir, = (tmp_path / "thm12-report").iterdir()

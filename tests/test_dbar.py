@@ -1,5 +1,4 @@
 import dataclasses
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from focklab import dbar, symbols
 from focklab.approximant import compact_approximant, dbar_cutoff, \
     ramp_form, smooth_cutoff
 from focklab.dbar import (CalibrationError, DbarSolver, DecayError,
-                          calibrate_orientation, dbar_fd,
+                          calibrate_orientation, cauchy_transform, dbar_fd,
                           gaussian_test_forms)
 from focklab.decomposition import Decomposition, build_partition, \
     decompose
@@ -348,75 +347,103 @@ def _radial_exact(z):
     return np.array(out)
 
 
-def test_cauchy_apply_radial_closed_form(solver):
+def test_cauchy_apply_radial_closed_form():
     omega = _radial_form()
     inside = np.array([0.05 + 0.02j, 0.7 - 0.4j, -1.1 + 0.9j, 1.6j])
     edge = np.array([1.95 + 0.1j, -2.1 + 0.0j, 0.3 - 2.3j, 2.45])
     far = np.array([4.0 + 3.0j, -7.0 + 0.5j, 20.0j])
-    node = polar_rule(0.0, RADIAL_R, solver.n_radial,
-                      solver.n_angular).nodes[[5, 1000]]
+    node = polar_rule(0.0, RADIAL_R, *dbar.CAUCHY_GRID).nodes[[5, 1000]]
     for z in (inside, edge, far, node):
-        u = solver.cauchy_apply(omega, z)
-        assert np.max(np.abs(u - _radial_exact(z))) <= 1e-6
-    scalar = solver.cauchy_apply(omega, 0.7 - 0.4j)
+        u = cauchy_transform(omega, z)
+        assert np.max(np.abs(u - _radial_exact(z))) <= 1e-12
+    scalar = cauchy_transform(omega, 0.7 - 0.4j)
     assert np.ndim(scalar) == 0
-    assert abs(scalar - solver.cauchy_apply(omega, inside)[1]) <= 1e-14
+    assert abs(scalar - cauchy_transform(omega, inside)[1]) <= 1e-14
 
 
-def test_cauchy_apply_dbar_residual(solver):
+def test_cauchy_apply_dbar_residual():
     omega = _radial_form()
     rng = np.random.default_rng(5)
     z = rng.uniform(-1.3, 1.3, 10) + 1j * rng.uniform(-1.3, 1.3, 10)
-    resid = np.abs(dbar_fd(lambda w: solver.cauchy_apply(omega, w), z)
+    resid = np.abs(dbar_fd(lambda w: cauchy_transform(omega, w), z)
                    - omega(z))
     assert np.max(resid) <= 1e-3 * float(np.max(np.abs(omega(z))))
 
 
-def test_cauchy_apply_chunking_invariant(solver, monkeypatch):
+def test_cauchy_apply_samples_the_support_rule_in_one_call():
+    # the CAUCHY_GRID support nodes are the form's only call
     omega = _radial_form()
-    z = np.array([0.3 + 0.1j, 1.9 - 0.2j, 2.2j, 5.0])
-    whole = solver.cauchy_apply(omega, z)
-    monkeypatch.setattr(dbar, "KERNEL_BYTES", 1)
-    monkeypatch.setattr(dbar, "OMEGA_CHUNK", 7)
-    assert np.max(np.abs(solver.cauchy_apply(omega, z) - whole)) <= 1e-14
-
-
-def test_cauchy_apply_samples_the_support_rule_in_one_call(solver):
-    # the 60 x 96 support nodes reach the form in one flat call; the
-    # singular patches' calls, (points, patch nodes) arrays, are apart
-    omega = _radial_form()
-    flat = []
+    calls = []
 
     def recorded(xi):
-        if np.ndim(xi) == 1:
-            flat.append(np.array(xi))
+        calls.append(np.array(xi))
         return omega(xi)
 
     wrapped = Symbol(recorded, support_radius=RADIAL_R)
     nodes = default_rule_for_degree(20, 1.0).nodes
-    psi = solver.cauchy_apply(wrapped, nodes)
-    rule = polar_rule(0.0, RADIAL_R, solver.n_radial, solver.n_angular)
-    assert len(flat) == 1 and np.array_equal(flat[0], rule.nodes)
-    assert np.array_equal(psi, solver.cauchy_apply(omega, nodes))
+    psi = cauchy_transform(wrapped, nodes)
+    rule = polar_rule(0.0, RADIAL_R, *dbar.CAUCHY_GRID)
+    assert len(calls) == 1 and np.array_equal(calls[0], rule.nodes)
+    assert np.array_equal(psi, cauchy_transform(omega, nodes))
 
 
-def test_cauchy_apply_rejections(solver):
+def test_cauchy_apply_rejections():
     with pytest.raises(DecayError):
-        solver.cauchy_apply(gaussian_test_forms(1.0)[0], np.array([0.5]))
+        cauchy_transform(gaussian_test_forms(1.0)[0], np.array([0.5]))
 
 
-def test_approximant_gap_converged_in_rule_and_patch(solver, monkeypatch):
+def _annular_c1_form(t):
+    """(g, dbar g) for g = h(rho) (conj(xi)^2 + xi^3 / 2 + 1) with
+    h = ((rho - t)(t + 1 - rho))^2 on t <= rho <= t + 1, 0 off it: C^1
+    with compact support, and dbar g = h'(rho) xi / (2 rho) (...) +
+    2 h conj(xi) carries the angular modes -1, 1 and 4."""
+    def h(xi):
+        u = np.clip(np.abs(xi) - t, 0.0, 1.0)
+        return (u * (1.0 - u)) ** 2, 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
+
+    def poly(xi):
+        return np.conj(xi) ** 2 + 0.5 * xi ** 3 + 1.0
+
+    def g(xi):
+        return h(xi)[0] * poly(xi)
+
+    def dbar_g(xi):
+        value, slope = h(xi)
+        return (slope * xi / (2.0 * np.maximum(np.abs(xi), t)) * poly(xi)
+                + 2.0 * value * np.conj(xi))
+
+    return g, Symbol(dbar_g, support_radius=t + 1.0, inner_radius=t)
+
+
+@pytest.mark.parametrize("t", [2.0, 4.0])
+def test_cauchy_transform_inverts_dbar_on_an_annular_c1_form(t):
+    # Cauchy-Pompeiu: C(dbar g) = g for g in C^1_c, in the hole, on the
+    # annulus (its edges and the rule's radii among them) and outside.
+    # The modes are exact, so only roundoff is left: 2e-15 max|g|
+    # measured, where the singular-patch engine this replaced read 1.1e-3
+    # (t = 2) and 6.7e-3 (t = 4)
+    g, omega = _annular_c1_form(t)
+    n_r, n_t = dbar.CAUCHY_GRID
+    radii = polar_rule(0.0, t + 1.0, n_r, n_t, t).nodes[::n_t].real
+    turn = np.exp(2j * np.pi * np.random.default_rng(0).random(6))
+    z = np.concatenate([
+        np.outer([0.0, 0.3, t - 0.5, t, t + 0.37, t + 0.9, t + 1.0,
+                  t + 1.5, 3.0 * (t + 1.0)], turn).ravel(),
+        radii[[0, 5, n_r - 1]] * turn[:3], [t, t + 1.0]])
+    assert np.max(np.abs(cauchy_transform(omega, z) - g(z))) \
+        <= 1e-12 * np.max(np.abs(g(z)))
+
+
+def test_approximant_gap_converged_under_grid_doubling(solver, monkeypatch):
     # thm12-report's default t = 2 row: conj-linear, lattice.r = 1, D = 20
     f = symbols.make("conj-linear")
     basis = build_basis(solver.weight, 20, default_rule_for_degree(20, 1.0))
     D = decompose(f, build_partition(build_lattice(0.0, 1.0,
                                                    Window.square(5.0))))
-    base = compact_approximant(f, D, solver, 2.0, basis, 10)
-    monkeypatch.setattr(dbar, "PATCH_GRID",
-                        tuple(2 * n for n in dbar.PATCH_GRID))
-    fine = DbarSolver(solver.weight, n_radial=2 * solver.n_radial,
-                      n_angular=2 * solver.n_angular)
-    doubled = compact_approximant(f, D, fine, 2.0, basis, 10)
+    base = compact_approximant(f, D, 2.0, basis, 10)
+    monkeypatch.setattr(dbar, "CAUCHY_GRID",
+                        tuple(2 * n for n in dbar.CAUCHY_GRID))
+    doubled = compact_approximant(f, D, 2.0, basis, 10)
     assert abs(doubled.values[0] - base.values[0]) < 1e-6
     assert base.reliable and abs(base.values[0] - 1.0) <= 0.05
 
@@ -439,7 +466,7 @@ def test_approximant_certified_exactly_when_converged(solver, degree):
     basis = build_basis(solver.weight, degree,
                         default_rule_for_degree(degree, 1.0))
     for t in (2.0, 3.0, 4.0, 5.0):
-        S = compact_approximant(f, D, solver, t, basis, 10)
+        S = compact_approximant(f, D, t, basis, 10)
         assert S.degree_shift >= 0.0
         assert S.reliable == (abs(S.values[0] - 1.0) <= 1e-3), (t, S.values[0])
         assert S.stability_shift <= 1e-3
@@ -453,15 +480,14 @@ def test_approximant_certifies_a_converged_compact_gap(solver):
     for degree in (20, 40):
         basis = build_basis(solver.weight, degree,
                             default_rule_for_degree(degree, 1.0))
-        gaps[degree] = compact_approximant(f, D, solver, 4.0, basis, 10)
+        gaps[degree] = compact_approximant(f, D, 4.0, basis, 10)
     assert gaps[20].reliable
     assert abs(gaps[20].values[0] - gaps[40].values[0]) <= 1e-4
 
 
-def test_approximant_needs_a_positive_cutoff_radius(solver):
+def test_approximant_needs_a_positive_cutoff_radius():
     with pytest.raises(ValueError, match="t must be positive"):
-        compact_approximant(symbols.make("conj-linear"), None, solver, 0.0,
-                            None)
+        compact_approximant(symbols.make("conj-linear"), None, 0.0, None)
 
 
 def test_approximant_reads_f1_on_the_ramp_annulus_only(solver, monkeypatch):
@@ -485,9 +511,9 @@ def test_approximant_reads_f1_on_the_ramp_annulus_only(solver, monkeypatch):
     monkeypatch.setattr(Decomposition, "f2", refused)
     for t in (2.0, 4.0):
         points.clear()
-        compact_approximant(f, D, solver, t, basis, 10)
+        compact_approximant(f, D, t, basis, 10)
         r = np.concatenate(points)
-        assert r.size >= solver.n_radial * solver.n_angular
+        assert r.size == np.prod(dbar.CAUCHY_GRID)
         assert np.all((t < r) & (r < t + 1.0)), t
 
 
@@ -501,121 +527,26 @@ def test_dbar_cutoff_is_the_derivative_of_the_cutoff():
     assert np.array_equal(dbar_cutoff(2.0, off), np.zeros(5, complex))
 
 
-# on a refined Cauchy engine (twice the default grid each way, twice its
-# PATCH_GRID) the two forms of psi_t agree to 2.2e-4 max|psi| on these
-# six cases; at the default grid they differ by up to 2.4e-3
+# on a modal grid twice CAUCHY_GRID each way the two forms of psi_t agree
+# to 2.2e-4 max|psi| on these six cases, and at CAUCHY_GRID to 1.1e-3:
+# the disc form sigma_t dbar f_1 has a kink at |xi| = t inside its radial
+# rule
 IDENTITY_TOL = 3e-4
 
 
 @pytest.mark.parametrize("family", ["conj-linear", "mixed", "step"])
-def test_cauchy_pompeiu_identity_on_the_plane_rule(solver, monkeypatch,
-                                                   family):
+def test_cauchy_pompeiu_identity_on_the_plane_rule(monkeypatch, family):
     # C(sigma_t dbar f_1) = sigma_t f_1 - C(f_1 dbar sigma_t): sigma_t f_1
     # is C^1 with compact support
-    monkeypatch.setattr(dbar, "PATCH_GRID",
-                        tuple(2 * n for n in dbar.PATCH_GRID))
-    fine = DbarSolver(solver.weight, n_radial=2 * solver.n_radial,
-                      n_angular=2 * solver.n_angular)
+    monkeypatch.setattr(dbar, "CAUCHY_GRID",
+                        tuple(2 * n for n in dbar.CAUCHY_GRID))
     _, D = _thm12_decomposition(family)
     nodes = default_rule_for_degree(20, 1.0).nodes
     for t in (2.0, 4.0):
-        psi = fine.cauchy_apply(_cutoff_form(family, t), nodes)
+        disc = Symbol(lambda xi: smooth_cutoff(t, xi) * D.dbar_f1(xi),
+                      support_radius=t + 1.0)
+        psi = cauchy_transform(disc, nodes)
         pompeiu = (smooth_cutoff(t, nodes) * D.f1(nodes)
-                   - fine.cauchy_apply(_ramp_form(family, t), nodes))
+                   - cauchy_transform(ramp_form(t, D), nodes))
         assert (np.max(np.abs(psi - pompeiu))
                 <= IDENTITY_TOL * np.max(np.abs(psi))), t
-
-
-# --- the quarter-turn smooth sum of the Cauchy engine --------------------
-
-def _cauchy_reference(solver, omega, z):
-    """cauchy_apply with the smooth kernel formed at every point: the
-    loop over blocks of about KERNEL_BYTES of kernel rows, then the same
-    singular patch on the points near the support annulus."""
-    zs = np.asarray(z, dtype=complex).ravel()
-    R, inner = omega.support_radius, omega.inner_radius
-    rule = polar_rule(0.0, R, solver.n_radial, solver.n_angular, inner)
-    xi = rule.nodes
-    wom = rule.weights * omega(xi)
-    out = np.empty(zs.shape, dtype=complex)
-    step = max(1, dbar.KERNEL_BYTES // (16 * len(xi)))
-    for a in range(0, len(zs), step):
-        out[a:a + step] = dbar._smooth_kernel(
-            xi[None, :] - zs[a:a + step, None]) @ wom
-    near = [k for k, zk in enumerate(zs)
-            if inner - dbar.PATCH_RADIUS < abs(zk) < R + dbar.PATCH_RADIUS]
-    if near:
-        out[near] += dbar._polar_sum(lambda zc, pts: omega(pts), zs[near],
-                                     dbar.PATCH_RADIUS, dbar.PATCH_GRID,
-                                     cutoff=True)
-    out *= dbar.C0
-    return out.reshape(np.shape(z))
-
-
-@lru_cache(maxsize=None)
-def _cutoff_form(family, t):
-    """sigma_t dbar f_1, the form whose Cauchy transform is psi_t."""
-    _, D = _thm12_decomposition(family)
-    return Symbol(lambda xi: smooth_cutoff(t, xi) * D.dbar_f1(xi),
-                  support_radius=t + 1.0)
-
-
-@lru_cache(maxsize=None)
-def _ramp_form(family, t):
-    """f_1 dbar sigma_t on the annulus t <= |xi| <= t + 1, the form that
-    compact_approximant transforms."""
-    _, D = _thm12_decomposition(family)
-    return ramp_form(t, D)
-
-
-# every degree (21: an odd order, with an origin node), t and grid once
-@pytest.mark.parametrize("degree,t,n_angular", [
-    (20, 2.0, 192), (21, 2.0, 96), (21, 4.0, 192), (40, 4.0, 96)])
-@pytest.mark.parametrize("family", ["conj-linear", "mixed", "step"])
-def test_quartered_sum_equals_per_point_reference(family, degree, t,
-                                                  n_angular):
-    # the disc form sigma_t dbar f_1 and the annulus form f_1 dbar sigma_t
-    s = DbarSolver(gaussian_weight(1.0), n_radial=60, n_angular=n_angular)
-    nodes = default_rule_for_degree(degree, 1.0).nodes
-    for omega in (_cutoff_form(family, t), _ramp_form(family, t)):
-        psi = s.cauchy_apply(omega, nodes)
-        ref = _cauchy_reference(s, omega, nodes)
-        assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_one_rotation_equals_reference_bit_for_bit(solver):
-    # a grid with n_angular % 4 != 0, and points not closed under z -> iz,
-    # on the disc form and on the annulus form (0.7 - 0.4j lies inside
-    # the annulus's hole, beyond the patches' reach)
-    nodes = default_rule_for_degree(20, 1.0).nodes
-    coarse = DbarSolver(solver.weight, n_radial=60, n_angular=90)
-    rng = np.random.default_rng(7)
-    scattered = rng.uniform(-3.5, 3.5, (3, 5)) + 1j * rng.uniform(-3.5, 3.5,
-                                                                 (3, 5))
-    stencil = scattered[0] + np.array([1e-3, -1e-3, 1e-3j, -1e-3j])[:, None]
-    for omega in (_cutoff_form("mixed", 2.0), _ramp_form("mixed", 2.0)):
-        assert np.array_equal(coarse.cauchy_apply(omega, nodes),
-                              _cauchy_reference(coarse, omega, nodes))
-        for z in (scattered, stencil, nodes[:-1], nodes + 0.5, 0.7 - 0.4j):
-            assert np.array_equal(solver.cauchy_apply(omega, z),
-                                  _cauchy_reference(solver, omega, z))
-
-
-def test_smooth_kernel_formed_on_the_quarter_only(solver, monkeypatch):
-    # D = 20: 169 of the 676 plane-rule nodes, each against the 60 x 96
-    # support nodes; a grid that does not turn forms every node's row
-    offsets = []
-    kernel = dbar._smooth_kernel
-
-    def counted(d):
-        offsets.append(d.size)
-        return kernel(d)
-
-    monkeypatch.setattr(dbar, "_smooth_kernel", counted)
-    omega = _cutoff_form("conj-linear", 2.0)
-    nodes = default_rule_for_degree(20, 1.0).nodes
-    solver.cauchy_apply(omega, nodes)
-    assert nodes.size == 676 and sum(offsets) == 169 * 5760
-    offsets.clear()
-    DbarSolver(solver.weight, 60, 90).cauchy_apply(omega, nodes)
-    assert sum(offsets) == 676 * 5400

@@ -8,8 +8,9 @@ character), `hankel-svd basis.degree=40 symbol.id=mixed` (one with all
 four), the four q != 2 ops of the `fits-spectra` benchmark workload,
 `dbar-check weight.kind=perturbed-gaussian` (the one dbar calibration on
 a non-Gaussian weight), the benchmark's `thm11-report
-functional.shells=2.0,3.0`, `compact-approx dbar.n_angular=90` (the
-Cauchy sum's one-rotation path), `compact-approx lattice.window=12.0`
+functional.shells=2.0,3.0`, `compact-approx dbar.n_angular=90` (an
+A_phi grid that does not reach the Cauchy transform, so its gap.csv
+digest is the default's), `compact-approx lattice.window=12.0`
 (a window past the approximant's reach), `compact-approx
 symbol.id=conj-gaussian` (a gap row on an uncertified tail plateau),
 `compact-approx approx.t=4.0` (a ramp annulus far from the origin, its
