@@ -354,8 +354,8 @@ def cmd_kz_profile(r: Runner, rng):
     z = _in_reach(basis, np.multiply.outer(shells, KZ_ANGLES).ravel(),
                   "functional.shells")
     f = r.symbol()
-    # a kernel too wide for the rule reads all-zero samples as well as a q
-    # whose power underflows
+    # a q whose power of the translated residual's samples underflows to 0
+    # or overflows is refused by lp_norm
     with _blamed_on("functional.q/weight.alpha", ValueError):
         norms, = hankel_on_kernel([f], z, cfg["functional.q"], basis)
     return {"kz_profile.csv": (["re", "im", "shell_radius", "norm"],

@@ -99,12 +99,6 @@ def kernel(basis: FockBasis, z, w) -> np.ndarray:
                                     * np.conj(np.asarray(w, dtype=complex)))
 
 
-def normalized_kernel(basis: FockBasis, z: complex):
-    """k_z = K(., z) / sqrt(K(z, z)) as a vectorized evaluator."""
-    root = np.sqrt(np.real(kernel(basis, z, z)))
-    return lambda w: kernel(basis, w, z) / root
-
-
 def lp_norm(vals, p: float, rule: Rule, w: WeightModel) -> float:
     """Weighted norm ( integral |f e^{-phi}|^p dA )^{1/p} from the
     samples vals of f on the rule's nodes.  A largest |f e^{-phi}|^p that

@@ -40,9 +40,13 @@ scales with the rule, so every other temporary holds one block.
 
 The kernel layer (the kernel norms ||H_f k_z||, the Berezin transform and
 the ball averages) returns one value per point, each point computed
-alone against work shared per call.  The kernel norms take a family of
-symbols, one row each, and points of any shape, so a report that
-compares several symbols forms E, E^H and the decay weights once.
+alone against work shared per call, and samples no kernel: the Weyl
+operators U_z g = g(. - z) e^{alpha . conj(z) - alpha|z|^2/2} are
+isometries of every L^q_phi that commute with P, and k_z = sqrt(alpha/pi)
+U_z 1 (Zhu, Analysis on Fock Spaces, GTM 263, 2012), so a point z samples
+f or the density on the rule's nodes shifted by z.  The kernel norms take
+a family of symbols and points of any shape, and form E, E^H and the
+decay weights once.
 """
 
 from dataclasses import dataclass, field
@@ -51,8 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import FockBasis, build_basis, default_rule_for_degree, \
-    lp_norm, normalized_kernel
+from .fock import FockBasis, build_basis, default_rule_for_degree, lp_norm
 from .fock import project  # noqa: F401 (perfbench/layers.py hooks it)
 from .lattice import Lattice
 from .oscillation import g_functional  # noqa: F401 (hooked by perfbench)
@@ -297,23 +300,21 @@ def _at_points(value, z) -> np.ndarray:
 
 
 def hankel_on_kernel(family, z, q: float, basis: FockBasis) -> np.ndarray:
-    """||H_f(k_z)||_{q,phi} for each symbol f of the sequence `family` at
-    each point of z, of any shape; the result has a leading member axis.
-    Via projection of f * k_z: E, E^H, the decay weights and each symbol
-    are formed on the rule once per call, k_z once per point.  Each
-    (symbol, point) is projected alone, so its norm is its one-member,
-    one-point value bit for bit: one product over all points would sum in
-    another order."""
+    """||H_f(k_z)||_{q,phi} = sqrt(alpha/pi) ||(I - P) f(. + z)||_{q,phi}
+    for each symbol f of the sequence `family` at each point of z, of any
+    shape; the result has a leading member axis.  Each (symbol, point)
+    samples f on the shifted nodes and is projected alone, so its norm is
+    its one-member, one-point value bit for bit: one product over all
+    points would sum in another order."""
     rule = basis.rule
     E = basis.evaluate(rule.nodes)
     EH = np.conj(E).T
-    fvs = [f(rule.nodes) for f in family]
     wd = rule.weights * np.exp(-2.0 * basis.weight.phi(rule.nodes))
+    root = np.sqrt(basis.weight.alpha / np.pi)
 
     def norms(p):
-        k = normalized_kernel(basis, p)(rule.nodes)
-        return [lp_norm(g - E @ (EH @ (wd * g)), q, rule, basis.weight)
-                for g in (fv * k for fv in fvs)]
+        return [root * lp_norm(g - E @ (EH @ (wd * g)), q, rule, basis.weight)
+                for g in (f(rule.nodes + p) for f in family)]
     out = _at_points(norms, np.ravel(z))
     return out.T.reshape((len(family),) + np.shape(z))
 
@@ -351,14 +352,13 @@ def _density_on(density, nodes: np.ndarray) -> np.ndarray:
 
 
 def berezin_transform(density, basis: FockBasis, z) -> np.ndarray:
-    """mu~(z) = integral |k_z|^2 e^{-2phi} dmu at each point of the 1-D
-    array z, dmu = density dA (dA for density None)."""
+    """mu~(z) = (alpha/pi) integral e^{-alpha|u|^2} dmu(u + z) at each point
+    of the 1-D array z, dmu = density dA (dA for density None)."""
     rule = basis.rule
-    decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
-    dens = _density_on(density, rule.nodes)
-    return _at_points(lambda p: np.real(rule.integrate(
-        np.abs(normalized_kernel(basis, p)(rule.nodes)) ** 2 * decay
-        * dens)), z)
+    w = (basis.weight.alpha / np.pi * rule.weights
+         * np.exp(-2.0 * basis.weight.phi(rule.nodes)))
+    return _at_points(
+        lambda p: np.sum(w * _density_on(density, rule.nodes + p)), z)
 
 
 def measure_average(density, z, r: float) -> np.ndarray:

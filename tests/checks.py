@@ -1,11 +1,12 @@
 """Checks that only the tests use: lattice covering and nearest-point
-distances, central differences of a weight's declared derivatives, and
-the Hankel identity through the dbar solver."""
+distances, central differences of a weight's declared derivatives, the
+Hankel identity through the dbar solver, and the normalised kernel k_z,
+the reference of the kernel layer's Weyl-translated form."""
 
 import numpy as np
 
 from focklab.dbar import DbarSolver
-from focklab.fock import FockBasis, evaluate_projection, project
+from focklab.fock import FockBasis, evaluate_projection, kernel, project
 from focklab.lattice import Lattice, _grid_coords, cell_index
 from focklab.symbols import Symbol
 from focklab.weights import WeightModel
@@ -84,3 +85,9 @@ def hankel_via_dbar(solver: DbarSolver, f: Symbol, g,
                    support_radius=f.support_radius)
     u, = solver.apply([omega], rule.nodes)
     return residual(u), residual(f(rule.nodes) * g(rule.nodes))
+
+
+def normalized_kernel(basis: FockBasis, z: complex):
+    """k_z = K(., z) / sqrt(K(z, z)) as a vectorized evaluator."""
+    root = np.sqrt(np.real(kernel(basis, z, z)))
+    return lambda w: kernel(basis, w, z) / root

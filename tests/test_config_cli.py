@@ -184,9 +184,9 @@ def test_cli_non_radial_basis_exit_code(tmp_path, capsys):
     ("ida-norm functional.q=1e6", "functional.q"),
     ("decompose functional.q=1e6", "functional.q"),
     ("m-profile functional.q=400", "functional.q"),
-    # a kz norm whose |.|^q underflows to 0 (conj-linear reads 0.342 at
-    # q = 200), in both subcommands that take it
-    ("kz-profile functional.q=1000", "functional.q"),
+    # a kz norm whose |.|^q underflows to 0 (conj-linear's translated
+    # residual peaks at e^{-q/2}), in both subcommands that take it
+    ("kz-profile functional.q=10000", "functional.q"),
     ("thm11-report functional.q=1000", "functional.q"),
     # a kernel so wide that one family's H_f k_z samples all read 0
     ("thm11-report weight.alpha=1e-4", "weight.alpha"),

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from checks import normalized_kernel
 from focklab.fock import (build_basis, default_rule_for_degree,
                           evaluate_projection, fit_kernel_estimates, kernel,
-                          lp_norm, normalized_kernel, project)
+                          lp_norm, project)
 from focklab.quadrature import CapabilityError
 from focklab.weights import gaussian_weight
 

@@ -1,11 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from checks import normalized_kernel
 from focklab import quadrature, spectral, symbols
+from focklab.cli import KZ_ANGLES, _in_reach
 from focklab.fock import (FockBasis, build_basis,
-                          default_rule_for_degree, lp_norm, normalized_kernel)
+                          default_rule_for_degree, lp_norm)
 from focklab.lattice import Window, build_lattice
 from focklab.oscillation import g_functional
 from focklab.quadrature import Rule, ball_rule, gaussian_plane_rule
@@ -129,12 +132,63 @@ def test_hankel_on_kernel_conj_linear(basis25):
     # ||H_{conj z} k_z|| = 1 at every z
     z = np.array([0.0, 1.0 + 0.5j, 2.0])
     vals, = hankel_on_kernel([f], z, 2.0, basis25)
-    assert np.max(np.abs(vals - 1.0)) < 1e-6
+    assert np.max(np.abs(vals - 1.0)) < 1e-14
+
+
+# (alpha, kz shells) out to where the degree-50 kernel keeps its mass
+CONJ_LINEAR_SHELLS = [(1.0, [2.0, 3.0, 4.0, 5.0]),
+                      (0.5, [2.0, 3.0, 4.0, 5.0, 6.0, 7.0])]
+
+
+@pytest.mark.parametrize("alpha, shells", CONJ_LINEAR_SHELLS)
+def test_hankel_on_kernel_conj_linear_on_shells(alpha, shells):
+    # H_{conj z} k_z = sqrt(alpha/pi) U_z conj(w): 1/sqrt(alpha) at q = 2,
+    # sqrt(alpha/pi) pi Gamma(3/2) (2/alpha)^{3/2} at q = 1, where the
+    # plane rule meets |conj(w)|'s kink at 0 alike on every shell
+    basis = build_basis(gaussian_weight(alpha), 50)
+    z = np.multiply.outer(shells, KZ_ANGLES)
+    f = symbols.make("conj-linear")
+    vals, = hankel_on_kernel([f], z, 2.0, basis)
+    assert np.max(np.abs(vals - 1.0 / np.sqrt(alpha))) < 1e-14
+    vals, = hankel_on_kernel([f], z, 1.0, basis)
+    assert (np.max(vals) - np.min(vals)) / np.max(vals) < 1e-12
+    exact = (np.sqrt(alpha / np.pi) * np.pi * math.gamma(1.5)
+             * (2.0 / alpha) ** 1.5)
+    assert np.max(np.abs(vals - exact)) / exact < 3e-4
+
+
+def test_hankel_on_kernel_weyl_identity(weight):
+    # the translated form against f k_z projected on the rule: P_D does
+    # not commute with U_z, but at D = 50 the two agree to roundoff
+    basis = build_basis(weight, 50)
+    f = symbols.make("conj-gaussian")
+    z = np.multiply.outer([2.0, 3.0, 4.0, 5.0], KZ_ANGLES)
+    vals, = hankel_on_kernel([f], z, 2.0, basis)
+    kernel_form = np.array([[_kernel_form_hankel_on_kernel(f, p, 2.0, basis)
+                             for p in shell] for shell in z])
+    assert np.max(np.abs(vals - kernel_form) / kernel_form) < 1e-14
 
 
 def test_berezin_of_lebesgue_is_one(basis25):
     z = np.array([0.0, 0.7 - 0.4j, 1.5])
     assert np.max(np.abs(berezin_transform(None, basis25, z) - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_berezin_closed_forms(alpha):
+    # mu = e^{-|z|^2} dA: mu~(z) = alpha/(alpha+1) e^{-alpha|z|^2/(alpha+1)};
+    # Lebesgue measure: the same sum of weights, 1 to roundoff, at every z
+    basis = build_basis(gaussian_weight(alpha), 40)
+    rng = np.random.default_rng(3)
+    z = _in_reach(basis, rng.uniform(-3.0, 3.0, (30, 2)) @ [1.0, 1j]
+                  / np.sqrt(alpha), "probes.half_width")
+    bt = berezin_transform(lambda u: np.exp(-np.abs(u) ** 2), basis, z)
+    exact = alpha / (alpha + 1.0) * np.exp(-alpha * np.abs(z) ** 2
+                                           / (alpha + 1.0))
+    assert np.max(np.abs(bt - exact)) < 5e-14
+    lebesgue = berezin_transform(None, basis, z)
+    assert np.all(lebesgue == lebesgue[0])
+    assert abs(lebesgue[0] - 1.0) <= 4 * np.finfo(float).eps
 
 
 def test_ball_average_controlled_by_berezin(basis25):
@@ -262,14 +316,25 @@ def _reference_gram(fv, weight, degree, margin, rule):
 
 
 def _reference_hankel_on_kernel(f, z, q, basis):
+    # sqrt(alpha/pi) ||(I - P) f(. + z)||_{q,phi}, the Weyl-translated form
     rule = basis.rule
-    kz = normalized_kernel(basis, z)
-    g = f(rule.nodes) * kz(rule.nodes)
+    g = f(rule.nodes + z)
     decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
     E = basis.evaluate(rule.nodes, kmax=basis.degree)
     coeffs = np.conj(E).T @ (rule.weights * decay * g)
     E = basis.evaluate(rule.nodes, kmax=len(coeffs) - 1)
-    return lp_norm(g - E @ coeffs, q, rule, basis.weight)
+    return np.sqrt(basis.weight.alpha / np.pi) * lp_norm(
+        g - E @ coeffs, q, rule, basis.weight)
+
+
+def _kernel_form_hankel_on_kernel(f, z, q, basis):
+    # ||(I - P)(f k_z)||_{q,phi} with k_z sampled on the rule
+    rule = basis.rule
+    g = f(rule.nodes) * normalized_kernel(basis, z)(rule.nodes)
+    decay = np.exp(-2.0 * basis.weight.phi(rule.nodes))
+    E = basis.evaluate(rule.nodes)
+    return lp_norm(g - E @ (np.conj(E).T @ (rule.weights * decay * g)), q,
+                   rule, basis.weight)
 
 
 GRAM_SYMBOLS = [("conj-linear", {}), ("mixed", {"radius": 1.0}),

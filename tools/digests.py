@@ -22,9 +22,10 @@ check), `berezin measure.density=gaussian` (a measure with a density),
 lattice.base_im=-0.7 lattice.K=3` (an offset lattice with 9
 sublattices), `hankel-svd basis.degree=80 symbol.id=mixed` (the one run
 with all four characters live over several node blocks, where the order
-of the Gram's block and class loops could move bytes) and `hankel-svd
+of the Gram's block and class loops could move bytes), `hankel-svd
 symbol.id=step symbol.radius=3 basis.degree=4` (a spectrum whose
-stability.csv row reads reliable=0 on its degree shift), each into a
+stability.csv row reads reliable=0 on its degree shift) and
+`kz-profile functional.q=1` (the kernel norms at q != 2), each into a
 fresh output directory.
 Each CSV gives one line `label file sha256`; each manifest calibration or
 warning line gives one line `label manifest.txt <line>`.  A label is the
@@ -75,6 +76,7 @@ EXTRA = (
     ("lattice", "lattice.base_re=0.3", "lattice.base_im=-0.7", "lattice.K=3"),
     ("hankel-svd", "basis.degree=80", "symbol.id=mixed"),
     ("hankel-svd", "symbol.id=step", "symbol.radius=3", "basis.degree=4"),
+    ("kz-profile", "functional.q=1"),
 )
 
 
